@@ -55,7 +55,6 @@ from .serialize import dump, load, parse, serialize, to_document
 from .strictcat import (
     StrictCategory,
     StrictPresentation,
-    class_counts,
     free_strict,
     quotient_to_category,
     term_equal,

@@ -17,7 +17,7 @@ from .magma import MagmaStructure, composable_pairs, validate_magma, validate_re
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
 from .reversors import ReversorStructure, validate_reversors
 from .serialize import from_document, serialize, to_document
-from .strictcat import class_counts, free_strict, quotient_to_category, validate_strict
+from .strictcat import free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
 
 
@@ -43,13 +43,13 @@ def _load(path: str, kind_override: str | None = None):
     return from_document(doc), doc
 
 
-def _validate_any(obj, args):
+def _validate_any(obj, strict: bool):
     if isinstance(obj, Stretching):
         return validate_stretching(obj)
     if isinstance(obj, ReversorStructure):
         return validate_reversors(obj)
     if isinstance(obj, MagmaStructure):
-        if getattr(args, "strict", False) or getattr(args, "_doc_kind", None) == "strict":
+        if strict:
             return validate_strict(obj)
         if obj.refl is not None:
             return validate_reflexive_magma(obj)
@@ -63,8 +63,7 @@ def _validate_any(obj, args):
 
 def cmd_validate(args) -> int:
     obj, doc = _load(args.path, args.kind)
-    args._doc_kind = doc.get("kind")
-    report = _validate_any(obj, args)
+    report = _validate_any(obj, args.strict or doc["kind"] == "strict")
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     elif report.ok:
@@ -95,7 +94,7 @@ def cmd_free(args) -> int:
         out_obj, out_kind = result, "reflexive"
     elif args.mode == "strict":
         pres = free_strict(obj, dim, args.size, budget=args.budget)
-        _print_counts(class_counts(pres), "classes")
+        _print_counts(pres.class_counts(), "classes")
         out_obj, out_kind = quotient_to_category(pres), "strict"
     else:
         fw = free_weak(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .colors import Color, add, colors_within, minus
 from .errors import EntryAbsent, UnknownCell

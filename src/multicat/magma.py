@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .colors import Color, add, addable_entries, minus
 from .core import SOURCE, TARGET, CellId, MultipleSet, face, validate_multiple_set
 from .errors import NotComposable, UnknownCell
-from .reflexive import ReflexiveStructure, validate_reflexive
+from .reflexive import ReflexiveStructure, _scan_reflexive
 from .report import ValidationReport
 
 
@@ -55,12 +55,15 @@ def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId
 
 def validate_magma(m: MagmaStructure, require_total: bool = True) -> ValidationReport:
     """Totality on the pullback, POS1 and POS2."""
-    ms = m.base
-    report = ValidationReport()
-    base_report = validate_multiple_set(ms)
-    if not base_report.ok:
-        return base_report
+    report = validate_multiple_set(m.base)
+    if report.ok:
+        _scan_magma(m, report, require_total)
+    return report.sorted()
 
+
+def _scan_magma(m: MagmaStructure, report: ValidationReport, require_total: bool):
+    """The composition scans, appended to ``report``; the base must be valid."""
+    ms = m.base
     if require_total:
         for c in ms.colors():
             for d in c:
@@ -71,6 +74,9 @@ def validate_magma(m: MagmaStructure, require_total: bool = True) -> ValidationR
 
     for (c, d), tab in m.comp.items():
         for (a, b), r in tab.items():
+            if not (ms.has_cell(c, a) and ms.has_cell(c, b)):
+                report.add("TOTAL", c, (a, b), f"operand not a cell at {list(c)}")
+                continue
             if not ms.has_cell(c, r):
                 report.add("TOTAL", c, (a, b), f"composite {r!r} not a cell at {list(c)}")
                 continue
@@ -93,20 +99,29 @@ def validate_magma(m: MagmaStructure, require_total: bool = True) -> ValidationR
                         )
                     elif lower_tab[(fa, fb)] != face(ms, c, r, k, pol):
                         report.add("POS2", c, (a, b), f"direction={d} entry={k} polarity={pol}")
+
+
+def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
+    """Degeneracies distribute over composition (the DIST law)."""
+    if m.refl is None:
+        report = ValidationReport()
+        report.add("TOTAL", (), (), "no reflexive structure attached")
+        return report
+    report = validate_multiple_set(m.base)
+    _scan_reflexive_magma(m, report, report.ok)
     return report.sorted()
 
 
-def validate_reflexive_magma(m: MagmaStructure, require_total: bool = True) -> ValidationReport:
-    """Degeneracies distribute over composition (the DIST law)."""
-    report = ValidationReport()
+def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: bool,
+                          require_total: bool = True):
+    """The magma, reflexive and DIST scans over a base validated once; DIST is
+    pure table lookup, so it stays meaningful (and safe) on a failed base."""
+    if base_ok:
+        _scan_magma(m, report, require_total)
+        if m.refl is not None:
+            _scan_reflexive(m.refl, report, True, require_total)
     if m.refl is None:
-        report.add("TOTAL", (), (), "no reflexive structure attached")
-        return report
-    report.extend(validate_magma(m, require_total=require_total))
-    report.extend(validate_reflexive(m.refl, require_total=require_total))
-    # the distribution scan below is pure table lookup, so it stays
-    # meaningful (and safe) even when the layers above already failed
-
+        return
     for (c, d), tab in m.comp.items():
         for l in addable_entries(c, m.base.universe_bound):
             if len(c) + 1 > m.base.dim_bound:
@@ -121,4 +136,3 @@ def validate_reflexive_magma(m: MagmaStructure, require_total: bool = True) -> V
                     continue
                 if up_tab.get((da, db)) != dr:
                     report.add("DIST", c, (a, b), f"direction={d} added={l}")
-    return report.sorted()

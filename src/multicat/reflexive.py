@@ -57,11 +57,16 @@ def validate_reflexive(
     degenerate cell in its own added direction gives the cell back); the
     other diagrams only constrain distinct directions.
     """
+    report = validate_multiple_set(r.base)
+    if report.ok:
+        _scan_reflexive(r, report, check_section, require_total)
+    return report.sorted()
+
+
+def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
+                    check_section: bool, require_total: bool):
+    """The degeneracy scans, appended to ``report``; the base must be valid."""
     ms = r.base
-    report = ValidationReport()
-    base_report = validate_multiple_set(ms)
-    if not base_report.ok:
-        return base_report
     if require_total:
         for c, l in admissible_refl_keys(ms):
             tab = r.refl.get((c, l))
@@ -75,6 +80,9 @@ def validate_reflexive(
     for (c, l), tab in r.refl.items():
         up = add(c, l)
         for x, dx in tab.items():
+            if not ms.has_cell(c, x):
+                report.add("TOTAL", c, (x,), f"degeneracy of {x!r}, not a cell at {list(c)}")
+                continue
             if not ms.has_cell(up, dx):
                 report.add("TOTAL", c, (x,), f"degenerate image {dx!r} not at {list(up)}")
                 continue
@@ -100,7 +108,6 @@ def validate_reflexive(
                     continue
                 if via_l is None or via_k is None or via_l != via_k:
                     report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
-    return report.sorted()
 
 
 def _free_cell_id(x: CellId, added: frozenset[int]) -> CellId:

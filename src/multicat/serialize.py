@@ -149,7 +149,18 @@ def _parse_ms(doc: dict) -> MultipleSet:
         for entry in _require(doc, "cells"):
             color_raw, ids = entry
             c = make_color(color_raw)
+            if c in ms.cells:
+                raise ParseError(f"color {list(c)} listed twice in cells")
+            # by length and largest entry: listing colors_within would grow
+            # as C(universe_bound, dim_bound)
+            if len(c) > ms.dim_bound or (c and c[-1] > ms.universe_bound):
+                raise ParseError(
+                    f"color {list(c)} outside universe_bound {ms.universe_bound}"
+                    f" and dim_bound {ms.dim_bound}"
+                )
             ms.cells[c] = [str(x) for x in ids]
+            if len(set(ms.cells[c])) != len(ms.cells[c]):
+                raise ParseError(f"cell id repeated at color {list(c)}")
         for color_raw, d, x, s, t in _require(doc, "faces"):
             c = make_color(color_raw)
             ms.src.setdefault((c, int(d)), {})[str(x)] = s

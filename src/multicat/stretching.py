@@ -28,8 +28,8 @@ from .core import (
     validate_multiple_set,
 )
 from .errors import BoundsTooSmall, InvalidBase
-from .magma import MagmaStructure, composable_pairs, validate_magma, validate_reflexive_magma
-from .reflexive import ReflexiveStructure, admissible_refl_keys, validate_reflexive
+from .magma import MagmaStructure, _scan_reflexive_magma, composable_pairs
+from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import ReversorStructure, search_reversors
 from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
@@ -136,17 +136,12 @@ def validate_stretching(e: Stretching) -> ValidationReport:
     brackets) is only demanded of cells strictly below the last completed
     stage; the frontier is by construction still open.
     """
-    report = ValidationReport()
-    total = e.stage_of is None
-    report.extend(validate_multiple_set(e.magma.base))
-    report.extend(validate_magma(e.magma, require_total=total))
-    if e.magma.refl is not None:
-        report.extend(validate_reflexive(e.magma.refl, require_total=total))
-        report.extend(validate_reflexive_magma(e.magma, require_total=total))
-    else:
+    report = validate_multiple_set(e.magma.base)
+    _scan_reflexive_magma(e.magma, report, report.ok, require_total=e.stage_of is None)
+    if e.magma.refl is None:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
     report.extend(validate_strict(e.cat))
-    if not total:
+    if e.stage_of is not None:
         _check_staged_totality(e, report)
     _validate_pi(e, report)
     _validate_brackets(e, report)
@@ -186,6 +181,9 @@ def _validate_brackets(e: Stretching, report: ValidationReport):
         up = add(c, r)
         pmap = e.pi.get(c, {})
         for (a, b), x in tab.items():
+            if not (M.has_cell(c, a) and M.has_cell(c, b)):
+                report.add("BR-TOTAL", c, (a, b), f"added={r} endpoint not a cell at {list(c)}")
+                continue
             if not M.has_cell(up, x):
                 report.add("BR-TOTAL", c, (a, b), f"bracket image {x!r} not at {list(up)}")
                 continue
@@ -406,30 +404,32 @@ class _Completion:
     def run_stage(self, stage: int) -> dict:
         prev = self.prev_cells(stage)
         counts = {"composites": 0, "degeneracies": 0, "reversors": 0, "brackets": 0}
+
+        def adjoin(kind: str, t):
+            # log every cell added, faces included, so the log sums to the cells built
+            before = len(self.stage_of)
+            self.materialize(t, stage)
+            counts[kind] += len(self.stage_of) - before
+
         for c in sorted(prev, key=lambda c: (len(c), c)):
             items = prev[c]
             # degeneracies
             if len(c) + 1 <= self.N:
                 for l in addable_entries(c, self.D):
                     for cid, t in items:
-                        before = len(self.cells.get(add(c, l), {}))
-                        self.materialize(_push_refl(l, t), stage)
-                        counts["degeneracies"] += len(self.cells[add(c, l)]) - before
+                        adjoin("degeneracies", _push_refl(l, t))
             # composites
             for d in c:
                 for aid, ta in items:
                     sa = _render(self.face_term(ta, d, SOURCE))
                     for bid, tb in items:
                         if _render(self.face_term(tb, d, TARGET)) == sa:
-                            before = len(self.cells.get(c, {}))
-                            self.materialize(("comp", d, ta, tb), stage)
-                            counts["composites"] += len(self.cells[c]) - before
+                            adjoin("composites", ("comp", d, ta, tb))
             # formal reversor cells
             if self.m is not None and len(c) >= 1:
                 for e in c:
                     for cid, t in items:
-                        self.materialize(("cell", frozenset(), ("rev", e, t)), stage)
-                        counts["reversors"] += 1
+                        adjoin("reversors", ("cell", frozenset(), ("rev", e, t)))
             # brackets over projection-equal pairs
             if len(c) + 1 <= self.N:
                 by_image: dict[CellId, list] = {}
@@ -439,10 +439,7 @@ class _Completion:
                     for aid, ta in group:
                         for bid, tb in group:
                             for r in addable_entries(c, self.D):
-                                self.materialize(
-                                    ("cell", frozenset(), ("br", r, ta, tb)), stage
-                                )
-                                counts["brackets"] += 1
+                                adjoin("brackets", ("cell", frozenset(), ("br", r, ta, tb)))
         return counts
 
 

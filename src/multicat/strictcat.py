@@ -14,10 +14,10 @@ import os
 from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MsMorphism, MultipleSet, face, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, MultipleSet, face, validate_multiple_set
 from .errors import BoundsTooSmall, BudgetExceeded, InvalidBase, TermNotMaterialized
-from .magma import MagmaStructure, composable_pairs, validate_magma, validate_reflexive_magma
-from .reflexive import ReflexiveStructure, admissible_refl_keys, validate_reflexive
+from .magma import MagmaStructure, _scan_reflexive_magma, composable_pairs
+from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 
 # a strict category is a magma over a reflexive structure whose tables
@@ -29,19 +29,21 @@ def default_budget() -> int:
     return int(os.environ.get("MULTICAT_BUDGET", "200000"))
 
 
-def validate_strict(m: StrictCategory, require_total: bool = True) -> ValidationReport:
-    """ASSOC, UNIT and MFI on top of the lower layers."""
-    report = validate_magma(m, require_total=require_total)
+def validate_strict(m: StrictCategory) -> ValidationReport:
+    """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
+    report = validate_multiple_set(m.base)
+    base_ok = report.ok
+    _scan_reflexive_magma(m, report, base_ok)
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
-        return report.sorted()
-    report.extend(validate_reflexive(m.refl, require_total=require_total))
-    report.extend(validate_reflexive_magma(m, require_total=require_total))
-    ms = m.base
-    if not validate_multiple_set(ms).ok:
-        # the scans below need working face tables
-        return report.sorted()
+    elif base_ok:
+        _scan_strict(m, report)
+    return report.sorted()
 
+
+def _scan_strict(m: StrictCategory, report: ValidationReport):
+    """The strictness scans, appended to ``report``; the base must be valid."""
+    ms = m.base
     for (c, d), tab in m.comp.items():
         # ASSOC: (a*b)*e == a*(b*e) whenever all composites are defined
         for (a, b), ab in tab.items():
@@ -80,7 +82,6 @@ def validate_strict(m: StrictCategory, require_total: bool = True) -> Validation
                     rhs = jtab.get((ap, bq))
                     if rhs is not None and lhs != rhs:
                         report.add("MFI", c, (a, b, p, q), f"directions=({j},{k})")
-    return report.sorted()
 
 
 class _UnionFind:
@@ -345,12 +346,6 @@ class StrictPresentation:
 
     def class_of_term(self, term) -> int:
         """Class root for a term given as nested ('gen'|'refl'|'comp', ...) tuples."""
-        kind = term[0]
-        if kind == "gen":
-            node = ("gen", tuple(term[1]), term[2])
-            if node not in self.memo:
-                raise TermNotMaterialized(f"generator {term!r} not in presentation")
-            return self.uf.find(self.memo[node])
         refl_by, comp_by = self._indexes()
         return self._class_of(term, refl_by, comp_by)
 
@@ -382,10 +377,6 @@ class StrictPresentation:
 
 def term_equal(p: StrictPresentation, t1, t2) -> bool:
     return p.class_of_term(t1) == p.class_of_term(t2)
-
-
-def class_counts(p: StrictPresentation) -> dict[Color, int]:
-    return p.class_counts()
 
 
 def free_strict(

@@ -136,3 +136,17 @@ def test_diff_parse_error(capsys):
 def test_whole_corpus_exit_codes(name, capsys):
     code = main(["validate", fpath(name)])
     assert code == (1 if "broken" in name else 0)
+
+
+def test_validate_json_reports_non_cell_key(tmp_path, capsys):
+    with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["comp"].append([[1], 1, "ghost", "o0>o1", "o0>o1"])
+    p = tmp_path / "ghost.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    payload = json.loads(out.out)
+    assert [v["axiom"] for v in payload["violations"]] == ["TOTAL"]
+    assert payload["violations"][0]["cells"] == ["ghost", "o0>o1"]

@@ -91,3 +91,12 @@ def test_dist_holds_and_breaks():
         if "DIST" in expected:
             assert "DIST" in report.axioms()
     up[key] = orig
+
+
+def test_composite_keyed_by_non_cell_is_total_violation():
+    pg = fx.pair_groupoid(2)
+    pg.comp[((1,), 1)][("ghost", "o0>o1")] = "o0>o1"
+    report = mc.validate_magma(pg)
+    assert report.axioms() == {"TOTAL"}
+    assert [v.cells for v in report.violations] == [("ghost", "o0>o1")]
+    assert mc.validate_strict(pg).axioms() == {"TOTAL"}

@@ -116,3 +116,12 @@ def test_monad_multiply_bound_mismatch():
     unrelated = mc.free_reflexive(fx.single_edge(), 1)
     with pytest.raises(mc.BoundMismatch):
         mc.reflexive_monad_multiply(unrelated, inner)
+
+
+def test_degeneracy_keyed_by_non_cell_is_total_violation():
+    fr = mc.free_reflexive(fx.parallel_edges(), 2)
+    key = ((1,), 2)
+    fr.refl[key]["ghost"] = sorted(fr.refl[key].values())[0]
+    report = mc.validate_reflexive(fr)
+    assert report.axioms() == {"TOTAL"}
+    assert [v.cells for v in report.violations] == [("ghost",)]

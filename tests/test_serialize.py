@@ -96,3 +96,38 @@ def test_random_multiple_sets_roundtrip(d, sizes, seed):
     ms = mc.random_multiple_set(d, d, sizes=sizes, seed=seed)
     text = serialize(ms)
     assert serialize(parse(text)) == text
+
+
+def _point_doc(**body):
+    doc = {
+        "format_version": 1,
+        "kind": "multiple-set",
+        "universe_bound": 1,
+        "dim_bound": 1,
+        "cells": [[[], ["p"]]],
+        "faces": [],
+    }
+    doc.update(body)
+    return doc
+
+
+def test_parse_rejects_repeated_cell_id():
+    with pytest.raises(mc.ParseError, match="repeated"):
+        from_document(_point_doc(cells=[[[], ["p", "p"]]]))
+
+
+def test_parse_rejects_color_listed_twice():
+    with pytest.raises(mc.ParseError, match="twice"):
+        from_document(_point_doc(cells=[[[], ["p"]], [[], ["q"]]]))
+
+
+def test_parse_rejects_color_outside_bounds():
+    edge = [[1], ["e"]]
+    faces = [[[1], 1, "e", "p", "p"]]
+    assert from_document(_point_doc(cells=[[[], ["p"]], edge], faces=faces)).has_cell((1,), "e")
+    with pytest.raises(mc.ParseError, match="outside"):
+        from_document(_point_doc(universe_bound=0, cells=[[[], ["p"]], edge], faces=faces))
+    with pytest.raises(mc.ParseError, match="outside"):
+        from_document(_point_doc(dim_bound=0, cells=[[[], ["p"]], edge], faces=faces))
+    with pytest.raises(mc.ParseError, match="outside"):
+        from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [[3], ["e"]]]))

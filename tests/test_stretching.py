@@ -142,3 +142,20 @@ def test_algebra_unit_check():
     assert mc.algebra_unit_check(fw, h).ok
     h.maps[()]["p"] = "wrong"
     assert "ALG-UNIT" in mc.algebra_unit_check(fw, h).axioms()
+
+
+def test_stage_log_counts_cells_added():
+    fw = mc.free_weak(fx.path2(), stages=3)
+    assert [entry["brackets"] for entry in fw.stage_log] == [3, 0, 0]
+    built = sum(1 for s in fw.stretching.stage_of.values() if s >= 1)
+    assert sum(sum(entry.values()) for entry in fw.stage_log) == built == 319
+    fw = mc.free_weak(fx.parallel_edges(), dim_bound=2, size_bound=8, stages=2)
+    built = sum(1 for s in fw.stretching.stage_of.values() if s >= 1)
+    assert sum(sum(entry.values()) for entry in fw.stage_log) == built == 66
+
+
+def test_bracket_keyed_by_non_cell_is_total_violation():
+    e = mc.identity_stretching(fx.pair_groupoid(2))
+    e.brackets[((), 1)][("ghost", "o0")] = "o0>o0"
+    report = mc.validate_stretching(e)
+    assert ("BR-TOTAL", ("ghost", "o0")) in {(v.axiom, v.cells) for v in report.violations}

@@ -1,0 +1,48 @@
+"""Each validator checks every layer below it once per call.
+
+The base multiple set is the layer every other one stands on, so the calls
+to ``validate_multiple_set`` count how often the lower layers run.
+"""
+
+import os
+import sys
+
+import pytest
+
+import multicat as mc
+from multicat.serialize import load
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.fixture
+def base_calls(monkeypatch):
+    """Count calls to validate_multiple_set through every multicat namespace."""
+    calls = []
+    original = mc.validate_multiple_set
+
+    def counted(ms):
+        calls.append(ms)
+        return original(ms)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "multicat" or name.startswith("multicat.")) and (
+            getattr(mod, "validate_multiple_set", None) is original
+        ):
+            monkeypatch.setattr(mod, "validate_multiple_set", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fixture, validator, calls",
+    [
+        ("parallel-edges-free-weak.mset", mc.validate_stretching, 2),
+        ("pair-groupoid.mset", mc.validate_strict, 1),
+        ("pair-groupoid.mset", mc.validate_reflexive_magma, 1),
+        ("pair-groupoid.mset", mc.validate_magma, 1),
+    ],
+)
+def test_each_layer_validated_once(fixture, validator, calls, base_calls):
+    obj = load(os.path.join(FIXTURE_DIR, fixture))
+    assert validator(obj).ok
+    assert len(base_calls) == calls
