@@ -74,6 +74,9 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport, require_total: bool
 
     for (c, d), tab in m.comp.items():
         for (a, b), r in tab.items():
+            if d not in c:
+                report.add("TOTAL", c, (a, b), f"direction {d} not an entry of {list(c)}")
+                continue
             if not (ms.has_cell(c, a) and ms.has_cell(c, b)):
                 report.add("TOTAL", c, (a, b), f"operand not a cell at {list(c)}")
                 continue

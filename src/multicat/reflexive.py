@@ -78,6 +78,10 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                     report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
 
     for (c, l), tab in r.refl.items():
+        if l in c or l < 1:
+            for x in tab:
+                report.add("TOTAL", c, (x,), f"entry {l} cannot be added to {list(c)}")
+            continue
         up = add(c, l)
         for x, dx in tab.items():
             if not ms.has_cell(c, x):
@@ -100,7 +104,7 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                         report.add(axiom, c, (x,), f"added={l} entry={k}")
             # exchange with every other degeneracy defined at this color
             for (c2, k), tab2 in r.refl.items():
-                if c2 != c or k <= l or x not in tab2:
+                if c2 != c or k <= l or k in c or x not in tab2:
                     continue
                 via_l = r.refl.get((up, k), {}).get(dx)
                 via_k = r.refl.get((add(c, k), l), {}).get(tab2[x])

@@ -13,7 +13,7 @@ import json
 
 from .colors import Color, make_color
 from .core import MultipleSet
-from .errors import ParseError
+from .errors import NonPositiveEntry, NotStrictlyIncreasing, ParseError
 from .magma import MagmaStructure
 from .reflexive import ReflexiveStructure
 from .reversors import ReversorStructure, make_chain
@@ -137,6 +137,14 @@ def serialize(obj, kind: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _color(raw) -> Color:
+    """A color read from a document; a malformed one is a parse error."""
+    try:
+        return make_color(raw)
+    except (NotStrictlyIncreasing, NonPositiveEntry) as exc:
+        raise ParseError(f"bad color {raw!r}: {exc}") from exc
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise ParseError(f"document missing required field {key!r}")
@@ -148,7 +156,7 @@ def _parse_ms(doc: dict) -> MultipleSet:
         ms = MultipleSet(int(_require(doc, "universe_bound")), int(_require(doc, "dim_bound")))
         for entry in _require(doc, "cells"):
             color_raw, ids = entry
-            c = make_color(color_raw)
+            c = _color(color_raw)
             if c in ms.cells:
                 raise ParseError(f"color {list(c)} listed twice in cells")
             # by length and largest entry: listing colors_within would grow
@@ -162,7 +170,7 @@ def _parse_ms(doc: dict) -> MultipleSet:
             if len(set(ms.cells[c])) != len(ms.cells[c]):
                 raise ParseError(f"cell id repeated at color {list(c)}")
         for color_raw, d, x, s, t in _require(doc, "faces"):
-            c = make_color(color_raw)
+            c = _color(color_raw)
             ms.src.setdefault((c, int(d)), {})[str(x)] = s
             ms.tgt.setdefault((c, int(d)), {})[str(x)] = t
         return ms
@@ -174,7 +182,7 @@ def _parse_refl(doc: dict, base: MultipleSet) -> ReflexiveStructure:
     refl = ReflexiveStructure(base=base)
     try:
         for color_raw, l, x, dx in doc.get("refl", []):
-            refl.refl.setdefault((make_color(color_raw), int(l)), {})[str(x)] = str(dx)
+            refl.refl.setdefault((_color(color_raw), int(l)), {})[str(x)] = str(dx)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed reflexive table: {exc}") from exc
     return refl
@@ -187,7 +195,7 @@ def _parse_magma(doc: dict) -> MagmaStructure:
         m.refl = _parse_refl(doc, base)
     try:
         for color_raw, d, a, b, r in doc.get("comp", []):
-            m.comp.setdefault((make_color(color_raw), int(d)), {})[(str(a), str(b))] = str(r)
+            m.comp.setdefault((_color(color_raw), int(d)), {})[(str(a), str(b))] = str(r)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed composition table: {exc}") from exc
     return m
@@ -214,7 +222,7 @@ def from_document(doc: dict):
         try:
             chains = [
                 make_chain(
-                    make_color(color_raw),
+                    _color(color_raw),
                     [int(e) for e in entries],
                     [dict((str(x), str(y)) for x, y in level) for level in levels],
                 )
@@ -234,16 +242,16 @@ def from_document(doc: dict):
         cat = _parse_magma(_require(doc, "cat"))
         pi: dict = {}
         for color_raw, x, px in _require(doc, "pi"):
-            pi.setdefault(make_color(color_raw), {})[str(x)] = str(px)
+            pi.setdefault(_color(color_raw), {})[str(x)] = str(px)
         brackets: dict = {}
         for color_raw, r, a, b, cell in doc.get("brackets", []):
-            brackets.setdefault((make_color(color_raw), int(r)), {})[
+            brackets.setdefault((_color(color_raw), int(r)), {})[
                 (str(a), str(b))
             ] = str(cell)
         stage_of = None
         if "stage_of" in doc:
             stage_of = {
-                (make_color(color_raw), str(x)): int(s)
+                (_color(color_raw), str(x)): int(s)
                 for color_raw, x, s in doc["stage_of"]
             }
         return Stretching(

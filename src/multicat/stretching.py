@@ -27,7 +27,7 @@ from .core import (
     face,
     validate_multiple_set,
 )
-from .errors import BoundsTooSmall, InvalidBase
+from .errors import BoundsTooSmall
 from .magma import MagmaStructure, _scan_reflexive_magma, composable_pairs
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
@@ -102,6 +102,8 @@ def _validate_pi(e: Stretching, report: ValidationReport):
     # degeneracies
     if e.magma.refl is not None and e.cat.refl is not None:
         for (c, l), tab in e.magma.refl.refl.items():
+            if l in c or l < 1:  # reported by the reflexive scan
+                continue
             up = add(c, l)
             for x, dx in tab.items():
                 want = e.cat.refl.refl.get((c, l), {}).get(e.pi.get(c, {}).get(x))
@@ -178,6 +180,10 @@ def _validate_brackets(e: Stretching, report: ValidationReport):
                     report.add("BR-TOTAL", c, (a, b), f"added={r}")
 
     for (c, r), tab in e.brackets.items():
+        if r in c or r < 1:
+            for a, b in tab:
+                report.add("BR-TOTAL", c, (a, b), f"added={r} cannot be added to {list(c)}")
+            continue
         up = add(c, r)
         pmap = e.pi.get(c, {})
         for (a, b), x in tab.items():
@@ -451,9 +457,10 @@ def free_weak(
     stages: int = 1,
     budget: int | None = None,
 ) -> FreeWeakResult:
-    """Stage-bounded free stretching over a generating multiple set."""
-    if not validate_multiple_set(X).ok:
-        raise InvalidBase("generating multiple set does not validate")
+    """Stage-bounded free stretching over a generating multiple set.
+
+    ``free_strict`` validates ``X`` and raises InvalidBase when it fails.
+    """
     N = dim_bound if dim_bound is not None else X.dim_bound
     pres = free_strict(X, N, size_bound, budget=budget)
     cat = quotient_to_category(pres)

@@ -6,6 +6,17 @@ category on a multiple set is presented by a term algebra (generators,
 degeneracies, composites) modulo the congruence the axioms generate.
 Equality is decided by congruence closure over all terms materialized
 within a node-count bound; completeness is relative to that bound.
+
+The closure is an e-graph in the style of egg (Willsey et al., POPL 2021):
+each class keeps its deduplicated canonical e-nodes -- a term node with
+class roots as children -- and the e-nodes that use it as a child.  Unions
+go on a worklist, and a rebuild re-keys only the users of merged classes
+(signature congruence) and unions the faces of merged classes (face
+congruence).  UNIT, ASSOC, MFI, DIST and EXCH match over canonical e-nodes
+and are not matched again until an e-node is added or two classes merge.
+``StrictPresentation.unions`` counts the successful unions of each rule.
+Materialization composes class representatives that fit the size bound and
+whose faces meet, found by sorting them by size and bucketing them by face.
 """
 
 from __future__ import annotations
@@ -54,7 +65,10 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
                 right = tab.get((a, xe))
                 if left is not None and right is not None and left != right:
                     report.add("ASSOC", c, (a, b, e), f"direction={d}")
-        # UNIT: a * 1(s(a)) == a and 1(t(a)) * a == a
+        # UNIT: a * 1(s(a)) == a and 1(t(a)) * a == a; the magma scan
+        # reports a table keyed by a direction outside its color
+        if d not in c:
+            continue
         refl_tab = m.refl.refl.get((minus(c, d), d), {})
         for a in ms.cells_at(c):
             us = refl_tab.get(face(ms, c, a, d, SOURCE))
@@ -99,14 +113,8 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+
+RULES = ("face", "signature", "UNIT", "ASSOC", "MFI", "DIST", "EXCH")
 
 
 @dataclass
@@ -123,6 +131,24 @@ class StrictPresentation:
     memo: dict[tuple, int] = field(default_factory=dict)
     faces: dict[tuple[int, int, str], int] = field(default_factory=dict)
     uf: _UnionFind = field(default_factory=_UnionFind)
+    # e-graph over the classes.  An e-node is a node tuple whose children are
+    # class roots.  After a rebuild the keys of ``hashcons`` are exactly the
+    # e-nodes, each mapped to a member of its class.  Per class root: its
+    # e-nodes, the (e-node, class) pairs that use it as a child, and its
+    # members of least size.
+    hashcons: dict[tuple, int] = field(default_factory=dict)
+    enodes: dict[int, list[tuple]] = field(default_factory=dict)
+    uses: dict[int, list[tuple[tuple, int]]] = field(default_factory=dict)
+    smallest: dict[int, list[int]] = field(default_factory=dict)
+    # successful unions per rule; they sum to len(nodes) minus the classes
+    unions: dict[str, int] = field(default_factory=lambda: dict.fromkeys(RULES, 0))
+    # the rebuild worklist: classes absorbed, and the roots that took over
+    # some absorbed class's uses and so must re-key them
+    absorbed: list[int] = field(default_factory=list)
+    repair: list[int] = field(default_factory=list)
+    # matching again would find nothing: since a match made no union, no
+    # e-node was added and no two classes that own e-nodes merged
+    closed: bool = False
 
     # -- interning ---------------------------------------------------------
 
@@ -134,6 +160,20 @@ class StrictPresentation:
         self.color.append(color)
         self.size.append(size)
         self.memo[node] = nid
+        self.enodes[nid] = []
+        self.uses[nid] = []
+        self.smallest[nid] = [nid]
+        key = self._canon(node)
+        if key in self.hashcons:
+            # a node congruent to an e-node joins its class and adds no e-node
+            self.union(nid, self.hashcons[key], "signature")
+        else:
+            self.hashcons[key] = nid
+            self.enodes[nid].append(key)
+            self.closed = False
+            if key[0] != "gen":
+                for child in set(key[2:]):
+                    self.uses[child].append((key, nid))
         return nid
 
     def intern_gen(self, c: Color, x: CellId) -> int:
@@ -183,148 +223,194 @@ class StrictPresentation:
 
     # -- classes -----------------------------------------------------------
 
-    def class_members(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for nid in range(len(self.nodes)):
-            out.setdefault(self.uf.find(nid), []).append(nid)
-        return out
+    def _canon(self, node: tuple) -> tuple:
+        find = self.uf.find
+        if node[0] == "comp":
+            return ("comp", node[1], find(node[2]), find(node[3]))
+        if node[0] == "refl":
+            return ("refl", node[1], find(node[2]))
+        return node
+
+    def union(self, a: int, b: int, rule: str) -> bool:
+        ra, rb = self.uf.find(a), self.uf.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.uf.parent[rb] = ra
+        self.unions[rule] += 1
+        keep, gone = self.enodes[ra], self.enodes.pop(rb)
+        if keep and gone:
+            self.closed = False
+        if len(keep) < len(gone):
+            keep, gone = gone, keep
+            self.enodes[ra] = keep
+        keep.extend(gone)
+        gone = self.uses.pop(rb)
+        if gone:
+            self.uses[ra].extend(gone)
+            self.repair.append(ra)
+        low_a, low_b = self.smallest[ra], self.smallest.pop(rb)
+        if self.size[low_b[0]] < self.size[low_a[0]]:
+            self.smallest[ra] = low_b
+        elif self.size[low_b[0]] == self.size[low_a[0]]:
+            low_a.extend(low_b)
+        self.absorbed.append(rb)
+        return True
 
     def render(self, nid: int) -> str:
-        node = self.nodes[nid]
-        if node[0] == "gen":
-            return node[2]
-        if node[0] == "refl":
-            return f"1[{node[1]}]({self.render(node[2])})"
-        return f"({self.render(node[2])} *{node[1]} {self.render(node[3])})"
+        return self._render(nid, {})
 
-    def rep_of(self, members: list[int]) -> int:
-        return min(members, key=lambda n: (self.size[n], self.render(n)))
+    def _render(self, nid: int, names: dict[int, str]) -> str:
+        """The term's name; ``names`` caches the names of shared subterms."""
+        name = names.get(nid)
+        if name is None:
+            node = self.nodes[nid]
+            if node[0] == "gen":
+                name = node[2]
+            elif node[0] == "refl":
+                name = f"1[{node[1]}]({self._render(node[2], names)})"
+            else:
+                name = f"({self._render(node[2], names)} *{node[1]} {self._render(node[3], names)})"
+            names[nid] = name
+        return name
+
+    def representatives(self) -> dict[int, int]:
+        """Class root -> its member of least size, then least rendered name."""
+        names: dict[int, str] = {}
+        reps = {}
+        for root, low in self.smallest.items():
+            if len(low) > 1:
+                # the losers of a tie never win a later one: drop them
+                low[:] = [min(low, key=lambda n: self._render(n, names))]
+            reps[root] = low[0]
+        return reps
 
     def class_face(self, nid: int, d: int, pol: str) -> int:
         return self.uf.find(self.faces[(nid, d, pol)])
 
-    def _indexes(self):
-        """Signature indexes over current classes (roots as values)."""
-        refl_by: dict[tuple[int, int], int] = {}
-        comp_by: dict[tuple[int, int, int], int] = {}
-        for nid, node in enumerate(self.nodes):
-            if node[0] == "refl":
-                refl_by[(node[1], self.uf.find(node[2]))] = self.uf.find(nid)
-            elif node[0] == "comp":
-                key = (node[1], self.uf.find(node[2]), self.uf.find(node[3]))
-                comp_by[key] = self.uf.find(nid)
-        return refl_by, comp_by
-
     # -- saturation --------------------------------------------------------
 
-    def _saturate_round(self) -> bool:
-        changed = False
-        members = self.class_members()
-
-        # face congruence: equal cells have equal faces
-        for root, mems in members.items():
-            c = self.color[mems[0]]
-            for d in c:
-                for pol in (SOURCE, TARGET):
-                    roots = {self.class_face(n, d, pol) for n in mems}
-                    first = next(iter(roots))
-                    for r in roots:
-                        changed |= self.uf.union(first, r)
-
-        # signature congruence
-        sig: dict[tuple, int] = {}
-        for nid, node in enumerate(self.nodes):
-            if node[0] == "gen":
-                key = node
-            elif node[0] == "refl":
-                key = ("refl", node[1], self.uf.find(node[2]))
-            else:
-                key = ("comp", node[1], self.uf.find(node[2]), self.uf.find(node[3]))
-            if key in sig:
-                changed |= self.uf.union(sig[key], nid)
-            else:
-                sig[key] = nid
-
-        refl_by, comp_by = self._indexes()
-        comp_members: dict[int, list[tuple]] = {}
-        refl_members: dict[int, list[tuple]] = {}
-        comp_by_colordir: dict[tuple[Color, int], list[int]] = {}
-        for nid, node in enumerate(self.nodes):
-            if node[0] == "comp":
-                comp_members.setdefault(self.uf.find(nid), []).append(node)
-                comp_by_colordir.setdefault((self.color[nid], node[1]), []).append(nid)
-            elif node[0] == "refl":
-                refl_members.setdefault(self.uf.find(nid), []).append(node)
-
+    def _rebuild(self):
+        """Close the pending unions under face and signature congruence."""
         find = self.uf.find
-        for nid, node in enumerate(self.nodes):
-            if node[0] == "comp":
-                _, d, a, b = node
-                # UNIT
-                sd = self.class_face(a, d, SOURCE)
-                if find(b) == refl_by.get((d, sd), -1):
-                    changed |= self.uf.union(nid, a)
-                td = self.class_face(b, d, TARGET)
-                if find(a) == refl_by.get((d, td), -1):
-                    changed |= self.uf.union(nid, b)
-                # ASSOC: a ~ (x *_d y)  =>  (a*b) ~ x*(y*b)
-                for mem in comp_members.get(find(a), ()):
-                    if mem[1] != d:
-                        continue
-                    inner = comp_by.get((d, find(mem[3]), find(b)))
-                    if inner is None:
-                        continue
-                    outer = comp_by.get((d, find(mem[2]), inner))
-                    if outer is not None:
-                        changed |= self.uf.union(nid, outer)
-                # MFI: nid = (a *_j b); pair with (p *_j q) along k
-                j = d
-                for k in self.color[nid]:
-                    if k == j:
-                        continue
-                    for other in comp_by_colordir.get((self.color[nid], j), ()):
-                        onode = self.nodes[other]
-                        lhs = comp_by.get((k, find(nid), find(other)))
-                        if lhs is None:
+        rekeyed: set[int] = set()
+        while self.absorbed:
+            absorbed, self.absorbed = self.absorbed, []
+            for rb in absorbed:
+                # face congruence: equal cells have equal faces
+                ra = find(rb)
+                for d in self.color[rb]:
+                    for pol in (SOURCE, TARGET):
+                        self.union(self.faces[(rb, d, pol)], self.faces[(ra, d, pol)], "face")
+            # signature congruence: e-nodes that use a merged class and now
+            # have the same children are equal; they are merged once every
+            # repair of this batch is done, so the roots stay roots meanwhile
+            congruent = []
+            for root in {find(r) for r in self.repair}:
+                fresh: dict[tuple, int] = {}
+                for key, cls in self.uses[root]:
+                    canon = self._canon(key)
+                    if canon != key:
+                        rekeyed.add(cls)
+                    if canon in fresh:
+                        congruent.append((cls, fresh[canon]))
+                    else:
+                        fresh[canon] = cls
+                self.uses[root] = list(fresh.items())
+            self.repair = []
+            for a, b in congruent:
+                self.union(a, b, "signature")
+        # re-key the e-nodes of the classes touched, dropping duplicates
+        hashcons = self.hashcons
+        for root in {find(r) for r in rekeyed}:
+            ens = {}
+            for key in self.enodes[root]:
+                canon = self._canon(key)
+                if canon != key:
+                    del hashcons[key]
+                ens[canon] = None
+                hashcons[canon] = root
+            self.enodes[root] = list(ens)
+
+    def _match(self) -> list[tuple[str, int, int]]:
+        """Every rule instance over the canonical e-nodes, as unions to make."""
+        find = self.uf.find
+        get = self.hashcons.get
+        enodes = self.enodes
+        faces = self.faces
+        out = []
+        for root, ens in enodes.items():
+            for node in ens:
+                if node[0] == "comp":
+                    _, d, a, b = node
+                    # UNIT: a * 1(s(a)) == a and 1(t(b)) * b == b
+                    unit = get(("refl", d, find(faces[(a, d, SOURCE)])))
+                    if unit is not None and find(unit) == b:
+                        out.append(("UNIT", root, a))
+                    unit = get(("refl", d, find(faces[(b, d, TARGET)])))
+                    if unit is not None and find(unit) == a:
+                        out.append(("UNIT", root, b))
+                    for left in enodes[a]:
+                        if left[0] != "comp":
                             continue
-                        ap = comp_by.get((k, find(a), find(onode[2])))
-                        bq = comp_by.get((k, find(b), find(onode[3])))
-                        if ap is None or bq is None:
+                        if left[1] == d:
+                            # ASSOC: a ~ (x *_d y)  =>  (a*b) ~ x*(y*b)
+                            inner = get(("comp", d, left[3], b))
+                            if inner is None:
+                                continue
+                            outer = get(("comp", d, left[2], find(inner)))
+                            if outer is not None:
+                                out.append(("ASSOC", root, outer))
                             continue
-                        rhs = comp_by.get((j, ap, bq))
-                        if rhs is not None:
-                            changed |= self.uf.union(lhs, rhs)
-            elif node[0] == "refl":
-                _, l, ch = node
-                # DIST: 1_l(x *_d y) ~ 1_l(x) *_d 1_l(y)
-                for mem in comp_members.get(find(ch), ()):
-                    rx = refl_by.get((l, find(mem[2])))
-                    ry = refl_by.get((l, find(mem[3])))
-                    if rx is None or ry is None:
-                        continue
-                    c2 = comp_by.get((mem[1], rx, ry))
-                    if c2 is not None:
-                        changed |= self.uf.union(nid, c2)
-                # EXCH: 1_l(1_k(x)) ~ 1_k(1_l(x))
-                for mem in refl_members.get(find(ch), ()):
-                    inner = refl_by.get((l, find(mem[2])))
-                    if inner is None:
-                        continue
-                    other = refl_by.get((mem[1], inner))
-                    if other is not None:
-                        changed |= self.uf.union(nid, other)
-        return changed
+                        # MFI: node = (x *_j y) *_d (p *_j q)
+                        _, j, x, y = left
+                        for right in enodes[b]:
+                            if right[0] != "comp" or right[1] != j:
+                                continue
+                            xp = get(("comp", d, x, right[2]))
+                            yq = get(("comp", d, y, right[3]))
+                            if xp is None or yq is None:
+                                continue
+                            rhs = get(("comp", j, find(xp), find(yq)))
+                            if rhs is not None:
+                                out.append(("MFI", root, rhs))
+                elif node[0] == "refl":
+                    _, l, ch = node
+                    for inner in enodes[ch]:
+                        if inner[0] == "comp":
+                            # DIST: 1_l(x *_d y) ~ 1_l(x) *_d 1_l(y)
+                            rx = get(("refl", l, inner[2]))
+                            ry = get(("refl", l, inner[3]))
+                            if rx is None or ry is None:
+                                continue
+                            other = get(("comp", inner[1], find(rx), find(ry)))
+                            if other is not None:
+                                out.append(("DIST", root, other))
+                        elif inner[0] == "refl":
+                            # EXCH: 1_l(1_k(x)) ~ 1_k(1_l(x))
+                            lx = get(("refl", l, inner[2]))
+                            if lx is None:
+                                continue
+                            other = get(("refl", inner[1], find(lx)))
+                            if other is not None:
+                                out.append(("EXCH", root, other))
+        return out
 
     def saturate(self):
-        while self._saturate_round():
-            pass
+        """Close the classes under the congruence the axioms generate."""
+        self._rebuild()
+        while not self.closed:
+            self.closed = True
+            for rule, a, b in self._match():
+                self.union(a, b, rule)
+            self._rebuild()
 
     def _materialize_round(self) -> bool:
+        """Degeneracies and composites of representatives within the bounds."""
         before = len(self.nodes)
-        members = self.class_members()
-        reps = {root: self.rep_of(mems) for root, mems in members.items()}
         by_color: dict[Color, list[int]] = {}
-        for root, rep in reps.items():
+        for rep in self.representatives().values():
             by_color.setdefault(self.color[rep], []).append(rep)
 
         D = self.generators.universe_bound
@@ -333,43 +419,39 @@ class StrictPresentation:
                 if len(c) + 1 <= self.dim_bound and self.size[rep] + 1 <= self.size_bound:
                     for l in addable_entries(c, D):
                         self.intern_refl(l, rep)
+            # only pairs within the size bound whose faces meet are composed
+            ranked = sorted(rep_list, key=self.size.__getitem__)
             for d in c:
-                for a in rep_list:
-                    for b in rep_list:
-                        if self.size[a] + self.size[b] + 1 > self.size_bound:
-                            continue
-                        if self.class_face(a, d, SOURCE) == self.class_face(b, d, TARGET):
-                            self.intern_comp(d, a, b)
+                by_target: dict[int, list[int]] = {}
+                for b in ranked:
+                    by_target.setdefault(self.class_face(b, d, TARGET), []).append(b)
+                for a in ranked:
+                    room = self.size_bound - self.size[a] - 1
+                    for b in by_target.get(self.class_face(a, d, SOURCE), ()):
+                        if self.size[b] > room:
+                            break
+                        self.intern_comp(d, a, b)
         return len(self.nodes) > before
 
     # -- queries -----------------------------------------------------------
 
     def class_of_term(self, term) -> int:
         """Class root for a term given as nested ('gen'|'refl'|'comp', ...) tuples."""
-        refl_by, comp_by = self._indexes()
-        return self._class_of(term, refl_by, comp_by)
-
-    def _class_of(self, term, refl_by, comp_by) -> int:
         kind = term[0]
         if kind == "gen":
-            node = ("gen", tuple(term[1]), term[2])
-            if node not in self.memo:
-                raise TermNotMaterialized(f"generator {term!r} not in presentation")
-            return self.uf.find(self.memo[node])
-        if kind == "refl":
-            child = self._class_of(term[2], refl_by, comp_by)
-            got = refl_by.get((term[1], child))
+            key = ("gen", tuple(term[1]), term[2])
+        elif kind == "refl":
+            key = ("refl", term[1], self.class_of_term(term[2]))
         else:
-            a = self._class_of(term[2], refl_by, comp_by)
-            b = self._class_of(term[3], refl_by, comp_by)
-            got = comp_by.get((term[1], a, b))
+            key = ("comp", term[1], self.class_of_term(term[2]), self.class_of_term(term[3]))
+        got = self.hashcons.get(key)
         if got is None:
             raise TermNotMaterialized(f"term {term!r} not materialized")
         return self.uf.find(got)
 
     def class_counts(self) -> dict[Color, int]:
         out: dict[Color, int] = {}
-        for root in self.class_members():
+        for root in self.enodes:
             c = self.color[root]
             out[c] = out.get(c, 0) + 1
         return out
@@ -408,8 +490,7 @@ def free_strict(
 
 def unit_map(p: StrictPresentation) -> dict[tuple[Color, CellId], str]:
     """The generator embedding, as (color, generator) -> class representative."""
-    members = p.class_members()
-    reps = {root: p.render(p.rep_of(mems)) for root, mems in members.items()}
+    reps = {root: p.render(rep) for root, rep in p.representatives().items()}
     out = {}
     for c in p.generators.colors():
         for x in p.generators.cells_at(c):
@@ -423,8 +504,7 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     Raises BoundsTooSmall when a composable class pair has no materialized
     composite or a degeneracy was never built.
     """
-    members = p.class_members()
-    reps = {root: p.rep_of(mems) for root, mems in members.items()}
+    reps = p.representatives()
     names = {root: p.render(rep) for root, rep in reps.items()}
 
     base = MultipleSet(p.generators.universe_bound, p.dim_bound)
@@ -445,12 +525,11 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
             base.src[(c, d)] = stab
             base.tgt[(c, d)] = ttab
 
-    refl_by, comp_by = p._indexes()
     refl = ReflexiveStructure(base=base)
     for c, l in admissible_refl_keys(base):
         tab = {}
         for name in base.cells_at(c):
-            got = refl_by.get((l, root_of_name[name]))
+            got = p.hashcons.get(("refl", l, root_of_name[name]))
             if got is None:
                 raise BoundsTooSmall(
                     f"degeneracy 1[{l}] of {name!r} at {list(c)} not materialized"
@@ -463,7 +542,7 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
         for d in c:
             tab = {}
             for a, b in composable_pairs(base, c, d):
-                got = comp_by.get((d, root_of_name[a], root_of_name[b]))
+                got = p.hashcons.get(("comp", d, root_of_name[a], root_of_name[b]))
                 if got is None:
                     raise BoundsTooSmall(
                         f"composite of ({a!r}, {b!r}) in direction {d} at {list(c)}"

@@ -150,3 +150,27 @@ def test_validate_json_reports_non_cell_key(tmp_path, capsys):
     payload = json.loads(out.out)
     assert [v["axiom"] for v in payload["violations"]] == ["TOTAL"]
     assert payload["violations"][0]["cells"] == ["ghost", "o0>o1"]
+
+
+def test_validate_malformed_color_is_parse_error(tmp_path, capsys):
+    with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["universe_bound"] = 2
+    doc["cells"].append([[2, 1], ["x"]])
+    p = tmp_path / "bad-color.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "bad color" in capsys.readouterr().err
+
+
+def test_validate_json_reports_bad_direction_key(tmp_path, capsys):
+    with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["comp"].append([[], 1, "o0", "o0", "o0"])
+    p = tmp_path / "bad-direction.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    payload = json.loads(out.out)
+    assert [(v["axiom"], v["cells"]) for v in payload["violations"]] == [("TOTAL", ["o0", "o0"])]

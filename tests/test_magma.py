@@ -100,3 +100,10 @@ def test_composite_keyed_by_non_cell_is_total_violation():
     assert report.axioms() == {"TOTAL"}
     assert [v.cells for v in report.violations] == [("ghost", "o0>o1")]
     assert mc.validate_strict(pg).axioms() == {"TOTAL"}
+
+
+def test_composite_keyed_by_bad_direction_is_total_violation():
+    pg = fx.pair_groupoid(2)
+    pg.comp[((), 1)] = {("o0", "o0"): "o0"}
+    report = mc.validate_magma(pg)
+    assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]

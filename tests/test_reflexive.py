@@ -125,3 +125,12 @@ def test_degeneracy_keyed_by_non_cell_is_total_violation():
     report = mc.validate_reflexive(fr)
     assert report.axioms() == {"TOTAL"}
     assert [v.cells for v in report.violations] == [("ghost",)]
+
+
+@pytest.mark.parametrize("entry", [1, 0])
+def test_degeneracy_keyed_by_bad_entry_is_total_violation(entry):
+    fr = mc.free_reflexive(fx.parallel_edges(), 2)
+    x = fr.base.cells_at((1,))[0]
+    fr.refl[((1,), entry)] = {x: fr.refl[((1,), 2)][x]}
+    report = mc.validate_reflexive(fr)
+    assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", (x,))]

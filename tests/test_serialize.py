@@ -131,3 +131,9 @@ def test_parse_rejects_color_outside_bounds():
         from_document(_point_doc(dim_bound=0, cells=[[[], ["p"]], edge], faces=faces))
     with pytest.raises(mc.ParseError, match="outside"):
         from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [[3], ["e"]]]))
+
+
+def test_parse_rejects_malformed_color():
+    for color in ([2, 1], [0]):
+        with pytest.raises(mc.ParseError, match="bad color"):
+            from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [color, ["e"]]]))

@@ -159,3 +159,10 @@ def test_bracket_keyed_by_non_cell_is_total_violation():
     e.brackets[((), 1)][("ghost", "o0")] = "o0>o0"
     report = mc.validate_stretching(e)
     assert ("BR-TOTAL", ("ghost", "o0")) in {(v.axiom, v.cells) for v in report.violations}
+
+
+def test_bracket_keyed_by_bad_entry_is_total_violation():
+    e = mc.identity_stretching(fx.pair_groupoid(2))
+    e.brackets[((1,), 1)] = {("o0>o0", "o0>o0"): "o0>o0"}
+    report = mc.validate_stretching(e)
+    assert ("BR-TOTAL", ("o0>o0", "o0>o0")) in {(v.axiom, v.cells) for v in report.violations}

@@ -119,3 +119,45 @@ def test_default_budget_env(monkeypatch):
     from multicat.strictcat import default_budget
 
     assert default_budget() == 123
+
+
+def loops(k):
+    """k loops at one vertex; every word in the loops is a distinct 1-cell."""
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = ["v"]
+    ms.cells[(1,)] = [f"l{i}" for i in range(k)]
+    ms.src[((1,), 1)] = {f"l{i}": "v" for i in range(k)}
+    ms.tgt[((1,), 1)] = {f"l{i}": "v" for i in range(k)}
+    return ms
+
+
+@pytest.mark.parametrize(
+    "size, nodes, classes",
+    [(7, 85, 31), (9, 293, 63), (11, 933, 127), (13, 2853, 255)],
+)
+def test_term_graph_on_two_loops(size, nodes, classes):
+    p = mc.free_strict(loops(2), 1, size)
+    assert len(p.nodes) == nodes
+    assert p.class_counts() == {(): 1, (1,): classes}
+
+
+def test_term_graph_on_fixtures():
+    p = mc.free_strict(fx.grid2x2(), 2, 12)
+    assert len(p.nodes) == 259
+    assert p.class_counts() == {(): 9, (1,): 18, (2,): 18, (1, 2): 36}
+    assert len(mc.free_strict(fx.square(), 2, 8).nodes) == 69
+    assert len(mc.free_strict(fx.parallel_edges(), 2, 8).nodes) == 32
+
+
+@pytest.mark.parametrize("ms, dim, size", [(loops(2), 1, 13), (fx.grid2x2(), 2, 12)])
+def test_unions_per_rule_account_for_every_merge(ms, dim, size):
+    p = mc.free_strict(ms, dim, size)
+    assert set(p.unions) == {"face", "signature", "UNIT", "ASSOC", "MFI", "DIST", "EXCH"}
+    assert sum(p.unions.values()) == len(p.nodes) - sum(p.class_counts().values())
+
+
+def test_strict_table_keyed_by_bad_direction_is_total_violation():
+    pg = fx.pair_groupoid(2)
+    pg.comp[((), 1)] = {("o0", "o0"): "o0"}
+    report = mc.validate_strict(pg)
+    assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]

@@ -46,3 +46,8 @@ def test_each_layer_validated_once(fixture, validator, calls, base_calls):
     obj = load(os.path.join(FIXTURE_DIR, fixture))
     assert validator(obj).ok
     assert len(base_calls) == calls
+
+
+def test_free_weak_validates_its_generators_once(base_calls):
+    mc.free_weak(load(os.path.join(FIXTURE_DIR, "path2.mset")))
+    assert len(base_calls) == 1
