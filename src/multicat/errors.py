@@ -78,7 +78,16 @@ class BoundsTooSmall(MulticatError):
 
 
 class BudgetExceeded(MulticatError):
-    """Search or saturation exceeded the configured work budget."""
+    """A phase of a construction asked for more work than its budget had left."""
+
+    def __init__(self, phase, used, requested, limit):
+        self.phase = phase
+        self.used = used
+        self.requested = requested
+        self.limit = limit
+        super().__init__(
+            f"{phase} exceeded the work budget of {limit}: {used} used, {requested} more requested"
+        )
 
 
 class TermNotMaterialized(MulticatError):

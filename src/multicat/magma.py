@@ -29,16 +29,19 @@ class MagmaStructure:
 
 def composable_pairs(ms: MultipleSet, c: Color, d: int) -> list[tuple[CellId, CellId]]:
     """The pullback: pairs (a, b) with s_d(a) == t_d(b)."""
+    return list(_pullback(ms, c, d))
+
+
+def _pullback(ms: MultipleSet, c: Color, d: int):
+    """The pairs of ``composable_pairs``, in the same order, one at a time."""
     stab = ms.table(SOURCE, c, d)
     ttab = ms.table(TARGET, c, d)
     by_target: dict[CellId, list[CellId]] = {}
     for b in ms.cells_at(c):
         by_target.setdefault(ttab[b], []).append(b)
-    return [
-        (a, b)
-        for a in ms.cells_at(c)
-        for b in by_target.get(stab[a], ())
-    ]
+    for a in ms.cells_at(c):
+        for b in by_target.get(stab[a], ()):
+            yield a, b
 
 
 def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId:

@@ -16,15 +16,17 @@ At dimension m+1 every kind degenerates to single swap maps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .colors import Color, colors_within, k_colors, minus
 from .core import SOURCE, TARGET, CellId, MsMorphism, MultipleSet, face, validate_multiple_set
-from .errors import BudgetExceeded
 from .magma import MagmaStructure
 from .report import ValidationReport
+from .terms import Budget, as_budget
 
 KINDS = ("minimal", "maximal", "general")
+PHASE = "reversor search"
 
 
 @dataclass(frozen=True)
@@ -154,30 +156,18 @@ def validate_reversor_morphism(
     return report.sorted()
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+def _map_candidates(ms, color, constraint, budget: Budget) -> list[dict]:
+    """All total maps at ``color`` whose images satisfy ``constraint(x, y)``.
 
-    def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(f"reversor search exceeded budget {self.limit}")
-
-
-def _map_candidates(ms, color, e, constraint) -> list[dict]:
-    """All total maps at ``color`` whose images satisfy ``constraint(x, y)``."""
+    The product is paid for before it is built.
+    """
     cells = ms.cells_at(color)
-    per_cell = []
-    for x in cells:
-        options = [y for y in cells if constraint(x, y)]
-        if not options:
-            return []
-        per_cell.append(options)
+    per_cell = [[y for y in cells if constraint(x, y)] for x in cells]
+    budget.spend(max(1, math.prod(map(len, per_cell))), PHASE)
     return [dict(zip(cells, combo)) for combo in itertools.product(*per_cell)]
 
 
-def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: _Budget) -> list[Chain]:
+def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: Budget) -> list[Chain]:
     q = len(entries)
     levels = [color]
     for e in entries[:-1]:
@@ -192,9 +182,7 @@ def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: _Budget) -
                     face(ms, lc, y, e, SOURCE) == face(ms, lc, x, e, TARGET)
                     and face(ms, lc, y, e, TARGET) == face(ms, lc, x, e, SOURCE)
                 )
-            cands = _map_candidates(ms, lc, e, swap_ok)
-            budget.spend(max(1, len(cands)))
-            return [[m] for m in cands]
+            return [[m] for m in _map_candidates(ms, lc, swap_ok, budget)]
         suffixes = extend(r + 1, below)
         out = []
         for suffix in suffixes:
@@ -206,9 +194,7 @@ def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: _Budget) -
                     and face(ms, lc, y, e, TARGET) == nxt.get(face(ms, lc, x, e, TARGET))
                 )
 
-            cands = _map_candidates(ms, lc, e, serial_ok)
-            budget.spend(max(1, len(cands)))
-            out.extend([m] + suffix for m in cands)
+            out.extend([m] + suffix for m in _map_candidates(ms, lc, serial_ok, budget))
         return out
 
     return [make_chain(color, entries, maps) for maps in extend(0, [])]
@@ -218,21 +204,19 @@ def search_reversors(
     cat: MagmaStructure | MultipleSet,
     m: int,
     kind: str = "minimal",
-    budget: int | None = None,
+    budget: int | Budget | None = None,
 ) -> list[ReversorStructure]:
     """Exhaustive backtracking search for all reversor structures.
 
     Uniqueness on strict fixtures is a claim to test, not assume: every
-    satisfying assignment is returned.
+    satisfying assignment is returned.  Each candidate map and each
+    combination spends one unit of ``budget`` (an int, a ``Budget`` shared
+    with other phases, or ``None`` for ``MULTICAT_BUDGET``).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
-    if budget is None:
-        from .strictcat import default_budget
-
-        budget = default_budget()
-    b = _Budget(budget)
+    b = as_budget(budget)
 
     slot_options: list[list[list[Chain]]] = []
     for c, key in required_slots(ms, m, kind):
@@ -250,7 +234,7 @@ def search_reversors(
 
     results = []
     for combo in itertools.product(*slot_options):
-        b.spend()
+        b.spend(1, PHASE)
         chains = sorted(
             {ch for group in combo for ch in group},
             key=lambda ch: (ch.color, ch.entries, ch.maps),

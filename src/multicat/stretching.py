@@ -7,10 +7,11 @@ completion: each stage adjoins formal composites, degeneracies (and formal
 reversor cells when a cutoff m is given) for the previous stage's cells,
 plus one bracket cell per projection-equal pair.
 
-M-cells are canonical terms: degeneracies are kept as sorted added-entry
-sets and pushed inside composites, so the exchange and distribution laws
-hold structurally.  No strictness law is applied to M; distinct formal
-composites with equal projections are exactly what brackets connect.
+M-cells are canonical terms in a term graph (``multicat.terms``):
+degeneracies are pushed inside composites and stacked in one order, so the
+exchange and distribution laws hold structurally.  No strictness law is
+applied to M; distinct formal composites with equal projections are
+exactly what brackets connect.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import ReversorStructure, search_reversors
 from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
+from .terms import Budget, TermGraph, as_budget
 
 
 @dataclass
@@ -242,50 +244,173 @@ def validate_stretching_morphism(
 
 
 # -- free weak completion ----------------------------------------------------
-#
-# terms: ("cell", frozenset added, kind) | ("comp", d, term, term)
-# kinds: ("gen", color, id) | ("br", r, term, term) | ("rev", e, term)
 
 
-def _push_refl(l: int, t):
-    if t[0] == "comp":
-        return ("comp", t[1], _push_refl(l, t[2]), _push_refl(l, t[3]))
-    return ("cell", t[1] | {l}, t[2])
+class _Sealed(Exception):
+    """A sealed completion was asked for a cell it never built."""
 
 
-def _push_refl_set(added: frozenset, t):
-    for l in sorted(added):
-        t = _push_refl(l, t)
-    return t
+class _Completion(TermGraph):
+    """The free magma M of the weak completion, as canonical interned terms.
 
+    Every node is a cell of M.  Beyond the shared generator, degeneracy and
+    composite nodes there are brackets ("br", r, a, b), one dimension up in
+    entry r with faces a and b there, and formal reversor cells
+    ("rev", e, t), whose e-faces swap t's.  ``refl`` pushes a degeneracy
+    through composites and keeps stacked degeneracies in increasing entry
+    order from the inside out, so the exchange and distribution laws hold
+    structurally and each cell has one term.  Each cell's name, projection
+    and stage are worked out once, when it is made.
+    """
 
-def _term_color(t) -> Color:
-    if t[0] == "comp":
-        return _term_color(t[2])
-    added = t[1]
-    kind = t[2]
-    if kind[0] == "gen":
-        base = kind[1]
-    elif kind[0] == "br":
-        base = add(_term_color(kind[2]), kind[1])
-    else:
-        base = _term_color(kind[2])
-    return tuple(sorted(set(base) | added))
+    def __init__(self, X: MultipleSet, cat: StrictCategory, umap, dim_bound, m,
+                 rev_tables_cat, budget: Budget):
+        super().__init__(X, budget, "weak completion")
+        self.cat = cat
+        self.umap = umap  # (color, gen) -> strict class cell
+        self.N = dim_bound
+        self.D = X.universe_bound
+        self.m = m
+        self.rev_cat = rev_tables_cat  # (color, entry) -> table in C, or None
+        self.name: list[CellId] = []
+        self.pi: list[CellId] = []
+        self.stage_of: list[int] = []
+        self.stage = 0
+        self.sealed = False
 
+    def _new(self, node: tuple, color: Color, size: int) -> int:
+        if self.sealed:
+            raise _Sealed
+        if len(color) > self.N:
+            raise BoundsTooSmall(f"term at color {list(color)} exceeds dim bound {self.N}")
+        name, px = self._name(node), self._project(node)
+        nid = super()._new(node, color, size)
+        self.name.append(name)
+        self.pi.append(px)
+        self.stage_of.append(self.stage)
+        return nid
 
-def _render(t) -> str:
-    if t[0] == "comp":
-        return f"({_render(t[2])} *{t[1]} {_render(t[3])})"
-    added, kind = t[1], t[2]
-    if kind[0] == "gen":
-        core = kind[2]
-    elif kind[0] == "br":
-        core = f"[{_render(kind[2])};{_render(kind[3])}]^{kind[1]}"
-    else:
-        core = f"j{kind[1]}({_render(kind[2])})"
-    if added:
-        return "1[" + ",".join(str(l) for l in sorted(added)) + "]" + core
-    return core
+    def refl(self, l: int, t: int) -> int:
+        node = self.nodes[t]
+        if node[0] == "comp":
+            return self.comp(node[1], self.refl(l, node[2]), self.refl(l, node[3]))
+        if node[0] == "refl" and node[1] > l:
+            return super().refl(node[1], self.refl(l, node[2]))
+        return super().refl(l, t)
+
+    def br(self, r: int, a: int, b: int) -> int:
+        nid = self.memo.get(("br", r, a, b))
+        if nid is None:
+            nid = self._made(("br", r, a, b), add(self.color[a], r),
+                             self.size[a] + self.size[b] + 1, a, b, self.br)
+        return nid
+
+    def rev(self, e: int, t: int) -> int:
+        nid = self.memo.get(("rev", e, t))
+        if nid is None:
+            nid = self._made(("rev", e, t), self.color[t], self.size[t] + 1,
+                             self.faces[(t, e, TARGET)], self.faces[(t, e, SOURCE)], self.rev)
+        return nid
+
+    def built_refl(self, l: int, t: int) -> int | None:
+        """The degeneracy of ``t`` in entry ``l`` if it was built; call once sealed."""
+        try:
+            return self.refl(l, t)
+        except _Sealed:
+            return None
+
+    def _name(self, node: tuple) -> CellId:
+        kind, name = node[0], self.name
+        if kind == "gen":
+            return node[2]
+        if kind == "comp":
+            return f"({name[node[2]]} *{node[1]} {name[node[3]]})"
+        if kind == "br":
+            return f"[{name[node[2]]};{name[node[3]]}]^{node[1]}"
+        if kind == "rev":
+            return f"j{node[1]}({name[node[2]]})"
+        # stacked degeneracies render as one prefix over the innermost cell
+        added = []
+        while node[0] == "refl":
+            added.append(node[1])
+            inner = node[2]
+            node = self.nodes[inner]
+        return "1[" + ",".join(str(l) for l in reversed(added)) + "]" + name[inner]
+
+    def _project(self, node: tuple) -> CellId:
+        kind, pi, color = node[0], self.pi, self.color
+        if kind == "gen":
+            return self.umap[(node[1], node[2])]
+        if kind == "comp":
+            _, d, a, b = node
+            got = self.cat.comp.get((color[a], d), {}).get((pi[a], pi[b]))
+            if got is None:
+                raise BoundsTooSmall(
+                    f"strict layer lacks composite of ({pi[a]!r}, {pi[b]!r}) in direction {d}"
+                )
+            return got
+        if kind == "rev":
+            tab = (self.rev_cat or {}).get((color[node[2]], node[1]))
+            if tab is None:
+                raise BoundsTooSmall(f"strict layer lacks reversor at {list(color[node[2]])}")
+            return tab[pi[node[2]]]
+        # a degeneracy projects to the degeneracy of its cell's projection, and
+        # a bracket to that of its endpoints' common projection
+        got = self.cat.refl.refl.get((color[node[2]], node[1]), {}).get(pi[node[2]])
+        if got is None:
+            if kind == "br":
+                raise BoundsTooSmall("strict layer lacks degeneracy for bracket projection")
+            raise BoundsTooSmall(f"strict layer lacks degeneracy added={node[1]}")
+        return got
+
+    def cells_by_color(self) -> dict[Color, list[int]]:
+        out: dict[Color, list[int]] = {}
+        for t, c in enumerate(self.color):
+            out.setdefault(c, []).append(t)
+        return out
+
+    def run_stage(self, stage: int) -> dict:
+        self.stage = stage
+        prev = self.cells_by_color()
+        counts = {"composites": 0, "degeneracies": 0, "reversors": 0, "brackets": 0}
+
+        def adjoin(kind: str, make, *args):
+            # log every cell added, faces included, so the log sums to the cells built
+            before = len(self.nodes)
+            make(*args)
+            counts[kind] += len(self.nodes) - before
+
+        for c in sorted(prev, key=lambda c: (len(c), c)):
+            items = sorted(prev[c], key=self.name.__getitem__)
+            # degeneracies
+            if len(c) + 1 <= self.N:
+                for l in addable_entries(c, self.D):
+                    for t in items:
+                        adjoin("degeneracies", self.refl, l, t)
+            # composites, pairing each cell with those whose d-target is its d-source
+            for d in c:
+                by_target: dict[int, list[int]] = {}
+                for b in items:
+                    by_target.setdefault(self.faces[(b, d, TARGET)], []).append(b)
+                for a in items:
+                    for b in by_target.get(self.faces[(a, d, SOURCE)], ()):
+                        adjoin("composites", self.comp, d, a, b)
+            # formal reversor cells
+            if self.m is not None and len(c) >= 1:
+                for e in c:
+                    for t in items:
+                        adjoin("reversors", self.rev, e, t)
+            # brackets over projection-equal pairs
+            if len(c) + 1 <= self.N:
+                by_image: dict[CellId, list[int]] = {}
+                for t in items:
+                    by_image.setdefault(self.pi[t], []).append(t)
+                for group in by_image.values():
+                    for a in group:
+                        for b in group:
+                            for r in addable_entries(c, self.D):
+                                adjoin("brackets", self.br, r, a, b)
+        return counts
 
 
 @dataclass
@@ -295,158 +420,6 @@ class FreeWeakResult:
     stages: int
     bounds: tuple[int, int]  # (dim bound, strict size bound)
     stage_log: list[dict] = field(default_factory=list)
-    terms: dict[tuple[Color, CellId], tuple] = field(default_factory=dict)
-
-
-class _Completion:
-    def __init__(self, X: MultipleSet, cat: StrictCategory, umap, dim_bound, m,
-                 rev_tables_cat):
-        self.X = X
-        self.cat = cat
-        self.umap = umap  # (color, gen) -> strict class cell
-        self.N = dim_bound
-        self.D = X.universe_bound
-        self.m = m
-        self.rev_cat = rev_tables_cat  # (color, entry) -> table in C, or None
-        self.cells: dict[Color, dict[CellId, tuple]] = {}
-        self.stage_of: dict[tuple[Color, CellId], int] = {}
-        self.pi: dict[Color, dict[CellId, CellId]] = {}
-
-    def face_term(self, t, d: int, pol: str):
-        if t[0] == "comp":
-            dd = t[1]
-            if d == dd:
-                return self.face_term(t[3] if pol == SOURCE else t[2], d, pol)
-            return ("comp", dd, self.face_term(t[2], d, pol), self.face_term(t[3], d, pol))
-        added, kind = t[1], t[2]
-        if d in added:
-            return ("cell", added - {d}, kind)
-        if kind[0] == "gen":
-            inner = ("cell", frozenset(), ("gen", minus(kind[1], d), face(self.X, kind[1], kind[2], d, pol)))
-        elif kind[0] == "br":
-            r, a, b = kind[1], kind[2], kind[3]
-            if d == r:
-                inner = a if pol == SOURCE else b
-            else:
-                inner = ("cell", frozenset(), ("br", r, self.face_term(a, d, pol), self.face_term(b, d, pol)))
-        else:
-            ev, sub = kind[1], kind[2]
-            if d == ev:
-                inner = self.face_term(sub, ev, TARGET if pol == SOURCE else SOURCE)
-            else:
-                inner = ("cell", frozenset(), ("rev", ev, self.face_term(sub, d, pol)))
-        return _push_refl_set(added, inner)
-
-    def pi_of(self, t) -> CellId:
-        c = _term_color(t)
-        if t[0] == "comp":
-            pa = self.pi_of(t[2])
-            pb = self.pi_of(t[3])
-            got = self.cat.comp.get((c, t[1]), {}).get((pa, pb))
-            if got is None:
-                raise BoundsTooSmall(
-                    f"strict layer lacks composite of ({pa!r}, {pb!r}) in direction {t[1]}"
-                )
-            return got
-        added, kind = t[1], t[2]
-        if kind[0] == "gen":
-            px = self.umap[(kind[1], kind[2])]
-            base_color = kind[1]
-        elif kind[0] == "br":
-            pa = self.pi_of(kind[2])
-            base_color = add(_term_color(kind[2]), kind[1])
-            px = self.cat.refl.refl.get((_term_color(kind[2]), kind[1]), {}).get(pa)
-            if px is None:
-                raise BoundsTooSmall(f"strict layer lacks degeneracy for bracket projection")
-        else:
-            sub_color = _term_color(kind[2])
-            tab = (self.rev_cat or {}).get((sub_color, kind[1]))
-            if tab is None:
-                raise BoundsTooSmall(f"strict layer lacks reversor at {list(sub_color)}")
-            px = tab[self.pi_of(kind[2])]
-            base_color = sub_color
-        for l in sorted(added):
-            px2 = self.cat.refl.refl.get((base_color, l), {}).get(px)
-            if px2 is None:
-                raise BoundsTooSmall(f"strict layer lacks degeneracy added={l}")
-            px = px2
-            base_color = add(base_color, l)
-        return px
-
-    def materialize(self, t, stage: int) -> CellId:
-        c = _term_color(t)
-        cid = _render(t)
-        tab = self.cells.setdefault(c, {})
-        if cid in tab:
-            return cid
-        if len(c) > self.N:
-            raise BoundsTooSmall(f"term at color {list(c)} exceeds dim bound {self.N}")
-        if t[0] == "comp":
-            self.materialize(t[2], stage)
-            self.materialize(t[3], stage)
-        else:
-            kind = t[2]
-            if kind[0] == "br":
-                self.materialize(kind[2], stage)
-                self.materialize(kind[3], stage)
-            elif kind[0] == "rev":
-                self.materialize(kind[2], stage)
-        tab[cid] = t
-        self.stage_of[(c, cid)] = stage
-        self.pi.setdefault(c, {})[cid] = self.pi_of(t)
-        for d in c:
-            for pol in (SOURCE, TARGET):
-                self.materialize(self.face_term(t, d, pol), stage)
-        return cid
-
-    def prev_cells(self, stage: int) -> dict[Color, list[tuple[CellId, tuple]]]:
-        out: dict[Color, list] = {}
-        for c, tab in self.cells.items():
-            for cid, t in sorted(tab.items()):
-                if self.stage_of[(c, cid)] < stage:
-                    out.setdefault(c, []).append((cid, t))
-        return out
-
-    def run_stage(self, stage: int) -> dict:
-        prev = self.prev_cells(stage)
-        counts = {"composites": 0, "degeneracies": 0, "reversors": 0, "brackets": 0}
-
-        def adjoin(kind: str, t):
-            # log every cell added, faces included, so the log sums to the cells built
-            before = len(self.stage_of)
-            self.materialize(t, stage)
-            counts[kind] += len(self.stage_of) - before
-
-        for c in sorted(prev, key=lambda c: (len(c), c)):
-            items = prev[c]
-            # degeneracies
-            if len(c) + 1 <= self.N:
-                for l in addable_entries(c, self.D):
-                    for cid, t in items:
-                        adjoin("degeneracies", _push_refl(l, t))
-            # composites
-            for d in c:
-                for aid, ta in items:
-                    sa = _render(self.face_term(ta, d, SOURCE))
-                    for bid, tb in items:
-                        if _render(self.face_term(tb, d, TARGET)) == sa:
-                            adjoin("composites", ("comp", d, ta, tb))
-            # formal reversor cells
-            if self.m is not None and len(c) >= 1:
-                for e in c:
-                    for cid, t in items:
-                        adjoin("reversors", ("cell", frozenset(), ("rev", e, t)))
-            # brackets over projection-equal pairs
-            if len(c) + 1 <= self.N:
-                by_image: dict[CellId, list] = {}
-                for cid, t in items:
-                    by_image.setdefault(self.pi[c][cid], []).append((cid, t))
-                for group in by_image.values():
-                    for aid, ta in group:
-                        for bid, tb in group:
-                            for r in addable_entries(c, self.D):
-                                adjoin("brackets", ("cell", frozenset(), ("br", r, ta, tb)))
-        return counts
 
 
 def free_weak(
@@ -455,12 +428,15 @@ def free_weak(
     dim_bound: int | None = None,
     size_bound: int = 12,
     stages: int = 1,
-    budget: int | None = None,
+    budget: int | Budget | None = None,
 ) -> FreeWeakResult:
     """Stage-bounded free stretching over a generating multiple set.
 
     ``free_strict`` validates ``X`` and raises InvalidBase when it fails.
+    The strict closure, the reversor search and the completion spend one
+    shared ``budget``; the completion spends one unit per cell.
     """
+    budget = as_budget(budget)
     N = dim_bound if dim_bound is not None else X.dim_bound
     pres = free_strict(X, N, size_bound, budget=budget)
     cat = quotient_to_category(pres)
@@ -481,85 +457,55 @@ def free_weak(
         restricted = [ch for ch in full.chains if len(ch.color) > m]
         cat_reversors = ReversorStructure(base=cat.base, m=m, kind="minimal", chains=restricted)
 
-    comp = _Completion(X, cat, umap, N, m, rev_cat)
+    g = _Completion(X, cat, umap, N, m, rev_cat, budget)
     for c in X.colors():
         for x in X.cells_at(c):
-            comp.materialize(("cell", frozenset(), ("gen", c, x)), 0)
-    log = []
-    for k in range(1, stages + 1):
-        log.append(comp.run_stage(k))
+            g.gen(c, x)
+    log = [g.run_stage(k) for k in range(1, stages + 1)]
+    g.sealed = True
 
+    name, faces = g.name, g.faces
     base_M = MultipleSet(X.universe_bound, N)
-    base_M.cells = {c: sorted(tab) for c, tab in comp.cells.items() if tab}
-    for c in base_M.colors():
-        for d in c:
-            stab, ttab = {}, {}
-            for cid in base_M.cells_at(c):
-                t = comp.cells[c][cid]
-                stab[cid] = _render(comp.face_term(t, d, SOURCE))
-                ttab[cid] = _render(comp.face_term(t, d, TARGET))
-            base_M.src[(c, d)] = stab
-            base_M.tgt[(c, d)] = ttab
-
     refl = ReflexiveStructure(base=base_M)
-    for c in base_M.colors():
-        if len(c) + 1 > N:
-            continue
-        for l in addable_entries(c, X.universe_bound):
-            tab = {}
-            for cid in base_M.cells_at(c):
-                image = _push_refl(l, comp.cells[c][cid])
-                iid = _render(image)
-                if iid in comp.cells.get(add(c, l), {}):
-                    tab[cid] = iid
+    pi: dict[Color, dict[CellId, CellId]] = {}
+    stage_of: dict[tuple[Color, CellId], int] = {}
+    for c, ids in g.cells_by_color().items():
+        base_M.cells[c] = sorted(name[t] for t in ids)
+        pi[c] = {name[t]: g.pi[t] for t in ids}
+        stage_of.update(((c, name[t]), g.stage_of[t]) for t in ids)
+        for d in c:
+            base_M.src[(c, d)] = {name[t]: name[faces[(t, d, SOURCE)]] for t in ids}
+            base_M.tgt[(c, d)] = {name[t]: name[faces[(t, d, TARGET)]] for t in ids}
+        for l in addable_entries(c, X.universe_bound) if len(c) < N else ():
+            images = {name[t]: g.built_refl(l, t) for t in ids}
+            tab = {x: name[u] for x, u in images.items() if u is not None}
             if tab:
                 refl.refl[(c, l)] = tab
-    # object degeneracies when the empty color has cells
     magma = MagmaStructure(base=base_M, refl=refl)
-    for c, tab in comp.cells.items():
-        for cid, t in tab.items():
-            if t[0] == "comp":
-                magma.comp.setdefault((c, t[1]), {})[
-                    (_render(t[2]), _render(t[3]))
-                ] = cid
-
     brackets: dict[tuple[Color, int], dict] = {}
     m_rev_tables: dict[tuple[Color, int], dict] = {}
-    for c, tab in comp.cells.items():
-        for cid, t in tab.items():
-            if t[0] == "cell" and not t[1] and t[2][0] == "br":
-                r, ta, tb = t[2][1], t[2][2], t[2][3]
-                brackets.setdefault((_term_color(ta), r), {})[
-                    (_render(ta), _render(tb))
-                ] = cid
-            elif t[0] == "cell" and not t[1] and t[2][0] == "rev":
-                ev, sub = t[2][1], t[2][2]
-                m_rev_tables.setdefault((_term_color(sub), ev), {})[_render(sub)] = cid
-
+    for t, (kind, entry, *ops) in enumerate(g.nodes):
+        if kind == "comp":
+            magma.comp.setdefault((g.color[t], entry), {})[(name[ops[0]], name[ops[1]])] = name[t]
+        elif kind == "br":
+            brackets.setdefault((g.color[ops[0]], entry), {})[(name[ops[0]], name[ops[1]])] = name[t]
+        elif kind == "rev":
+            m_rev_tables.setdefault((g.color[t], entry), {})[name[ops[0]]] = name[t]
     e = Stretching(
         magma=magma,
         cat=cat,
-        pi=comp.pi,
+        pi=pi,
         brackets=brackets,
         m=m,
         cat_reversors=cat_reversors,
         m_rev_tables=m_rev_tables or None,
-        stage_of=comp.stage_of,
+        stage_of=stage_of,
         stage=stages,
         stage_log=log,
     )
-    unit = MsMorphism(
-        X,
-        base_M,
-        {
-            c: {x: _render(("cell", frozenset(), ("gen", c, x))) for x in X.cells_at(c)}
-            for c in X.colors()
-        },
-    )
-    terms = {(c, cid): t for c, tab in comp.cells.items() for cid, t in tab.items()}
+    unit = MsMorphism(X, base_M, {c: {x: x for x in X.cells_at(c)} for c in X.colors()})
     return FreeWeakResult(
-        stretching=e, unit=unit, stages=stages, bounds=(N, size_bound),
-        stage_log=log, terms=terms,
+        stretching=e, unit=unit, stages=stages, bounds=(N, size_bound), stage_log=log
     )
 
 

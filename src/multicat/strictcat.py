@@ -7,12 +7,13 @@ degeneracies, composites) modulo the congruence the axioms generate.
 Equality is decided by congruence closure over all terms materialized
 within a node-count bound; completeness is relative to that bound.
 
-The closure is an e-graph in the style of egg (Willsey et al., POPL 2021):
-each class keeps its deduplicated canonical e-nodes -- a term node with
-class roots as children -- and the e-nodes that use it as a child.  Unions
-go on a worklist, and a rebuild re-keys only the users of merged classes
-(signature congruence) and unions the faces of merged classes (face
-congruence).  UNIT, ASSOC, MFI, DIST and EXCH match over canonical e-nodes
+Terms live in the term graph of ``multicat.terms``, which spends one unit
+of the work budget per node.  The closure is an e-graph in the style of egg
+(Willsey et al., POPL 2021): each class keeps its deduplicated canonical
+e-nodes -- a term node with class roots as children -- and the e-nodes that
+use it as a child.  Unions go on a worklist, and a rebuild re-keys only the
+users of merged classes (signature congruence) and unions the faces of
+merged classes (face congruence).  UNIT, ASSOC, MFI, DIST and EXCH match over canonical e-nodes
 and are not matched again until an e-node is added or two classes merge.
 ``StrictPresentation.unions`` counts the successful unions of each rule.
 Materialization composes class representatives that fit the size bound and
@@ -21,23 +22,18 @@ whose faces meet, found by sorting them by size and bucketing them by face.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-from .colors import Color, add, addable_entries, minus
+from .colors import Color, addable_entries, minus
 from .core import SOURCE, TARGET, CellId, MultipleSet, face, validate_multiple_set
-from .errors import BoundsTooSmall, BudgetExceeded, InvalidBase, TermNotMaterialized
-from .magma import MagmaStructure, _scan_reflexive_magma, composable_pairs
+from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
+from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
+from .terms import Budget, TermGraph, as_budget
+from .terms import default_budget  # noqa: F401  (callers import it from here)
 
 # a strict category is a magma over a reflexive structure whose tables
 # satisfy associativity, units and interchange; there is no separate class
 StrictCategory = MagmaStructure
-
-
-def default_budget() -> int:
-    return int(os.environ.get("MULTICAT_BUDGET", "200000"))
 
 
 def validate_strict(m: StrictCategory) -> ValidationReport:
@@ -117,49 +113,38 @@ class _UnionFind:
 RULES = ("face", "signature", "UNIT", "ASSOC", "MFI", "DIST", "EXCH")
 
 
-@dataclass
-class StrictPresentation:
-    generators: MultipleSet
-    dim_bound: int
-    size_bound: int
-    budget: int
-    # interned term graph; node = ("gen", color, id) | ("refl", l, child)
-    # | ("comp", d, left, right) with children as node indices
-    nodes: list[tuple] = field(default_factory=list)
-    color: list[Color] = field(default_factory=list)
-    size: list[int] = field(default_factory=list)
-    memo: dict[tuple, int] = field(default_factory=dict)
-    faces: dict[tuple[int, int, str], int] = field(default_factory=dict)
-    uf: _UnionFind = field(default_factory=_UnionFind)
-    # e-graph over the classes.  An e-node is a node tuple whose children are
-    # class roots.  After a rebuild the keys of ``hashcons`` are exactly the
-    # e-nodes, each mapped to a member of its class.  Per class root: its
-    # e-nodes, the (e-node, class) pairs that use it as a child, and its
-    # members of least size.
-    hashcons: dict[tuple, int] = field(default_factory=dict)
-    enodes: dict[int, list[tuple]] = field(default_factory=dict)
-    uses: dict[int, list[tuple[tuple, int]]] = field(default_factory=dict)
-    smallest: dict[int, list[int]] = field(default_factory=dict)
-    # successful unions per rule; they sum to len(nodes) minus the classes
-    unions: dict[str, int] = field(default_factory=lambda: dict.fromkeys(RULES, 0))
-    # the rebuild worklist: classes absorbed, and the roots that took over
-    # some absorbed class's uses and so must re-key them
-    absorbed: list[int] = field(default_factory=list)
-    repair: list[int] = field(default_factory=list)
-    # matching again would find nothing: since a match made no union, no
-    # e-node was added and no two classes that own e-nodes merged
-    closed: bool = False
+class StrictPresentation(TermGraph):
+    """The term graph of a free strict category and the e-graph over its classes.
 
-    # -- interning ---------------------------------------------------------
+    An e-node is a node tuple whose children are class roots.  After a
+    rebuild the keys of ``hashcons`` are exactly the e-nodes, each mapped to a
+    member of its class.  Per class root: its e-nodes, the (e-node, class)
+    pairs that use it as a child, and its members of least size.
+    """
+
+    def __init__(self, generators: MultipleSet, dim_bound: int, size_bound: int,
+                 budget: Budget):
+        super().__init__(generators, budget, "strict closure")
+        self.dim_bound = dim_bound
+        self.size_bound = size_bound
+        self.uf = _UnionFind()
+        self.hashcons: dict[tuple, int] = {}
+        self.enodes: dict[int, list[tuple]] = {}
+        self.uses: dict[int, list[tuple[tuple, int]]] = {}
+        self.smallest: dict[int, list[int]] = {}
+        # successful unions per rule; they sum to len(nodes) minus the classes
+        self.unions: dict[str, int] = dict.fromkeys(RULES, 0)
+        # the rebuild worklist: classes absorbed, and the roots that took over
+        # some absorbed class's uses and so must re-key them
+        self.absorbed: list[int] = []
+        self.repair: list[int] = []
+        # matching again would find nothing: since a match made no union, no
+        # e-node was added and no two classes that own e-nodes merged
+        self.closed = False
 
     def _new(self, node: tuple, color: Color, size: int) -> int:
-        if len(self.nodes) >= self.budget:
-            raise BudgetExceeded(f"presentation exceeded {self.budget} nodes")
-        nid = self.uf.make()
-        self.nodes.append(node)
-        self.color.append(color)
-        self.size.append(size)
-        self.memo[node] = nid
+        nid = super()._new(node, color, size)
+        self.uf.make()
         self.enodes[nid] = []
         self.uses[nid] = []
         self.smallest[nid] = [nid]
@@ -174,51 +159,6 @@ class StrictPresentation:
             if key[0] != "gen":
                 for child in set(key[2:]):
                     self.uses[child].append((key, nid))
-        return nid
-
-    def intern_gen(self, c: Color, x: CellId) -> int:
-        node = ("gen", c, x)
-        if node in self.memo:
-            return self.memo[node]
-        nid = self._new(node, c, 1)
-        for d in c:
-            for pol in (SOURCE, TARGET):
-                fx = face(self.generators, c, x, d, pol)
-                self.faces[(nid, d, pol)] = self.intern_gen(minus(c, d), fx)
-        return nid
-
-    def intern_refl(self, l: int, child: int) -> int:
-        node = ("refl", l, child)
-        if node in self.memo:
-            return self.memo[node]
-        c = add(self.color[child], l)
-        nid = self._new(node, c, self.size[child] + 1)
-        for d in c:
-            if d == l:
-                self.faces[(nid, d, SOURCE)] = child
-                self.faces[(nid, d, TARGET)] = child
-            else:
-                for pol in (SOURCE, TARGET):
-                    self.faces[(nid, d, pol)] = self.intern_refl(
-                        l, self.faces[(child, d, pol)]
-                    )
-        return nid
-
-    def intern_comp(self, d: int, a: int, b: int) -> int:
-        node = ("comp", d, a, b)
-        if node in self.memo:
-            return self.memo[node]
-        c = self.color[a]
-        nid = self._new(node, c, self.size[a] + self.size[b] + 1)
-        self.faces[(nid, d, SOURCE)] = self.faces[(b, d, SOURCE)]
-        self.faces[(nid, d, TARGET)] = self.faces[(a, d, TARGET)]
-        for e in c:
-            if e == d:
-                continue
-            for pol in (SOURCE, TARGET):
-                self.faces[(nid, e, pol)] = self.intern_comp(
-                    d, self.faces[(a, e, pol)], self.faces[(b, e, pol)]
-                )
         return nid
 
     # -- classes -----------------------------------------------------------
@@ -418,7 +358,7 @@ class StrictPresentation:
             for rep in rep_list:
                 if len(c) + 1 <= self.dim_bound and self.size[rep] + 1 <= self.size_bound:
                     for l in addable_entries(c, D):
-                        self.intern_refl(l, rep)
+                        self.refl(l, rep)
             # only pairs within the size bound whose faces meet are composed
             ranked = sorted(rep_list, key=self.size.__getitem__)
             for d in c:
@@ -430,7 +370,7 @@ class StrictPresentation:
                     for b in by_target.get(self.class_face(a, d, SOURCE), ()):
                         if self.size[b] > room:
                             break
-                        self.intern_comp(d, a, b)
+                        self.comp(d, a, b)
         return len(self.nodes) > before
 
     # -- queries -----------------------------------------------------------
@@ -465,22 +405,21 @@ def free_strict(
     ms: MultipleSet,
     dim_bound: int,
     size_bound: int,
-    budget: int | None = None,
+    budget: int | Budget | None = None,
 ) -> StrictPresentation:
-    """Free strict category on ``ms``, truncated by dimension and term size."""
+    """Free strict category on ``ms``, truncated by dimension and term size.
+
+    Every interned term spends one unit of ``budget`` (an int, a ``Budget``
+    shared with other phases, or ``None`` for ``MULTICAT_BUDGET``).
+    """
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("generating multiple set does not validate")
     if dim_bound < ms.dim_bound:
         raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
-    p = StrictPresentation(
-        generators=ms,
-        dim_bound=dim_bound,
-        size_bound=size_bound,
-        budget=budget if budget is not None else default_budget(),
-    )
+    p = StrictPresentation(ms, dim_bound, size_bound, as_budget(budget))
     for c in ms.colors():
         for x in ms.cells_at(c):
-            p.intern_gen(c, x)
+            p.gen(c, x)
     while True:
         p.saturate()
         if not p._materialize_round():
@@ -541,7 +480,8 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     for c in base.colors():
         for d in c:
             tab = {}
-            for a, b in composable_pairs(base, c, d):
+            # walked lazily: the first missing composite ends the quotient
+            for a, b in _pullback(base, c, d):
                 got = p.hashcons.get(("comp", d, root_of_name[a], root_of_name[b]))
                 if got is None:
                     raise BoundsTooSmall(

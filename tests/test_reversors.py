@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import multicat as mc
@@ -115,6 +117,25 @@ def test_budget_limits_search():
     ms = fx.two_copies(2, 2)
     with pytest.raises(mc.BudgetExceeded):
         mc.search_reversors(ms, 0, "maximal", budget=2)
+
+
+def test_budget_is_spent_before_candidate_maps_are_built():
+    # 7 loops at one vertex: 7**7 candidate swap maps, far over the budget
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = ["v"]
+    ms.cells[(1,)] = [f"l{i}" for i in range(7)]
+    ms.src[((1,), 1)] = {f"l{i}": "v" for i in range(7)}
+    ms.tgt[((1,), 1)] = {f"l{i}": "v" for i in range(7)}
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.BudgetExceeded) as info:
+            mc.search_reversors(ms, 0, "minimal", budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.phase == "reversor search"
+    assert info.value.requested == 7**7
+    assert peak < 1_000_000
 
 
 def test_reversor_morphism_equivariance():

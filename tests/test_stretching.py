@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import multicat as mc
@@ -166,3 +168,29 @@ def test_bracket_keyed_by_bad_entry_is_total_violation():
     e.brackets[((1,), 1)] = {("o0>o0", "o0>o0"): "o0>o0"}
     report = mc.validate_stretching(e)
     assert ("BR-TOTAL", ("o0>o0", "o0>o0")) in {(v.axiom, v.cells) for v in report.violations}
+
+
+@pytest.mark.parametrize(
+    "ms, kwargs, digest",
+    [
+        (fx.path2(), dict(stages=3),
+         "1fe901de55daafcf1f662db5a90c069bd2e2948559bcf2e75486f7e92ef6c114"),
+        (fx.square(), dict(dim_bound=2, size_bound=8, stages=2),
+         "751c15ec9ac871ae700a3591949e815a0b96f02849acdb506577e1b8b1e152ff"),
+        (fx.parallel_edges(), dict(dim_bound=2, size_bound=8, stages=2),
+         "7394910b74eac29abeb7d37b056973c06c51fb68ffe56778d5a804660d5031ba"),
+        # m=0 adjoins formal reversor cells
+        (fx.point(1, 1), dict(m=0, dim_bound=1, size_bound=6, stages=2),
+         "347f1faf4534e7b546f80d7ef13f330703c5d4a80f40715ed3f674763caf6227"),
+    ],
+)
+def test_free_weak_output_pinned(ms, kwargs, digest):
+    text = mc.serialize(mc.free_weak(ms, **kwargs).stretching)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_free_weak_spends_one_budget():
+    with pytest.raises(mc.BudgetExceeded) as info:
+        mc.free_weak(fx.path2(), stages=4, budget=2000)
+    assert info.value.phase == "weak completion"
+    assert info.value.used == 2000

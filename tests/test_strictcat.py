@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import multicat as mc
@@ -161,3 +163,21 @@ def test_strict_table_keyed_by_bad_direction_is_total_violation():
     pg.comp[((), 1)] = {("o0", "o0"): "o0"}
     report = mc.validate_strict(pg)
     assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]
+
+
+def test_quotient_stops_at_first_missing_composite():
+    p = mc.free_strict(loops(2), 1, 17)
+    word = "(" * 8 + "l0" + " *1 l0)" * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.BoundsTooSmall) as info:
+            mc.quotient_to_category(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"composite of ({word!r}, {word!r}) in direction 1 at [1] not materialized;"
+        " raise the size bound"
+    )
+    # listing the whole pullback first (1,046,529 pairs) peaked near 67 MB
+    assert peak < 8_000_000
