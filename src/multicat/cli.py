@@ -8,6 +8,7 @@ work for the free constructions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,7 +89,7 @@ def cmd_free(args) -> int:
     dim = args.dim if args.dim is not None else obj.dim_bound
 
     if args.mode == "reflexive":
-        result = free_reflexive(obj, dim)
+        result = free_reflexive(obj, dim, budget=args.budget)
         counts = {c: len(result.base.cells_at(c)) for c in result.base.colors()}
         _print_counts(counts, "cells")
         out_obj, out_kind = result, "reflexive"
@@ -241,9 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

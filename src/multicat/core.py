@@ -70,23 +70,48 @@ def iterated_face(ms: MultipleSet, c: Color, x: CellId, ds) -> tuple[Color, Cell
     return c, x
 
 
-def _shape_check(ms: MultipleSet, report: ValidationReport) -> bool:
+def cell_sets(ms: MultipleSet) -> dict[Color, set[CellId]]:
+    """Color -> set of its cell ids, built for one validation only.
+
+    ``MultipleSet`` caches no such index: an in-place edit of ``cells`` would
+    leave it stale.
+    """
+    return {c: set(xs) for c, xs in ms.cells.items()}
+
+
+def faces_total(ms: MultipleSet) -> bool:
+    """Whether every cell has a source and a target in each entry of its color.
+
+    Then a scan may read ``ms.src[(c, d)][x]`` for a cell ``x`` at ``c``
+    directly, even where the face read is not itself a cell.
+    """
+    return all(
+        x in tab
+        for c in ms.colors() for d in c
+        for tab in (ms.src.get((c, d), {}), ms.tgt.get((c, d), {}))
+        for x in ms.cells[c]
+    )
+
+
+def _shape_check(ms: MultipleSet, report: ValidationReport,
+                 members: dict[Color, set[CellId]]) -> bool:
     """Check that face tables exist, are total, and land in the right sets."""
     ok = True
     for c in ms.colors():
         for d in c:
             lower = minus(c, d)
+            below = members.get(lower, set())
             for tabs, name in ((ms.src, "src"), (ms.tgt, "tgt")):
                 tab = tabs.get((c, d))
                 if tab is None:
                     report.add("SHAPE", c, (), f"missing {name} table for entry {d}")
                     ok = False
                     continue
-                for x in ms.cells_at(c):
+                for x in ms.cells[c]:
                     if x not in tab:
                         report.add("SHAPE", c, (x,), f"{name} undefined for entry {d}")
                         ok = False
-                    elif not ms.has_cell(lower, tab[x]):
+                    elif tab[x] not in below:
                         report.add(
                             "SHAPE", c, (x,),
                             f"{name}[{d}] lands outside cells{list(lower)}",
@@ -98,33 +123,31 @@ def _shape_check(ms: MultipleSet, report: ValidationReport) -> bool:
 def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
     """Shape checks plus the SS, TT and ST face-commutation axioms."""
     report = ValidationReport()
-    if not _shape_check(ms, report):
+    if not _shape_check(ms, report, cell_sets(ms)):
         return report.sorted()
+    src, tgt = ms.src, ms.tgt
     for c in ms.colors():
         if len(c) < 2:
             continue
         for j in c:
+            cj = minus(c, j)
+            sj, tj = src[(c, j)], tgt[(c, j)]
             for k in c:
                 if j == k:
                     continue
-                for x in ms.cells_at(c):
-                    sj = face(ms, c, x, j, SOURCE)
-                    sk = face(ms, c, x, k, SOURCE)
-                    tj = face(ms, c, x, j, TARGET)
-                    tk = face(ms, c, x, k, TARGET)
+                ck = minus(c, k)
+                sk, tk = src[(c, k)], tgt[(c, k)]
+                # faces of faces: (j then k) and (k then j)
+                sjk, tjk = src[(cj, k)], tgt[(cj, k)]
+                skj, tkj = src[(ck, j)], tgt[(ck, j)]
+                for x in ms.cells[c]:
                     if j < k:
-                        if face(ms, minus(c, j), sj, k, SOURCE) != face(
-                            ms, minus(c, k), sk, j, SOURCE
-                        ):
+                        if sjk[sj[x]] != skj[sk[x]]:
                             report.add("SS", c, (x,), f"entries=({j},{k})")
-                        if face(ms, minus(c, j), tj, k, TARGET) != face(
-                            ms, minus(c, k), tk, j, TARGET
-                        ):
+                        if tjk[tj[x]] != tkj[tk[x]]:
                             report.add("TT", c, (x,), f"entries=({j},{k})")
                     # ST is not symmetric in (j, k): check both orders
-                    if face(ms, minus(c, j), sj, k, TARGET) != face(
-                        ms, minus(c, k), tk, j, SOURCE
-                    ):
+                    if tjk[sj[x]] != skj[tk[x]]:
                         report.add("ST", c, (x,), f"entries=(s{j},t{k})")
     return report.sorted()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, face, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, face, validate_multiple_set
 from .errors import NotComposable, UnknownCell
 from .reflexive import ReflexiveStructure, _scan_reflexive
 from .report import ValidationReport
@@ -32,14 +32,17 @@ def composable_pairs(ms: MultipleSet, c: Color, d: int) -> list[tuple[CellId, Ce
     return list(_pullback(ms, c, d))
 
 
-def _pullback(ms: MultipleSet, c: Color, d: int):
-    """The pairs of ``composable_pairs``, in the same order, one at a time."""
+def _pullback(ms: MultipleSet, c: Color, d: int, cells=None):
+    """The pairs of ``composable_pairs``, in the same order, one at a time;
+    ``cells`` restricts both operands to those cells at ``c``."""
     stab = ms.table(SOURCE, c, d)
     ttab = ms.table(TARGET, c, d)
+    if cells is None:
+        cells = ms.cells_at(c)
     by_target: dict[CellId, list[CellId]] = {}
-    for b in ms.cells_at(c):
+    for b in cells:
         by_target.setdefault(ttab[b], []).append(b)
-    for a in ms.cells_at(c):
+    for a in cells:
         for b in by_target.get(stab[a], ()):
             yield a, b
 
@@ -60,50 +63,53 @@ def validate_magma(m: MagmaStructure, require_total: bool = True) -> ValidationR
     """Totality on the pullback, POS1 and POS2."""
     report = validate_multiple_set(m.base)
     if report.ok:
-        _scan_magma(m, report, require_total)
+        _scan_magma(m, report, cell_sets(m.base), require_total)
     return report.sorted()
 
 
-def _scan_magma(m: MagmaStructure, report: ValidationReport, require_total: bool):
-    """The composition scans, appended to ``report``; the base must be valid."""
+def _scan_magma(m: MagmaStructure, report: ValidationReport,
+                members: dict[Color, set[CellId]], require_total: bool):
+    """The composition scans, appended to ``report``; the base must be valid,
+    and ``members`` is its ``cell_sets``."""
     ms = m.base
     if require_total:
         for c in ms.colors():
             for d in c:
                 tab = m.comp.get((c, d), {})
-                for pair in composable_pairs(ms, c, d):
+                for pair in _pullback(ms, c, d):
                     if pair not in tab:
                         report.add("TOTAL", c, pair, f"composite undefined for direction {d}")
 
+    src, tgt = ms.src, ms.tgt
     for (c, d), tab in m.comp.items():
+        here = members.get(c, set())
         for (a, b), r in tab.items():
             if d not in c:
                 report.add("TOTAL", c, (a, b), f"direction {d} not an entry of {list(c)}")
                 continue
-            if not (ms.has_cell(c, a) and ms.has_cell(c, b)):
+            if not (a in here and b in here):
                 report.add("TOTAL", c, (a, b), f"operand not a cell at {list(c)}")
                 continue
-            if not ms.has_cell(c, r):
+            if r not in here:
                 report.add("TOTAL", c, (a, b), f"composite {r!r} not a cell at {list(c)}")
                 continue
-            if face(ms, c, r, d, SOURCE) != face(ms, c, b, d, SOURCE):
+            if src[(c, d)][r] != src[(c, d)][b]:
                 report.add("POS1", c, (a, b), f"direction={d} polarity={SOURCE}")
-            if face(ms, c, r, d, TARGET) != face(ms, c, a, d, TARGET):
+            if tgt[(c, d)][r] != tgt[(c, d)][a]:
                 report.add("POS1", c, (a, b), f"direction={d} polarity={TARGET}")
             for k in c:
                 if k == d:
                     continue
-                lower = minus(c, k)
-                lower_tab = m.comp.get((lower, d), {})
-                for pol in (SOURCE, TARGET):
-                    fa = face(ms, c, a, k, pol)
-                    fb = face(ms, c, b, k, pol)
-                    if (fa, fb) not in lower_tab:
+                lower_tab = m.comp.get((minus(c, k), d), {})
+                for tabs, pol in ((src, SOURCE), (tgt, TARGET)):
+                    tab_k = tabs[(c, k)]
+                    faces = (tab_k[a], tab_k[b])
+                    if faces not in lower_tab:
                         report.add(
                             "POS2", c, (a, b),
                             f"direction={d} entry={k} polarity={pol} face composite undefined",
                         )
-                    elif lower_tab[(fa, fb)] != face(ms, c, r, k, pol):
+                    elif lower_tab[faces] != tab_k[r]:
                         report.add("POS2", c, (a, b), f"direction={d} entry={k} polarity={pol}")
 
 
@@ -114,18 +120,19 @@ def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
         report.add("TOTAL", (), (), "no reflexive structure attached")
         return report
     report = validate_multiple_set(m.base)
-    _scan_reflexive_magma(m, report, report.ok)
+    _scan_reflexive_magma(m, report, report.ok, cell_sets(m.base))
     return report.sorted()
 
 
 def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: bool,
-                          require_total: bool = True):
-    """The magma, reflexive and DIST scans over a base validated once; DIST is
-    pure table lookup, so it stays meaningful (and safe) on a failed base."""
+                          members: dict[Color, set[CellId]], require_total: bool = True):
+    """The magma, reflexive and DIST scans over a base validated once, whose
+    ``cell_sets`` are ``members``; DIST is pure table lookup, so it stays
+    meaningful (and safe) on a failed base."""
     if base_ok:
-        _scan_magma(m, report, require_total)
+        _scan_magma(m, report, members, require_total)
         if m.refl is not None:
-            _scan_reflexive(m.refl, report, True, require_total)
+            _scan_reflexive(m.refl, report, members, True, require_total)
     if m.refl is None:
         return
     for (c, d), tab in m.comp.items():

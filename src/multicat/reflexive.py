@@ -18,11 +18,15 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
+    cell_sets,
     face,
     validate_multiple_set,
 )
 from .errors import BoundMismatch, InvalidBase
 from .report import ValidationReport
+from .terms import Budget, as_budget
+
+PHASE = "free reflexive"
 
 
 @dataclass
@@ -59,13 +63,15 @@ def validate_reflexive(
     """
     report = validate_multiple_set(r.base)
     if report.ok:
-        _scan_reflexive(r, report, check_section, require_total)
+        _scan_reflexive(r, report, cell_sets(r.base), check_section, require_total)
     return report.sorted()
 
 
 def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
+                    members: dict[Color, set[CellId]],
                     check_section: bool, require_total: bool):
-    """The degeneracy scans, appended to ``report``; the base must be valid."""
+    """The degeneracy scans, appended to ``report``; the base must be valid,
+    and ``members`` is its ``cell_sets``."""
     ms = r.base
     if require_total:
         for c, l in admissible_refl_keys(ms):
@@ -77,34 +83,37 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                 if x not in tab:
                     report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
 
+    # the other degeneracy tables at each color, for the exchange scan
+    by_color: dict[Color, list[tuple[int, dict]]] = {}
+    for (c, k), tab in r.refl.items():
+        by_color.setdefault(c, []).append((k, tab))
     for (c, l), tab in r.refl.items():
         if l in c or l < 1:
             for x in tab:
                 report.add("TOTAL", c, (x,), f"entry {l} cannot be added to {list(c)}")
             continue
         up = add(c, l)
+        here, above = members.get(c, set()), members.get(up, set())
         for x, dx in tab.items():
-            if not ms.has_cell(c, x):
+            if x not in here:
                 report.add("TOTAL", c, (x,), f"degeneracy of {x!r}, not a cell at {list(c)}")
                 continue
-            if not ms.has_cell(up, dx):
+            if dx not in above:
                 report.add("TOTAL", c, (x,), f"degenerate image {dx!r} not at {list(up)}")
                 continue
             if check_section:
-                if face(ms, up, dx, l, SOURCE) != x:
+                if ms.src[(up, l)][dx] != x:
                     report.add("REFL-SECT", c, (x,), f"entry={l} polarity={SOURCE}")
-                if face(ms, up, dx, l, TARGET) != x:
+                if ms.tgt[(up, l)][dx] != x:
                     report.add("REFL-SECT", c, (x,), f"entry={l} polarity={TARGET}")
             for k in c:
-                for pol, axiom in ((SOURCE, "REFL-S"), (TARGET, "REFL-T")):
-                    lower_tab = r.refl.get((minus(c, k), l), {})
-                    lhs = face(ms, up, dx, k, pol)
-                    rhs = lower_tab.get(face(ms, c, x, k, pol))
-                    if lhs != rhs:
+                lower_tab = r.refl.get((minus(c, k), l), {})
+                for tabs, axiom in ((ms.src, "REFL-S"), (ms.tgt, "REFL-T")):
+                    if tabs[(up, k)][dx] != lower_tab.get(tabs[(c, k)][x]):
                         report.add(axiom, c, (x,), f"added={l} entry={k}")
             # exchange with every other degeneracy defined at this color
-            for (c2, k), tab2 in r.refl.items():
-                if c2 != c or k <= l or k in c or x not in tab2:
+            for k, tab2 in by_color[c]:
+                if k <= l or k in c or x not in tab2:
                     continue
                 via_l = r.refl.get((up, k), {}).get(dx)
                 via_k = r.refl.get((add(c, k), l), {}).get(tab2[x])
@@ -134,26 +143,34 @@ class FreeReflexive(ReflexiveStructure):
     )
 
 
-def free_reflexive(ms: MultipleSet, dim_bound: int) -> FreeReflexive:
+def free_reflexive(
+    ms: MultipleSet,
+    dim_bound: int,
+    budget: int | Budget | None = None,
+) -> FreeReflexive:
     """Left adjoint to forgetting degeneracies, truncated at ``dim_bound``.
 
     Cells at color c are pairs (generator x at a subcolor c0, added set
     c \\ c0); faces follow the reflexivity axioms, with the section law for
-    faces in added directions.
+    faces in added directions.  Each cell spends one unit of ``budget`` (an
+    int, a ``Budget`` shared with other phases, or ``None`` for
+    ``MULTICAT_BUDGET``), paid before its color's cells are built.
     """
     if dim_bound < ms.dim_bound:
         raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("base multiple set does not validate")
 
+    budget = as_budget(budget)
     D = ms.universe_bound
     base = MultipleSet(D, dim_bound)
     out = FreeReflexive(base=base, generators=ms)
 
     for c in colors_within(D, dim_bound):
         ids = []
-        subcolors = {sub for n in range(len(c) + 1) for sub in k_colors(c, n)}
-        for c0 in sorted(subcolors):
+        subcolors = sorted({sub for n in range(len(c) + 1) for sub in k_colors(c, n)})
+        budget.spend(sum(len(ms.cells_at(c0)) for c0 in subcolors), PHASE)
+        for c0 in subcolors:
             added = frozenset(set(c) - set(c0))
             for x in ms.cells_at(c0):
                 cid = _free_cell_id(x, added)

@@ -20,7 +20,16 @@ import math
 from dataclasses import dataclass, field
 
 from .colors import Color, colors_within, k_colors, minus
-from .core import SOURCE, TARGET, CellId, MsMorphism, MultipleSet, face, validate_multiple_set
+from .core import (
+    SOURCE,
+    TARGET,
+    CellId,
+    MsMorphism,
+    MultipleSet,
+    cell_sets,
+    face,
+    validate_multiple_set,
+)
 from .magma import MagmaStructure
 from .report import ValidationReport
 from .terms import Budget, as_budget
@@ -84,31 +93,35 @@ def required_slots(ms: MultipleSet, m: int, kind: str) -> list[tuple[Color, tupl
     return slots
 
 
-def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport):
+def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
+                    members: dict[Color, set[CellId]]):
+    """One chain's scans; the base must be valid, and ``members`` is its
+    ``cell_sets``."""
     q = len(ch.entries)
     level_color = ch.color
     maps = [ch.map_at(r) for r in range(q)]
     for r in range(q):
         e = ch.entries[r]
+        lower = minus(level_color, e)  # raises EntryAbsent before any face read
         tab = maps[r]
-        cells = ms.cells_at(level_color)
-        for x in cells:
-            if x not in tab or not ms.has_cell(level_color, tab[x]):
+        here = members.get(level_color, set())
+        stab, ttab = ms.table(SOURCE, level_color, e), ms.table(TARGET, level_color, e)
+        for x in ms.cells_at(level_color):
+            if x not in tab or tab[x] not in here:
                 report.add("COVER", level_color, (x,), f"chain map {r} not total")
                 continue
             jx = tab[x]
             if r == q - 1:
-                if face(ms, level_color, jx, e, SOURCE) != face(ms, level_color, x, e, TARGET):
+                if stab[jx] != ttab[x]:
                     report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={SOURCE}")
-                if face(ms, level_color, jx, e, TARGET) != face(ms, level_color, x, e, SOURCE):
+                if ttab[jx] != stab[x]:
                     report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={TARGET}")
             else:
                 nxt = maps[r + 1]
-                for pol in (SOURCE, TARGET):
-                    got = nxt.get(face(ms, level_color, x, e, pol))
-                    if face(ms, level_color, jx, e, pol) != got:
+                for tabs, pol in ((stab, SOURCE), (ttab, TARGET)):
+                    if tabs[jx] != nxt.get(tabs[x]):
                         report.add("SERIAL", level_color, (x,), f"entry={e} polarity={pol}")
-        level_color = minus(level_color, e)
+        level_color = lower
 
 
 def validate_reversors(r: ReversorStructure) -> ValidationReport:
@@ -127,8 +140,9 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
             found = r.chain_for(c, key) is not None
         if not found:
             report.add("COVER", c, (), f"no chain for {key}")
+    members = cell_sets(r.base)
     for ch in r.chains:
-        _validate_chain(r.base, ch, report)
+        _validate_chain(r.base, ch, report, members)
     return report.sorted()
 
 
@@ -216,8 +230,15 @@ def search_reversors(
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
-    b = as_budget(budget)
+    return list(_structures(ms, m, kind, as_budget(budget)))
 
+
+def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
+    """The structures of ``search_reversors``, in its order, one at a time.
+
+    Every candidate chain is built (and paid for) before the first
+    structure; each combination is paid for when it is reached.
+    """
     slot_options: list[list[list[Chain]]] = []
     for c, key in required_slots(ms, m, kind):
         if kind == "general":
@@ -229,23 +250,18 @@ def search_reversors(
         else:
             options = [[ch] for ch in _chain_candidates(ms, c, key, b)]
         if not options:
-            return []
+            return
         slot_options.append(options)
 
-    results = []
+    # distinct combos can collapse to the same chain set
+    seen = set()
     for combo in itertools.product(*slot_options):
         b.spend(1, PHASE)
         chains = sorted(
             {ch for group in combo for ch in group},
             key=lambda ch: (ch.color, ch.entries, ch.maps),
         )
-        results.append(ReversorStructure(base=ms, m=m, kind=kind, chains=list(chains)))
-    # distinct combos can collapse to the same chain set
-    unique = []
-    seen = set()
-    for r in results:
-        key = tuple((ch.color, ch.entries, ch.maps) for ch in r.chains)
+        key = tuple((ch.color, ch.entries, ch.maps) for ch in chains)
         if key not in seen:
             seen.add(key)
-            unique.append(r)
-    return unique
+            yield ReversorStructure(base=ms, m=m, kind=kind, chains=chains)

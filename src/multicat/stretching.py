@@ -25,14 +25,15 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
-    face,
+    cell_sets,
+    faces_total,
     validate_multiple_set,
 )
 from .errors import BoundsTooSmall
-from .magma import MagmaStructure, _scan_reflexive_magma, composable_pairs
+from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
-from .reversors import ReversorStructure, search_reversors
+from .reversors import ReversorStructure, _structures
 from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
 from .terms import Budget, TermGraph, as_budget
 
@@ -77,29 +78,29 @@ def pi_equal_pairs(e: Stretching, c: Color, max_stage=None) -> list[tuple[CellId
     return [(a, b) for group in by_image.values() for a in group for b in group]
 
 
-def _within_stage(e: Stretching, c: Color, x: CellId) -> bool:
-    if e.stage_of is None:
-        return True
-    return e.stage_of.get((c, x), 0) <= e.stage - 1
-
-
-def _validate_pi(e: Stretching, report: ValidationReport):
+def _validate_pi(e: Stretching, report: ValidationReport,
+                 c_members: dict[Color, set[CellId]], faces_ok: bool):
+    """The projection laws.  The face squares read the face tables of M and
+    of C, so they run only when ``faces_ok`` says both are total;
+    ``c_members`` is ``cell_sets`` of C."""
     M, C = e.magma.base, e.cat.base
     for c in M.colors():
         pmap = e.pi.get(c, {})
+        images = c_members.get(c, set())
         for x in M.cells_at(c):
             if x not in pmap:
                 report.add("PI", c, (x,), "projection undefined")
                 continue
             px = pmap[x]
-            if not C.has_cell(c, px):
+            if px not in images:
                 report.add("PI", c, (x,), f"image {px!r} not a cell of the strict layer")
                 continue
+            if not faces_ok:
+                continue
             for d in c:
-                for pol in (SOURCE, TARGET):
-                    want = face(C, c, px, d, pol)
-                    got = e.pi.get(minus(c, d), {}).get(face(M, c, x, d, pol))
-                    if got != want:
+                lower = e.pi.get(minus(c, d), {})
+                for m_tabs, c_tabs, pol in ((M.src, C.src, SOURCE), (M.tgt, C.tgt, TARGET)):
+                    if lower.get(m_tabs[(c, d)][x]) != c_tabs[(c, d)][px]:
                         report.add("PI", c, (x,), f"face entry={d} polarity={pol}")
     # degeneracies
     if e.magma.refl is not None and e.cat.refl is not None:
@@ -138,46 +139,69 @@ def validate_stretching(e: Stretching) -> ValidationReport:
 
     For stage-bounded free results, totality (composites, degeneracies,
     brackets) is only demanded of cells strictly below the last completed
-    stage; the frontier is by construction still open.
+    stage; the frontier is by construction still open.  The projection,
+    bracket and staged totality scans read the face tables of M (and of C)
+    only when every cell there has its faces (``faces_total``), and run
+    their table-lookup checks in any case.
     """
-    report = validate_multiple_set(e.magma.base)
-    _scan_reflexive_magma(e.magma, report, report.ok, require_total=e.stage_of is None)
+    M = e.magma.base
+    m_members = cell_sets(M)
+    report = validate_multiple_set(M)
+    m_faces = report.ok or faces_total(M)
+    _scan_reflexive_magma(e.magma, report, report.ok, m_members,
+                          require_total=e.stage_of is None)
     if e.magma.refl is None:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
-    report.extend(validate_strict(e.cat))
+    cat_report = validate_strict(e.cat)
+    report.extend(cat_report)
     if e.stage_of is not None:
-        _check_staged_totality(e, report)
-    _validate_pi(e, report)
-    _validate_brackets(e, report)
+        _check_staged_totality(e, report, m_faces)
+    c_faces = cat_report.ok or faces_total(e.cat.base)
+    _validate_pi(e, report, cell_sets(e.cat.base), m_faces and c_faces)
+    _validate_brackets(e, report, m_members, m_faces)
     return report.sorted()
 
 
-def _check_staged_totality(e: Stretching, report: ValidationReport):
+def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bool):
+    """Composites and degeneracies of the cells strictly below the last stage.
+
+    Only those cells are kept, then paired by face; pairing reads M's face
+    tables, so it runs only when ``faces_ok``.
+    """
     M = e.magma.base
-    for c in M.colors():
-        for d in c:
-            tab = e.magma.comp.get((c, d), {})
-            for a, b in composable_pairs(M, c, d):
-                if _within_stage(e, c, a) and _within_stage(e, c, b) and (a, b) not in tab:
-                    report.add("TOTAL", c, (a, b), f"staged composite missing, direction={d}")
+    last = e.stage - 1
+    inside = {c: [x for x in M.cells_at(c) if e.stage_of.get((c, x), 0) <= last]
+              for c in M.colors()}
+    if faces_ok:
+        for c, cells in inside.items():
+            for d in c:
+                tab = e.magma.comp.get((c, d), {})
+                for a, b in _pullback(M, c, d, cells):
+                    if (a, b) not in tab:
+                        report.add("TOTAL", c, (a, b), f"staged composite missing, direction={d}")
     if e.magma.refl is not None:
         for c, l in admissible_refl_keys(M):
             tab = e.magma.refl.refl.get((c, l), {})
-            for x in M.cells_at(c):
-                if _within_stage(e, c, x) and x not in tab:
+            for x in inside[c]:
+                if x not in tab:
                     report.add("TOTAL", c, (x,), f"staged degeneracy missing, added={l}")
 
 
-def _validate_brackets(e: Stretching, report: ValidationReport):
+def _validate_brackets(e: Stretching, report: ValidationReport,
+                       members: dict[Color, set[CellId]], faces_ok: bool):
+    """Bracket totality and BR-PI by table lookup; BR-END and BR-FACE read
+    M's face tables, so they run only when ``faces_ok``.  ``members`` is
+    ``cell_sets`` of M."""
     M = e.magma.base
     # totality over projection-equal pairs
+    max_stage = None if e.stage_of is None else e.stage - 1
     for c in M.colors():
         if len(c) + 1 > M.dim_bound:
             continue
+        pairs = pi_equal_pairs(e, c, max_stage=max_stage)
         for r in addable_entries(c, M.universe_bound):
             tab = e.brackets.get((c, r), {})
-            max_stage = None if e.stage_of is None else e.stage - 1
-            for a, b in pi_equal_pairs(e, c, max_stage=max_stage):
+            for a, b in pairs:
                 if (a, b) not in tab:
                     report.add("BR-TOTAL", c, (a, b), f"added={r}")
 
@@ -187,25 +211,27 @@ def _validate_brackets(e: Stretching, report: ValidationReport):
                 report.add("BR-TOTAL", c, (a, b), f"added={r} cannot be added to {list(c)}")
             continue
         up = add(c, r)
+        here, above = members.get(c, set()), members.get(up, set())
         pmap = e.pi.get(c, {})
         for (a, b), x in tab.items():
-            if not (M.has_cell(c, a) and M.has_cell(c, b)):
+            if not (a in here and b in here):
                 report.add("BR-TOTAL", c, (a, b), f"added={r} endpoint not a cell at {list(c)}")
                 continue
-            if not M.has_cell(up, x):
+            if x not in above:
                 report.add("BR-TOTAL", c, (a, b), f"bracket image {x!r} not at {list(up)}")
                 continue
-            if face(M, up, x, r, SOURCE) != a:
-                report.add("BR-END", c, (a, b), f"added={r} polarity={SOURCE}")
-            if face(M, up, x, r, TARGET) != b:
-                report.add("BR-END", c, (a, b), f"added={r} polarity={TARGET}")
-            for s in c:
-                lower_tab = e.brackets.get((minus(c, s), r), {})
-                for pol in (SOURCE, TARGET):
-                    fa = face(M, c, a, s, pol)
-                    fb = face(M, c, b, s, pol)
-                    if lower_tab.get((fa, fb)) != face(M, up, x, s, pol):
-                        report.add("BR-FACE", c, (a, b), f"added={r} entry={s} polarity={pol}")
+            if faces_ok:
+                if M.src[(up, r)][x] != a:
+                    report.add("BR-END", c, (a, b), f"added={r} polarity={SOURCE}")
+                if M.tgt[(up, r)][x] != b:
+                    report.add("BR-END", c, (a, b), f"added={r} polarity={TARGET}")
+                for s in c:
+                    lower_tab = e.brackets.get((minus(c, s), r), {})
+                    for tabs, pol in ((M.src, SOURCE), (M.tgt, TARGET)):
+                        tab_s = tabs[(c, s)]
+                        if lower_tab.get((tab_s[a], tab_s[b])) != tabs[(up, s)][x]:
+                            report.add("BR-FACE", c, (a, b),
+                                       f"added={r} entry={s} polarity={pol}")
             want = None
             if e.cat.refl is not None:
                 want = e.cat.refl.refl.get((c, r), {}).get(pmap.get(a))
@@ -446,11 +472,11 @@ def free_weak(
     cat_reversors = None
     if m is not None:
         # the projection needs reversor images at every level, so search the
-        # full (all dimensions) minimal structure on the strict layer
-        found = search_reversors(cat, 0, "minimal", budget=budget)
-        if not found:
+        # full (all dimensions) minimal structure on the strict layer; the
+        # first one found is used, so the search stops there
+        full = next(_structures(cat.base, 0, "minimal", budget), None)
+        if full is None:
             raise BoundsTooSmall("strict layer admits no reversor structure")
-        full = found[0]
         rev_cat = {}
         for ch in full.chains:
             rev_cat[(ch.color, ch.entries[0])] = ch.map_at(0)

@@ -23,7 +23,7 @@ whose faces meet, found by sorting them by size and bucketing them by face.
 from __future__ import annotations
 
 from .colors import Color, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, face, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, validate_multiple_set
 from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveStructure, admissible_refl_keys
@@ -40,7 +40,7 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
     """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
     base_ok = report.ok
-    _scan_reflexive_magma(m, report, base_ok)
+    _scan_reflexive_magma(m, report, base_ok, cell_sets(m.base))
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
     elif base_ok:
@@ -49,16 +49,23 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
 
 
 def _scan_strict(m: StrictCategory, report: ValidationReport):
-    """The strictness scans, appended to ``report``; the base must be valid."""
+    """The strictness scans, appended to ``report``; the base must be valid.
+
+    ASSOC pairs each entry with the entries whose left operand is its right
+    operand; MFI pairs the j-entries whose composites are the operands of a
+    k-entry.  These are exactly the pairs of the full quadratic scans that
+    can report anything.
+    """
     ms = m.base
     for (c, d), tab in m.comp.items():
         # ASSOC: (a*b)*e == a*(b*e) whenever all composites are defined
+        by_left: dict[CellId, list[tuple[CellId, CellId]]] = {}
+        for (x, e), xe in tab.items():
+            by_left.setdefault(x, []).append((e, xe))
         for (a, b), ab in tab.items():
-            for (x, e), xe in tab.items():
-                if x != b:
-                    continue
+            for e, be in by_left.get(b, ()):
                 left = tab.get((ab, e))
-                right = tab.get((a, xe))
+                right = tab.get((a, be))
                 if left is not None and right is not None and left != right:
                     report.add("ASSOC", c, (a, b, e), f"direction={d}")
         # UNIT: a * 1(s(a)) == a and 1(t(a)) * a == a; the magma scan
@@ -66,9 +73,10 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
         if d not in c:
             continue
         refl_tab = m.refl.refl.get((minus(c, d), d), {})
+        stab, ttab = ms.table(SOURCE, c, d), ms.table(TARGET, c, d)
         for a in ms.cells_at(c):
-            us = refl_tab.get(face(ms, c, a, d, SOURCE))
-            ut = refl_tab.get(face(ms, c, a, d, TARGET))
+            us = refl_tab.get(stab[a])
+            ut = refl_tab.get(ttab[a])
             if us is not None and tab.get((a, us)) != a:
                 report.add("UNIT", c, (a,), f"direction={d} side=right")
             if ut is not None and tab.get((ut, a)) != a:
@@ -76,22 +84,23 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
 
     # MFI: (a *_j b) *_k (p *_j q) == (a *_k p) *_j (b *_k q)
     for (c, j), jtab in m.comp.items():
+        by_composite: dict[CellId, list[tuple[CellId, CellId]]] = {}
+        for pair, ab in jtab.items():
+            by_composite.setdefault(ab, []).append(pair)
         for k in c:
             if k == j:
                 continue
             ktab = m.comp.get((c, k), {})
-            for (a, b), ab in jtab.items():
-                for (p, q), pq in jtab.items():
-                    lhs = ktab.get((ab, pq))
-                    if lhs is None:
-                        continue
-                    ap = ktab.get((a, p))
-                    bq = ktab.get((b, q))
-                    if ap is None or bq is None:
-                        continue
-                    rhs = jtab.get((ap, bq))
-                    if rhs is not None and lhs != rhs:
-                        report.add("MFI", c, (a, b, p, q), f"directions=({j},{k})")
+            for (ab, pq), lhs in ktab.items():
+                for a, b in by_composite.get(ab, ()):
+                    for p, q in by_composite.get(pq, ()):
+                        ap = ktab.get((a, p))
+                        bq = ktab.get((b, q))
+                        if ap is None or bq is None:
+                            continue
+                        rhs = jtab.get((ap, bq))
+                        if rhs is not None and lhs != rhs:
+                            report.add("MFI", c, (a, b, p, q), f"directions=({j},{k})")
 
 
 class _UnionFind:

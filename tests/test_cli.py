@@ -1,9 +1,13 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from multicat.cli import main
+from multicat import fixtures as fx
+from multicat.cli import _parser, build_parser, main
+from multicat.serialize import serialize
+from multicat.stretching import free_weak
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -174,3 +178,40 @@ def test_validate_json_reports_bad_direction_key(tmp_path, capsys):
     assert out.err == ""
     payload = json.loads(out.out)
     assert [(v["axiom"], v["cells"]) for v in payload["violations"]] == [("TOTAL", ["o0", "o0"])]
+
+
+@pytest.mark.parametrize("layer", ["magma", "cat"])
+def test_validate_stretching_with_missing_face_reports_shape(layer, tmp_path, capsys):
+    doc = json.loads(serialize(free_weak(fx.path2(), stages=1).stretching))
+    faces = doc[layer]["faces"]
+    del faces[next(i for i, rec in enumerate(faces) if rec[:3] == [[1], 1, "(x *1 y)"])]
+    p = tmp_path / f"no-face-{layer}.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    payload = json.loads(out.out)
+    assert {v["axiom"] for v in payload["violations"]} == {"SHAPE"}
+    assert {(v["axiom"], tuple(v["cells"])) for v in payload["violations"]} == {
+        ("SHAPE", ("(x *1 y)",))
+    }
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().out.startswith("SHAPE color=[1] cells=(x *1 y)")
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys):
+    broken = fpath("square-broken-st.mset")
+    assert main(["validate", broken, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["axiom"] for v in payload["violations"]] == ["ST"]
+    assert main(["validate", broken]) == 1
+    assert capsys.readouterr().out.startswith("ST color=[1, 2]")
+    assert main(["validate", fpath("square.mset")]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert _parser() is _parser()
+    assert isinstance(build_parser(), argparse.ArgumentParser)
+
+
+def test_free_reflexive_spends_the_budget(capsys):
+    assert main(["free", "reflexive", fpath("point.mset"), "--dim", "2", "--budget", "1"]) == 1
+    assert "free reflexive exceeded the work budget of 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat.terms import Budget
 from oracles import reflexive_axiom_ids, reflexive_counts
 
 SMALL = {
@@ -134,3 +135,13 @@ def test_degeneracy_keyed_by_bad_entry_is_total_violation(entry):
     fr.refl[((1,), entry)] = {x: fr.refl[((1,), 2)][x]}
     report = mc.validate_reflexive(fr)
     assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", (x,))]
+
+
+def test_free_reflexive_spends_one_budget_unit_per_cell():
+    with pytest.raises(mc.BudgetExceeded) as info:
+        mc.free_reflexive(fx.point(2, 2), 2, budget=2)
+    assert info.value.phase == "free reflexive"
+    assert (info.value.used, info.value.requested) == (2, 1)
+    budget = Budget(4)
+    fr = mc.free_reflexive(fx.point(2, 2), 2, budget=budget)
+    assert budget.used == sum(len(ids) for ids in fr.base.cells.values()) == 4

@@ -4,6 +4,8 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat import stretching
+from multicat.terms import Budget
 from oracles import bracket_axiom_ids, expected_bracket_counts, stagewise_bracket_counts
 
 
@@ -194,3 +196,68 @@ def test_free_weak_spends_one_budget():
         mc.free_weak(fx.path2(), stages=4, budget=2000)
     assert info.value.phase == "weak completion"
     assert info.value.used == 2000
+
+
+def _staged_totality(report):
+    return {(v.color, v.cells) for v in report.violations
+            if v.axiom == "TOTAL" and v.detail.startswith("staged")}
+
+
+def test_staged_totality_reports_deleted_in_stage_composite():
+    e = mc.free_weak(fx.path2(), stages=2).stretching
+    last = e.stage - 1
+    key, pair = next((k, p) for k in sorted(e.magma.comp) for p in sorted(e.magma.comp[k])
+                     if all(e.stage_of[(k[0], x)] <= last for x in p))
+    del e.magma.comp[key][pair]
+    assert _staged_totality(mc.validate_stretching(e)) == {(key[0], pair)}
+
+
+def test_staged_totality_exempts_frontier_operands():
+    e = mc.free_weak(fx.path2(), stages=2).stretching
+    M = e.magma.base
+    # composable pairs with an operand built in the last stage have no composite
+    frontier = [(c, d, pair) for c in M.colors() for d in c
+                for pair in mc.composable_pairs(M, c, d)
+                if max(e.stage_of[(c, x)] for x in pair) == e.stage]
+    assert frontier
+    assert all(pair not in e.magma.comp.get((c, d), {}) for c, d, pair in frontier)
+    assert mc.validate_stretching(e).ok
+
+
+def test_staged_totality_reports_deleted_in_stage_degeneracy():
+    e = mc.free_weak(fx.path2(), stages=2).stretching
+    tabs = e.magma.refl.refl
+    key, x = next((k, x) for k in sorted(tabs) for x in sorted(tabs[k])
+                  if e.stage_of[(k[0], x)] <= e.stage - 1)
+    del tabs[key][x]
+    report = mc.validate_stretching(e)
+    assert _staged_totality(report) == {(key[0], (x,))}
+    assert f"staged degeneracy missing, added={key[1]}" in report.render()
+
+
+def test_free_weak_takes_the_first_reversor_structure_lazily(monkeypatch):
+    # three loops at one vertex: 27 structures, each one swap map
+    loops = mc.MultipleSet(1, 1)
+    loops.cells[()] = ["v"]
+    loops.cells[(1,)] = ["l0", "l1", "l2"]
+    loops.src[((1,), 1)] = {x: "v" for x in loops.cells[(1,)]}
+    loops.tgt[((1,), 1)] = {x: "v" for x in loops.cells[(1,)]}
+    full = Budget(10**6)
+    found = mc.search_reversors(loops, 0, "minimal", budget=full)
+    assert len(found) == 27
+    first = Budget(10**6)
+    assert next(stretching._structures(loops, 0, "minimal", first)).chains == found[0].chains
+    assert first.used < full.used
+    # free_weak draws one structure: hand it every structure twice
+    drawn = []
+    original = stretching._structures
+
+    def twice(*args):
+        for s in original(*args):
+            for _ in range(2):
+                drawn.append(s)
+                yield s
+
+    monkeypatch.setattr(stretching, "_structures", twice)
+    mc.free_weak(fx.point(1, 1), m=0, stages=2)
+    assert len(drawn) == 1

@@ -181,3 +181,57 @@ def test_quotient_stops_at_first_missing_composite():
     )
     # listing the whole pullback first (1,046,529 pairs) peaked near 67 MB
     assert peak < 8_000_000
+
+
+def _assoc_mfi_by_quadratic_scan(cat):
+    """ASSOC and MFI violations found by pairing every entry with every entry."""
+    out = set()
+    for (c, d), tab in cat.comp.items():
+        for (a, b), ab in tab.items():
+            for (x, e), xe in tab.items():
+                left, right = tab.get((ab, e)), tab.get((a, xe))
+                if x == b and None not in (left, right) and left != right:
+                    out.add(("ASSOC", c, (a, b, e), f"direction={d}"))
+    for (c, j), jtab in cat.comp.items():
+        for k in c:
+            ktab = cat.comp.get((c, k), {})
+            for (a, b), ab in jtab.items():
+                for (p, q), pq in jtab.items():
+                    lhs, ap, bq = ktab.get((ab, pq)), ktab.get((a, p)), ktab.get((b, q))
+                    if k == j or None in (lhs, ap, bq):
+                        continue
+                    rhs = jtab.get((ap, bq))
+                    if rhs is not None and lhs != rhs:
+                        out.add(("MFI", c, (a, b, p, q), f"directions=({j},{k})"))
+    return out
+
+
+def test_interchange_pairs_every_entry_of_a_composite():
+    # MFI pairs the 1-entries whose composites are the operands of a 2-entry;
+    # a composite with several 1-entries must be paired through each of them,
+    # not only through the first one listed
+    cat = mc.quotient_to_category(mc.free_strict(fx.grid2x2(), 2, 12))
+    jtab = cat.comp[((1, 2), 1)]
+    not_first = 0
+    for pair in sorted(jtab)[:12]:
+        orig = jtab[pair]
+        for other in cat.base.cells_at((1, 2))[:6]:
+            if other == orig:
+                continue
+            jtab[pair] = other
+            report = mc.validate_strict(cat)
+            got = {(x.axiom, x.color, x.cells, x.detail) for x in report.violations
+                   if x.axiom in ("ASSOC", "MFI")}
+            assert got == _assoc_mfi_by_quadratic_scan(cat)
+            first = {}
+            for key, u in jtab.items():
+                first.setdefault(u, key)
+            not_first += sum(
+                1 for x in report.violations
+                if x.detail == "directions=(1,2)"
+                and (first[jtab[x.cells[:2]]] != x.cells[:2]
+                     or first[jtab[x.cells[2:]]] != x.cells[2:])
+            )
+        jtab[pair] = orig
+    assert not_first
+    assert mc.validate_strict(cat).ok
