@@ -12,12 +12,12 @@ import functools
 import json
 import sys
 
-from .core import MultipleSet, validate_multiple_set
+from .core import SOURCE, TARGET, MultipleSet, validate_multiple_set
 from .errors import MulticatError, ParseError
 from .magma import MagmaStructure, composable_pairs, validate_magma, validate_reflexive_magma
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
 from .reversors import ReversorStructure, validate_reversors
-from .serialize import from_document, serialize, to_document
+from .serialize import KINDS, dump, from_document, loads, to_document
 from .strictcat import free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
 
@@ -28,13 +28,7 @@ def _read_document(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("document is not an object")
-    return doc
+    return loads(text)
 
 
 def _load(path: str, kind_override: str | None = None):
@@ -119,8 +113,7 @@ def cmd_free(args) -> int:
         out_obj, out_kind = fw.stretching, "stretching"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize(out_obj, out_kind))
+        dump(out_obj, args.out, out_kind)
     return 0
 
 
@@ -136,11 +129,11 @@ def cmd_stats(args) -> int:
     }
     for c in base.colors():
         for d in c:
-            try:
+            # composable_pairs reads both faces of every cell at c
+            stab, ttab = base.table(SOURCE, c, d), base.table(TARGET, c, d)
+            if all(x in stab and x in ttab for x in base.cells_at(c)):
                 pairs = composable_pairs(base, c, d)
-            except MulticatError:
-                continue
-            stats["composable_pairs"][f"{list(c)}/{d}"] = len(pairs)
+                stats["composable_pairs"][f"{list(c)}/{d}"] = len(pairs)
     if isinstance(obj, Stretching):
         for (c, r), tab in sorted(obj.brackets.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
             stats["brackets"][f"{list(c)}+{r}"] = len(tab)
@@ -210,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a structure document")
     p_val.add_argument("path")
-    p_val.add_argument("--kind", choices=(
-        "multiple-set", "reflexive", "magma", "strict", "reversors", "stretching"
-    ), help="override the document's kind field")
+    p_val.add_argument("--kind", choices=KINDS, help="override the document's kind field")
     p_val.add_argument("--strict", action="store_true",
                        help="check the strict-category axioms on a magma document")
     p_val.add_argument("--format", choices=("text", "json"), default="text")

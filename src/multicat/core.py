@@ -184,8 +184,13 @@ def validate_morphism(f: MsMorphism) -> ValidationReport:
             for d in c:
                 lower = minus(c, d)
                 for pol, axiom in ((SOURCE, "MOR-S"), (TARGET, "MOR-T")):
-                    fx_face = face(f.target, c, fmap[x], d, pol)
-                    x_face = face(f.source, c, x, d, pol)
+                    # neither multiple set is validated: a face may be missing
+                    fx_face = f.target.table(pol, c, d).get(fmap[x])
+                    x_face = f.source.table(pol, c, d).get(x)
+                    if fx_face is None or x_face is None:
+                        side = "source" if x_face is None else "target"
+                        report.add("SHAPE", c, (x,), f"{pol}[{d}] undefined in the {side}")
+                        continue
                     mapped = f.maps.get(lower, {}).get(x_face)
                     if mapped != fx_face:
                         report.add(axiom, c, (x,), f"entry={d} polarity={pol}")

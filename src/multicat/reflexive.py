@@ -53,7 +53,6 @@ def admissible_refl_keys(ms: MultipleSet) -> list[tuple[Color, int]]:
 def validate_reflexive(
     r: ReflexiveStructure,
     check_section: bool = True,
-    require_total: bool = True,
 ) -> ValidationReport:
     """Face/degeneracy compatibility, the section law, and exchange.
 
@@ -63,7 +62,7 @@ def validate_reflexive(
     """
     report = validate_multiple_set(r.base)
     if report.ok:
-        _scan_reflexive(r, report, cell_sets(r.base), check_section, require_total)
+        _scan_reflexive(r, report, cell_sets(r.base), check_section, True)
     return report.sorted()
 
 

@@ -27,9 +27,9 @@ from .core import (
     MsMorphism,
     MultipleSet,
     cell_sets,
-    face,
     validate_multiple_set,
 )
+from .errors import UnknownCell
 from .magma import MagmaStructure
 from .report import ValidationReport
 from .terms import Budget, as_budget
@@ -61,12 +61,6 @@ class ReversorStructure:
     kind: str
     chains: list[Chain] = field(default_factory=list)
 
-    def chain_for(self, color: Color, entries: tuple[int, ...]) -> Chain | None:
-        for ch in self.chains:
-            if ch.color == color and ch.entries == entries:
-                return ch
-        return None
-
 
 def _q_max(k: int, m: int) -> int:
     return max(1, k - m - 1)
@@ -83,11 +77,8 @@ def required_slots(ms: MultipleSet, m: int, kind: str) -> list[tuple[Color, tupl
         k = len(c)
         if k <= m or not ms.cells_at(c):
             continue
-        if kind == "minimal":
-            slots.extend((c, (e,)) for e in c)
-        elif kind == "maximal":
-            q = min(_q_max(k, m), k)
-            slots.extend((c, sub) for sub in sorted(k_colors(c, q)))
+        if kind == "maximal":
+            slots.extend((c, sub) for sub in sorted(k_colors(c, min(_q_max(k, m), k))))
         else:
             slots.extend((c, (e,)) for e in c)
     return slots
@@ -96,13 +87,20 @@ def required_slots(ms: MultipleSet, m: int, kind: str) -> list[tuple[Color, tupl
 def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
                     members: dict[Color, set[CellId]]):
     """One chain's scans; the base must be valid, and ``members`` is its
-    ``cell_sets``."""
+    ``cell_sets``.  A chain whose entries leave its color, or that has fewer
+    maps than entries, is one COVER violation and is not scanned."""
     q = len(ch.entries)
-    level_color = ch.color
+    levels = [ch.color]
+    for e in ch.entries:
+        if e not in levels[-1]:
+            report.add("COVER", ch.color, (), f"entry {e} not in color {list(levels[-1])}")
+            return
+        levels.append(minus(levels[-1], e))
+    if len(ch.maps) < q:
+        report.add("COVER", ch.color, (), f"{len(ch.maps)} maps for entries {ch.entries}")
+        return
     maps = [ch.map_at(r) for r in range(q)]
-    for r in range(q):
-        e = ch.entries[r]
-        lower = minus(level_color, e)  # raises EntryAbsent before any face read
+    for r, (level_color, e) in enumerate(zip(levels, ch.entries)):
         tab = maps[r]
         here = members.get(level_color, set())
         stab, ttab = ms.table(SOURCE, level_color, e), ms.table(TARGET, level_color, e)
@@ -121,7 +119,6 @@ def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
                 for tabs, pol in ((stab, SOURCE), (ttab, TARGET)):
                     if tabs[jx] != nxt.get(tabs[x]):
                         report.add("SERIAL", level_color, (x,), f"entry={e} polarity={pol}")
-        level_color = lower
 
 
 def validate_reversors(r: ReversorStructure) -> ValidationReport:
@@ -129,16 +126,15 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
     base_report = validate_multiple_set(r.base)
     if not base_report.ok:
         return base_report
+    # a general slot is keyed by its first entry and takes any admissible length
+    general = r.kind == "general"
+    covered = {
+        (ch.color, ch.entries[:1] if general else ch.entries)
+        for ch in r.chains
+        if not general or 1 <= len(ch.entries) <= _q_max(len(ch.color), r.m)
+    }
     for c, key in required_slots(r.base, r.m, r.kind):
-        if r.kind == "general":
-            found = any(
-                ch.color == c and ch.entries and ch.entries[0] == key[0]
-                and 1 <= len(ch.entries) <= _q_max(len(c), r.m)
-                for ch in r.chains
-            )
-        else:
-            found = r.chain_for(c, key) is not None
-        if not found:
+        if (c, key) not in covered:
             report.add("COVER", c, (), f"no chain for {key}")
     members = cell_sets(r.base)
     for ch in r.chains:
@@ -151,8 +147,10 @@ def validate_reversor_morphism(
 ) -> ValidationReport:
     """f intertwines every corresponding chain map: f(j(x)) == j'(f(x))."""
     report = ValidationReport()
+    # where two chains share (color, entries), the first one counts
+    targets = {(ch.color, ch.entries): ch for ch in reversed(rp.chains)}
     for ch in r.chains:
-        other = rp.chain_for(ch.color, ch.entries)
+        other = targets.get((ch.color, ch.entries))
         if other is None:
             report.add("COVER", ch.color, (), f"target lacks chain {ch.entries}")
             continue
@@ -170,48 +168,53 @@ def validate_reversor_morphism(
     return report.sorted()
 
 
-def _map_candidates(ms, color, constraint, budget: Budget) -> list[dict]:
-    """All total maps at ``color`` whose images satisfy ``constraint(x, y)``.
-
-    The product is paid for before it is built.
-    """
+def _face_buckets(ms: MultipleSet, color: Color, e: int):
+    """Each cell's (source, target) pair in direction ``e``, in cell order,
+    and the cells at ``color`` bucketed by that pair."""
     cells = ms.cells_at(color)
-    per_cell = [[y for y in cells if constraint(x, y)] for x in cells]
-    budget.spend(max(1, math.prod(map(len, per_cell))), PHASE)
-    return [dict(zip(cells, combo)) for combo in itertools.product(*per_cell)]
+    stab, ttab = ms.table(SOURCE, color, e), ms.table(TARGET, color, e)
+    try:
+        pairs = [(stab[x], ttab[x]) for x in cells]
+    except KeyError as exc:
+        raise UnknownCell(color, exc.args[0]) from None
+    buckets: dict[tuple, list[CellId]] = {}
+    for x, p in zip(cells, pairs):
+        buckets.setdefault(p, []).append(x)
+    return pairs, buckets
+
+
+def _map_candidates(cells: list[CellId], images: list[list[CellId]], budget: Budget) -> list[tuple]:
+    """Every map sending ``cells[i]`` into ``images[i]``, as (cell, image)
+    tuples sorted by cell.  The product is paid for before it is built."""
+    budget.spend(max(1, math.prod(map(len, images))), PHASE)
+    maps = [tuple(zip(cells, combo)) for combo in itertools.product(*images)]
+    # parsed documents may list a color's cells out of order
+    return maps if cells == sorted(cells) else [tuple(sorted(m)) for m in maps]
 
 
 def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: Budget) -> list[Chain]:
-    q = len(entries)
+    """Every chain at ``color`` along ``entries``, built from the terminal map up.
+
+    The terminal map swaps each cell's faces; each map above it sends the
+    faces of a cell's image to the next map's images of the cell's faces.
+    """
     levels = [color]
     for e in entries[:-1]:
         levels.append(minus(levels[-1], e))
-
-    def extend(r: int, below: list[dict]) -> list[list[dict]]:
-        e = entries[r]
-        lc = levels[r]
-        if r == q - 1:
-            def swap_ok(x, y):
-                return (
-                    face(ms, lc, y, e, SOURCE) == face(ms, lc, x, e, TARGET)
-                    and face(ms, lc, y, e, TARGET) == face(ms, lc, x, e, SOURCE)
-                )
-            return [[m] for m in _map_candidates(ms, lc, swap_ok, budget)]
-        suffixes = extend(r + 1, below)
+    pairs, buckets = _face_buckets(ms, levels[-1], entries[-1])
+    images = [buckets.get((t, s), []) for s, t in pairs]
+    suffixes = [(m,) for m in _map_candidates(ms.cells_at(levels[-1]), images, budget)]
+    for lc, e in zip(levels[-2::-1], entries[-2::-1]):
+        if not suffixes:
+            break
+        pairs, buckets = _face_buckets(ms, lc, e)
         out = []
         for suffix in suffixes:
-            nxt = suffix[0]
-
-            def serial_ok(x, y, nxt=nxt, lc=lc, e=e):
-                return (
-                    face(ms, lc, y, e, SOURCE) == nxt.get(face(ms, lc, x, e, SOURCE))
-                    and face(ms, lc, y, e, TARGET) == nxt.get(face(ms, lc, x, e, TARGET))
-                )
-
-            out.extend([m] + suffix for m in _map_candidates(ms, lc, serial_ok, budget))
-        return out
-
-    return [make_chain(color, entries, maps) for maps in extend(0, [])]
+            nxt = dict(suffix[0])
+            images = [buckets.get((nxt.get(s), nxt.get(t)), []) for s, t in pairs]
+            out.extend((m,) + suffix for m in _map_candidates(ms.cells_at(lc), images, budget))
+        suffixes = out
+    return [Chain(color, tuple(entries), maps) for maps in suffixes]
 
 
 def search_reversors(
@@ -237,31 +240,23 @@ def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
     """The structures of ``search_reversors``, in its order, one at a time.
 
     Every candidate chain is built (and paid for) before the first
-    structure; each combination is paid for when it is reached.
+    structure; each combination is paid for when it is reached.  A slot's
+    chains all carry its (color, key), so distinct combinations give
+    distinct structures, and ordering a combination's chains by slot sorts
+    them by (color, entries).
     """
-    slot_options: list[list[list[Chain]]] = []
-    for c, key in required_slots(ms, m, kind):
+    slots = required_slots(ms, m, kind)
+    slot_options: list[list[Chain]] = []
+    for c, key in slots:
+        subs = [key]
         if kind == "general":
-            options: list[list[Chain]] = []
-            for q in range(1, _q_max(len(c), m) + 1):
-                for sub in sorted(k_colors(c, q)):
-                    if sub and sub[0] == key[0]:
-                        options.extend([ch] for ch in _chain_candidates(ms, c, sub, b))
-        else:
-            options = [[ch] for ch in _chain_candidates(ms, c, key, b)]
+            subs = [sub for q in range(1, _q_max(len(c), m) + 1)
+                    for sub in sorted(k_colors(c, q)) if sub[0] == key[0]]
+        options = [ch for sub in subs for ch in _chain_candidates(ms, c, sub, b)]
         if not options:
             return
         slot_options.append(options)
-
-    # distinct combos can collapse to the same chain set
-    seen = set()
+    order = sorted(range(len(slots)), key=slots.__getitem__)
     for combo in itertools.product(*slot_options):
         b.spend(1, PHASE)
-        chains = sorted(
-            {ch for group in combo for ch in group},
-            key=lambda ch: (ch.color, ch.entries, ch.maps),
-        )
-        key = tuple((ch.color, ch.entries, ch.maps) for ch in chains)
-        if key not in seen:
-            seen.add(key)
-            yield ReversorStructure(base=ms, m=m, kind=kind, chains=chains)
+        yield ReversorStructure(base=ms, m=m, kind=kind, chains=[combo[i] for i in order])

@@ -151,6 +151,25 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _reject_repeats(table: str, records, filled: int, width: int):
+    """Reject two records that share a key: the color and the next
+    ``width - 1`` fields.
+
+    ``filled`` is the number of entries the records left in their table;
+    keys are searched only when it falls short of the record count, that
+    is, when a record overwrote an earlier one.
+    """
+    if filled == len(records):
+        return
+    seen = set()
+    for rec in records:
+        key = (_color(rec[0]), *map(str, rec[1:width]))
+        if key in seen:
+            break
+        seen.add(key)
+    raise ParseError(f"repeated {table} record for {[list(key[0]), *key[1:]]}")
+
+
 def _parse_ms(doc: dict) -> MultipleSet:
     try:
         ms = MultipleSet(int(_require(doc, "universe_bound")), int(_require(doc, "dim_bound")))
@@ -169,10 +188,12 @@ def _parse_ms(doc: dict) -> MultipleSet:
             ms.cells[c] = [str(x) for x in ids]
             if len(set(ms.cells[c])) != len(ms.cells[c]):
                 raise ParseError(f"cell id repeated at color {list(c)}")
-        for color_raw, d, x, s, t in _require(doc, "faces"):
+        faces = _require(doc, "faces")
+        for color_raw, d, x, s, t in faces:
             c = _color(color_raw)
             ms.src.setdefault((c, int(d)), {})[str(x)] = s
             ms.tgt.setdefault((c, int(d)), {})[str(x)] = t
+        _reject_repeats("faces", faces, sum(map(len, ms.src.values())), 3)
         return ms
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc
@@ -181,8 +202,10 @@ def _parse_ms(doc: dict) -> MultipleSet:
 def _parse_refl(doc: dict, base: MultipleSet) -> ReflexiveStructure:
     refl = ReflexiveStructure(base=base)
     try:
-        for color_raw, l, x, dx in doc.get("refl", []):
+        records = doc.get("refl", [])
+        for color_raw, l, x, dx in records:
             refl.refl.setdefault((_color(color_raw), int(l)), {})[str(x)] = str(dx)
+        _reject_repeats("refl", records, sum(map(len, refl.refl.values())), 3)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed reflexive table: {exc}") from exc
     return refl
@@ -194,8 +217,10 @@ def _parse_magma(doc: dict) -> MagmaStructure:
     if "refl" in doc:
         m.refl = _parse_refl(doc, base)
     try:
-        for color_raw, d, a, b, r in doc.get("comp", []):
+        records = doc.get("comp", [])
+        for color_raw, d, a, b, r in records:
             m.comp.setdefault((_color(color_raw), int(d)), {})[(str(a), str(b))] = str(r)
+        _reject_repeats("comp", records, sum(map(len, m.comp.values())), 4)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed composition table: {exc}") from exc
     return m
@@ -203,8 +228,6 @@ def _parse_magma(doc: dict) -> MagmaStructure:
 
 def from_document(doc: dict):
     """Rebuild the structure named by the document's ``kind``."""
-    if not isinstance(doc, dict):
-        raise ParseError("document is not an object")
     version = _require(doc, "format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
@@ -241,19 +264,24 @@ def from_document(doc: dict):
         magma = _parse_magma(_require(doc, "magma"))
         cat = _parse_magma(_require(doc, "cat"))
         pi: dict = {}
-        for color_raw, x, px in _require(doc, "pi"):
+        records = _require(doc, "pi")
+        for color_raw, x, px in records:
             pi.setdefault(_color(color_raw), {})[str(x)] = str(px)
+        _reject_repeats("pi", records, sum(map(len, pi.values())), 2)
         brackets: dict = {}
-        for color_raw, r, a, b, cell in doc.get("brackets", []):
+        records = doc.get("brackets", [])
+        for color_raw, r, a, b, cell in records:
             brackets.setdefault((_color(color_raw), int(r)), {})[
                 (str(a), str(b))
             ] = str(cell)
+        _reject_repeats("brackets", records, sum(map(len, brackets.values())), 4)
         stage_of = None
         if "stage_of" in doc:
             stage_of = {
                 (_color(color_raw), str(x)): int(s)
                 for color_raw, x, s in doc["stage_of"]
             }
+            _reject_repeats("stage_of", doc["stage_of"], len(stage_of), 2)
         return Stretching(
             magma=magma, cat=cat, pi=pi, brackets=brackets, m=doc.get("m"),
             stage_of=stage_of, stage=int(doc.get("stage", 0)),
@@ -263,22 +291,19 @@ def from_document(doc: dict):
         raise ParseError(f"malformed stretching body: {exc}") from exc
 
 
+def loads(text: str) -> dict:
+    """The JSON object a document's text holds; anything else is a ParseError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document is not an object")
+    return doc
+
+
 def parse(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return from_document(doc)
-
-
-def document_kind(text: str) -> str:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError("document has no kind field")
-    return doc["kind"]
+    return from_document(loads(text))
 
 
 def load(path: str):

@@ -29,7 +29,6 @@ from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .terms import Budget, TermGraph, as_budget
-from .terms import default_budget  # noqa: F401  (callers import it from here)
 
 # a strict category is a magma over a reflexive structure whose tables
 # satisfy associativity, units and interchange; there is no separate class

@@ -4,6 +4,7 @@ Expected values are frozen from the independent brute-force oracles in
 ``oracles.py``; runtime budgets are asserted inside the tests.
 """
 
+import json
 import os
 import random
 import time
@@ -12,7 +13,7 @@ import multicat as mc
 from multicat import fixtures as fx
 from multicat.cli import main as cli_main
 from multicat.reversors import required_slots
-from multicat.serialize import document_kind, parse, serialize
+from multicat.serialize import parse, serialize
 from oracles import (
     NaiveFreeStrict,
     bracket_axiom_ids,
@@ -447,7 +448,7 @@ def test_criterion_6_cli_golden():
         path = os.path.join(FIXTURE_DIR, name)
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        assert serialize(parse(text), document_kind(text)) == text, name
+        assert serialize(parse(text), json.loads(text)["kind"]) == text, name
         code = cli_main(["validate", path])
         assert code == (1 if "broken" in name else 0), name
     assert cli_main(["validate", os.path.join(FIXTURE_DIR, "no-such-file.mset")]) == 2

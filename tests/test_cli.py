@@ -6,6 +6,7 @@ import pytest
 
 from multicat import fixtures as fx
 from multicat.cli import _parser, build_parser, main
+from multicat.reversors import search_reversors
 from multicat.serialize import serialize
 from multicat.stretching import free_weak
 
@@ -53,6 +54,24 @@ def test_validate_strict_document(capsys):
 
 def test_validate_reversors_document(capsys):
     assert main(["validate", fpath("pair-groupoid-reversors.mset")]) == 0
+
+
+@pytest.mark.parametrize("field, value, details", [
+    (1, [2], ["entry 2 not in color [1]", "no chain for (1,)"]),
+    (2, [], ["0 maps for entries (1,)"]),
+])
+def test_validate_malformed_reversor_chain_reports_cover(field, value, details, tmp_path, capsys):
+    rev = search_reversors(fx.pair_groupoid(2), 0, "minimal")[0]
+    doc = json.loads(serialize(rev))
+    doc["chains"][0][field] = value
+    p = tmp_path / "bad-chain.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["violations"] == [
+        {"axiom": "COVER", "color": [1], "cells": [], "detail": d} for d in details
+    ]
 
 
 def test_validate_stretching_document(capsys):
@@ -116,6 +135,24 @@ def test_stats_json(capsys):
     assert main(["stats", fpath("square.mset"), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cells"]["[1, 2]"] == 1
+
+
+def test_stats_skips_pairs_where_a_face_is_missing(tmp_path, capsys):
+    with open(fpath("square.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["faces"].pop(0)[:3] == [[1], 1, "e0"]
+    p = tmp_path / "no-face.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["stats", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cells color=[1] count=2" in out
+    assert [line for line in out if line.startswith("pairs")] == [
+        "pairs [2]/2 count=0", "pairs [1, 2]/1 count=0", "pairs [1, 2]/2 count=0",
+    ]
+    assert main(["stats", str(p), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["composable_pairs"] == {"[2]/2": 0, "[1, 2]/1": 0, "[1, 2]/2": 0}
+    assert payload["cells"]["[1]"] == 2
 
 
 def test_diff_identical(capsys):

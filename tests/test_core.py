@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,3 +97,18 @@ def test_random_multiple_set_deterministic_in_seed():
     a = mc.random_multiple_set(2, 2, sizes=2, seed=5, glue_prob=0.7)
     b = mc.random_multiple_set(2, 2, sizes=2, seed=5, glue_prob=0.7)
     assert a.cells == b.cells and a.src == b.src and a.tgt == b.tgt
+
+
+def test_morphism_to_malformed_target_reports_shape():
+    sq = fx.square()
+    f = mc.identity_morphism(sq)
+    f.target = copy.deepcopy(sq)
+    del f.target.src[((1, 2), 1)]["A"]
+    report = mc.validate_morphism(f)
+    assert [(v.axiom, v.cells, v.detail) for v in report.violations] == [
+        ("SHAPE", ("A",), "source[1] undefined in the target")
+    ]
+    f = mc.identity_morphism(sq)
+    f.source = copy.deepcopy(sq)
+    del f.source.tgt[((1,), 1)]["e0"]
+    assert mc.validate_morphism(f).axioms() == {"SHAPE"}

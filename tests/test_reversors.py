@@ -5,6 +5,7 @@ import pytest
 import multicat as mc
 from multicat import fixtures as fx
 from multicat.reversors import required_slots
+from multicat.terms import Budget
 from oracles import reversor_axiom_ids
 
 
@@ -113,6 +114,17 @@ def test_search_maximal_on_two_copies():
     assert tuple(sorted((ch.color, ch.entries, ch.maps) for ch in ident.chains)) in keys
 
 
+def test_chain_maps_are_sorted_when_cells_are_listed_out_of_order():
+    ms = fx.two_copies(2, 2)
+    for c in ms.cells:
+        ms.cells[c].reverse()
+    found = mc.search_reversors(ms, 0, "maximal")
+    assert found
+    for r in found:
+        assert mc.validate_reversors(r).ok
+        assert all(list(level) == sorted(level) for ch in r.chains for level in ch.maps)
+
+
 def test_budget_limits_search():
     ms = fx.two_copies(2, 2)
     with pytest.raises(mc.BudgetExceeded):
@@ -147,3 +159,22 @@ def test_reversor_morphism_equivariance():
     twisted.maps[(1,)]["o0>o1"] = "o0>o0"
     report = mc.validate_reversor_morphism(twisted, r, r)
     assert "EQUIVAR" in report.axioms()
+
+
+@pytest.mark.parametrize("kind, count, used", [
+    ("minimal", 1, 13), ("maximal", 1, 16), ("general", 6, 24),
+])
+def test_search_on_terminal_set_counts_and_chain_order(kind, count, used):
+    # one cell per color: every chain is the identity, and maximal and
+    # general chains have length 2 at the 3-color
+    b = Budget(10_000)
+    found = mc.search_reversors(mc.terminal_multiple_set(3, 3), 0, kind, b)
+    assert (len(found), b.used) == (count, used)
+    if kind != "minimal":
+        assert any(len(ch.entries) == 2 for r in found for ch in r.chains)
+    keys = [tuple((ch.color, ch.entries, ch.maps) for ch in r.chains) for r in found]
+    assert len(set(keys)) == len(keys)
+    for r in found:
+        order = [(ch.color, ch.entries) for ch in r.chains]
+        assert order == sorted(order)
+        assert mc.validate_reversors(r).ok

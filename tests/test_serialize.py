@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import multicat as mc
 from multicat import fixtures as fx
-from multicat.serialize import document_kind, from_document, parse, serialize, to_document
+from multicat.serialize import from_document, parse, serialize, to_document
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -25,7 +25,7 @@ def test_fixture_roundtrip_byte_exact(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     obj = parse(text)
-    assert serialize(obj, document_kind(text)) == text
+    assert serialize(obj, json.loads(text)["kind"]) == text
 
 
 def test_parse_serialize_canonicalizes():
@@ -50,7 +50,7 @@ def test_every_kind_roundtrips():
         text = serialize(obj, kind)
         again = serialize(parse(text), kind)
         assert text == again
-        assert document_kind(text) == kind
+        assert json.loads(text)["kind"] == kind
 
 
 def test_parse_rejects_bad_json():
@@ -137,3 +137,25 @@ def test_parse_rejects_malformed_color():
     for color in ([2, 1], [0]):
         with pytest.raises(mc.ParseError, match="bad color"):
             from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [color, ["e"]]]))
+
+
+@pytest.mark.parametrize("name, table", [
+    ("square.mset", "faces"),
+    ("point-free-reflexive.mset", "refl"),
+    ("pair-groupoid.mset", "comp"),
+    ("parallel-edges-free-weak.mset", "pi"),
+    ("parallel-edges-free-weak.mset", "brackets"),
+    ("parallel-edges-free-weak.mset", "stage_of"),
+])
+def test_parse_rejects_repeated_record(name, table):
+    with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    first = doc[table][0]
+    value = first[-1] + 1 if isinstance(first[-1], int) else first[-1] + "'"
+    # a contradictory record ahead of the true one would otherwise be overwritten
+    doc[table].insert(0, first[:-1] + [value])
+    with pytest.raises(mc.ParseError, match=f"repeated {table} record"):
+        from_document(doc)
+    doc[table][0] = first
+    with pytest.raises(mc.ParseError, match=f"repeated {table} record"):
+        from_document(doc)

@@ -118,7 +118,7 @@ def test_strict_mutations_match_oracle_ids():
 
 def test_default_budget_env(monkeypatch):
     monkeypatch.setenv("MULTICAT_BUDGET", "123")
-    from multicat.strictcat import default_budget
+    from multicat.terms import default_budget
 
     assert default_budget() == 123
 
