@@ -17,7 +17,7 @@ from .errors import MulticatError, ParseError
 from .magma import MagmaStructure, composable_pairs, validate_magma, validate_reflexive_magma
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
 from .reversors import ReversorStructure, validate_reversors
-from .serialize import KINDS, dump, from_document, loads, to_document
+from .serialize import dump, from_document, loads, to_document
 from .strictcat import free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
 
@@ -31,10 +31,8 @@ def _read_document(path: str) -> dict:
     return loads(text)
 
 
-def _load(path: str, kind_override: str | None = None):
+def _load(path: str):
     doc = _read_document(path)
-    if kind_override is not None:
-        doc = {**doc, "kind": kind_override}
     return from_document(doc), doc
 
 
@@ -57,7 +55,7 @@ def _validate_any(obj, strict: bool):
 
 
 def cmd_validate(args) -> int:
-    obj, doc = _load(args.path, args.kind)
+    obj, doc = _load(args.path)
     report = _validate_any(obj, args.strict or doc["kind"] == "strict")
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -167,12 +165,11 @@ def _flatten(doc, prefix=""):
 
 
 def cmd_diff(args) -> int:
-    obj_a, _ = _load(args.path_a)
-    obj_b, _ = _load(args.path_b)
-    canon_a = to_document(obj_a)
-    canon_b = to_document(obj_b)
-    flat_a = _flatten(canon_a)
-    flat_b = _flatten(canon_b)
+    obj_a, doc_a = _load(args.path_a)
+    obj_b, doc_b = _load(args.path_b)
+    # each document keeps its own kind: a strict document parses to a plain magma
+    flat_a = _flatten(to_document(obj_a, doc_a["kind"]))
+    flat_b = _flatten(to_document(obj_b, doc_b["kind"]))
     diffs = []
     for key in sorted(set(flat_a) | set(flat_b)):
         va, vb = flat_a.get(key), flat_b.get(key)
@@ -203,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a structure document")
     p_val.add_argument("path")
-    p_val.add_argument("--kind", choices=KINDS, help="override the document's kind field")
     p_val.add_argument("--strict", action="store_true",
                        help="check the strict-category axioms on a magma document")
     p_val.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,8 +14,6 @@ from .errors import EntryAbsent, EntryPresent, KOutOfRange, NonPositiveEntry, No
 
 Color = tuple[int, ...]
 
-EMPTY: Color = ()
-
 
 def make_color(entries) -> Color:
     """Validate and build a color from a sequence of direction indices."""

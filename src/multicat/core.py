@@ -19,7 +19,6 @@ CellId = str
 
 SOURCE = "source"
 TARGET = "target"
-POLARITIES = (SOURCE, TARGET)
 
 
 @dataclass
@@ -157,9 +156,6 @@ class MsMorphism:
     source: MultipleSet
     target: MultipleSet
     maps: dict[Color, dict[CellId, CellId]]
-
-    def apply(self, c: Color, x: CellId) -> CellId:
-        return self.maps[c][x]
 
 
 def identity_morphism(ms: MultipleSet) -> MsMorphism:

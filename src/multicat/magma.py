@@ -59,11 +59,11 @@ def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId
     return m.comp[(c, d)][(a, b)]
 
 
-def validate_magma(m: MagmaStructure, require_total: bool = True) -> ValidationReport:
+def validate_magma(m: MagmaStructure) -> ValidationReport:
     """Totality on the pullback, POS1 and POS2."""
     report = validate_multiple_set(m.base)
     if report.ok:
-        _scan_magma(m, report, cell_sets(m.base), require_total)
+        _scan_magma(m, report, cell_sets(m.base), True)
     return report.sorted()
 
 
@@ -132,7 +132,7 @@ def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: 
     if base_ok:
         _scan_magma(m, report, members, require_total)
         if m.refl is not None:
-            _scan_reflexive(m.refl, report, members, True, require_total)
+            _scan_reflexive(m.refl, report, members, require_total)
     if m.refl is None:
         return
     for (c, d), tab in m.comp.items():

@@ -35,9 +35,6 @@ class ReflexiveStructure:
     # (color c, entry l with l not in c) -> cell at c -> cell at add(c, l)
     refl: dict[tuple[Color, int], dict[CellId, CellId]] = field(default_factory=dict)
 
-    def degenerate(self, c: Color, x: CellId, l: int) -> CellId:
-        return self.refl[(c, l)][x]
-
 
 def admissible_refl_keys(ms: MultipleSet) -> list[tuple[Color, int]]:
     """(color, entry) pairs whose degeneracy map must exist within bounds."""
@@ -50,25 +47,21 @@ def admissible_refl_keys(ms: MultipleSet) -> list[tuple[Color, int]]:
     return out
 
 
-def validate_reflexive(
-    r: ReflexiveStructure,
-    check_section: bool = True,
-) -> ValidationReport:
+def validate_reflexive(r: ReflexiveStructure) -> ValidationReport:
     """Face/degeneracy compatibility, the section law, and exchange.
 
-    ``check_section`` toggles the REFL-SECT convention (the face of a
-    degenerate cell in its own added direction gives the cell back); the
-    other diagrams only constrain distinct directions.
+    The section law REFL-SECT (the face of a degenerate cell in its own
+    added direction gives the cell back) is always checked; the other
+    diagrams only constrain distinct directions.
     """
     report = validate_multiple_set(r.base)
     if report.ok:
-        _scan_reflexive(r, report, cell_sets(r.base), check_section, True)
+        _scan_reflexive(r, report, cell_sets(r.base), True)
     return report.sorted()
 
 
 def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
-                    members: dict[Color, set[CellId]],
-                    check_section: bool, require_total: bool):
+                    members: dict[Color, set[CellId]], require_total: bool):
     """The degeneracy scans, appended to ``report``; the base must be valid,
     and ``members`` is its ``cell_sets``."""
     ms = r.base
@@ -100,11 +93,10 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
             if dx not in above:
                 report.add("TOTAL", c, (x,), f"degenerate image {dx!r} not at {list(up)}")
                 continue
-            if check_section:
-                if ms.src[(up, l)][dx] != x:
-                    report.add("REFL-SECT", c, (x,), f"entry={l} polarity={SOURCE}")
-                if ms.tgt[(up, l)][dx] != x:
-                    report.add("REFL-SECT", c, (x,), f"entry={l} polarity={TARGET}")
+            if ms.src[(up, l)][dx] != x:
+                report.add("REFL-SECT", c, (x,), f"entry={l} polarity={SOURCE}")
+            if ms.tgt[(up, l)][dx] != x:
+                report.add("REFL-SECT", c, (x,), f"entry={l} polarity={TARGET}")
             for k in c:
                 lower_tab = r.refl.get((minus(c, k), l), {})
                 for tabs, axiom in ((ms.src, "REFL-S"), (ms.tgt, "REFL-T")):

@@ -84,21 +84,30 @@ def required_slots(ms: MultipleSet, m: int, kind: str) -> list[tuple[Color, tupl
     return slots
 
 
+def _chain_fault(ch: Chain) -> str | None:
+    """Why ``ch`` cannot be scanned: an entry that leaves its level's color,
+    or fewer maps than entries; None when it can be."""
+    level = ch.color
+    for e in ch.entries:
+        if e not in level:
+            return f"entry {e} not in color {list(level)}"
+        level = minus(level, e)
+    if len(ch.maps) < len(ch.entries):
+        return f"{len(ch.maps)} maps for entries {ch.entries}"
+    return None
+
+
 def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
                     members: dict[Color, set[CellId]]):
     """One chain's scans; the base must be valid, and ``members`` is its
-    ``cell_sets``.  A chain whose entries leave its color, or that has fewer
-    maps than entries, is one COVER violation and is not scanned."""
-    q = len(ch.entries)
-    levels = [ch.color]
-    for e in ch.entries:
-        if e not in levels[-1]:
-            report.add("COVER", ch.color, (), f"entry {e} not in color {list(levels[-1])}")
-            return
-        levels.append(minus(levels[-1], e))
-    if len(ch.maps) < q:
-        report.add("COVER", ch.color, (), f"{len(ch.maps)} maps for entries {ch.entries}")
+    ``cell_sets``.  A chain with a ``_chain_fault`` is one COVER violation
+    and is not scanned."""
+    fault = _chain_fault(ch)
+    if fault is not None:
+        report.add("COVER", ch.color, (), fault)
         return
+    q = len(ch.entries)
+    levels = list(itertools.accumulate(ch.entries, minus, initial=ch.color))
     maps = [ch.map_at(r) for r in range(q)]
     for r, (level_color, e) in enumerate(zip(levels, ch.entries)):
         tab = maps[r]
@@ -145,7 +154,11 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
 def validate_reversor_morphism(
     f: MsMorphism, r: ReversorStructure, rp: ReversorStructure
 ) -> ValidationReport:
-    """f intertwines every corresponding chain map: f(j(x)) == j'(f(x))."""
+    """f intertwines every corresponding chain map: f(j(x)) == j'(f(x)).
+
+    A pair of chains either of which has a ``_chain_fault`` is one COVER
+    violation and is not scanned.
+    """
     report = ValidationReport()
     # where two chains share (color, entries), the first one counts
     targets = {(ch.color, ch.entries): ch for ch in reversed(rp.chains)}
@@ -153,6 +166,10 @@ def validate_reversor_morphism(
         other = targets.get((ch.color, ch.entries))
         if other is None:
             report.add("COVER", ch.color, (), f"target lacks chain {ch.entries}")
+            continue
+        fault = _chain_fault(ch) or _chain_fault(other)
+        if fault is not None:
+            report.add("COVER", ch.color, (), fault)
             continue
         level_color = ch.color
         for rr in range(len(ch.entries)):

@@ -194,6 +194,11 @@ def _parse_ms(doc: dict) -> MultipleSet:
             ms.src.setdefault((c, int(d)), {})[str(x)] = s
             ms.tgt.setdefault((c, int(d)), {})[str(x)] = t
         _reject_repeats("faces", faces, sum(map(len, ms.src.values())), 3)
+        # the writer renders an undefined face as null: read it back as undefined
+        for tabs in (ms.src, ms.tgt):
+            for key, tab in tabs.items():
+                if None in tab.values():
+                    tabs[key] = {x: y for x, y in tab.items() if y is not None}
         return ms
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc

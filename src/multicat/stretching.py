@@ -3,9 +3,9 @@
 A stretching is a reflexive magma M sitting over a strict category C via a
 projection, with a bracket cell one dimension up for every pair of M-cells
 the projection identifies.  The free construction runs a stage-bounded
-completion: each stage adjoins formal composites, degeneracies (and formal
-reversor cells when a cutoff m is given) for the previous stage's cells,
-plus one bracket cell per projection-equal pair.
+completion: each stage adjoins formal composites, degeneracies (and, when a
+cutoff m is given, formal reversor cells at colors longer than m) for the
+previous stage's cells, plus one bracket cell per projection-equal pair.
 
 M-cells are canonical terms in a term graph (``multicat.terms``):
 degeneracies are pushed inside composites and stacked in one order, so the
@@ -16,7 +16,7 @@ exactly what brackets connect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .colors import Color, add, addable_entries, minus
 from .core import (
@@ -78,6 +78,11 @@ def pi_equal_pairs(e: Stretching, c: Color, max_stage=None) -> list[tuple[CellId
     return [(a, b) for group in by_image.values() for a in group for b in group]
 
 
+def _swap_tables(r: ReversorStructure) -> dict[tuple[Color, int], dict[CellId, CellId]]:
+    """(color, entry) -> the swap map of each single-map chain of ``r``."""
+    return {(ch.color, ch.entries[0]): ch.map_at(0) for ch in r.chains if len(ch.entries) == 1}
+
+
 def _validate_pi(e: Stretching, report: ValidationReport,
                  c_members: dict[Color, set[CellId]], faces_ok: bool):
     """The projection laws.  The face squares read the face tables of M and
@@ -122,10 +127,7 @@ def _validate_pi(e: Stretching, report: ValidationReport,
                 report.add("PI", c, (a, b), f"composite direction={d}")
     # reversors
     if e.m_rev_tables and e.cat_reversors is not None:
-        cat_tabs = {}
-        for ch in e.cat_reversors.chains:
-            if len(ch.entries) == 1:
-                cat_tabs[(ch.color, ch.entries[0])] = ch.map_at(0)
+        cat_tabs = _swap_tables(e.cat_reversors)
         for (c, ev), tab in e.m_rev_tables.items():
             ctab = cat_tabs.get((c, ev), {})
             pmap = e.pi.get(c, {})
@@ -290,14 +292,15 @@ class _Completion(TermGraph):
     """
 
     def __init__(self, X: MultipleSet, cat: StrictCategory, umap, dim_bound, m,
-                 rev_tables_cat, budget: Budget):
+                 cat_reversors: ReversorStructure | None, budget: Budget):
         super().__init__(X, budget, "weak completion")
         self.cat = cat
         self.umap = umap  # (color, gen) -> strict class cell
         self.N = dim_bound
         self.D = X.universe_bound
         self.m = m
-        self.rev_cat = rev_tables_cat  # (color, entry) -> table in C, or None
+        # (color, entry) -> swap map in C
+        self.rev_cat = {} if cat_reversors is None else _swap_tables(cat_reversors)
         self.name: list[CellId] = []
         self.pi: list[CellId] = []
         self.stage_of: list[int] = []
@@ -376,7 +379,7 @@ class _Completion(TermGraph):
                 )
             return got
         if kind == "rev":
-            tab = (self.rev_cat or {}).get((color[node[2]], node[1]))
+            tab = self.rev_cat.get((color[node[2]], node[1]))
             if tab is None:
                 raise BoundsTooSmall(f"strict layer lacks reversor at {list(color[node[2]])}")
             return tab[pi[node[2]]]
@@ -421,8 +424,8 @@ class _Completion(TermGraph):
                 for a in items:
                     for b in by_target.get(self.faces[(a, d, SOURCE)], ()):
                         adjoin("composites", self.comp, d, a, b)
-            # formal reversor cells
-            if self.m is not None and len(c) >= 1:
+            # formal reversor cells, above the cutoff only
+            if self.m is not None and len(c) > self.m:
                 for e in c:
                     for t in items:
                         adjoin("reversors", self.rev, e, t)
@@ -443,9 +446,7 @@ class _Completion(TermGraph):
 class FreeWeakResult:
     stretching: Stretching
     unit: MsMorphism
-    stages: int
-    bounds: tuple[int, int]  # (dim bound, strict size bound)
-    stage_log: list[dict] = field(default_factory=list)
+    stage_log: list[dict]
 
 
 def free_weak(
@@ -468,22 +469,15 @@ def free_weak(
     cat = quotient_to_category(pres)
     umap = unit_map(pres)
 
-    rev_cat = None
     cat_reversors = None
     if m is not None:
-        # the projection needs reversor images at every level, so search the
-        # full (all dimensions) minimal structure on the strict layer; the
-        # first one found is used, so the search stops there
-        full = next(_structures(cat.base, 0, "minimal", budget), None)
-        if full is None:
+        # the first minimal structure above m on the strict layer; the search
+        # stops there
+        cat_reversors = next(_structures(cat.base, m, "minimal", budget), None)
+        if cat_reversors is None:
             raise BoundsTooSmall("strict layer admits no reversor structure")
-        rev_cat = {}
-        for ch in full.chains:
-            rev_cat[(ch.color, ch.entries[0])] = ch.map_at(0)
-        restricted = [ch for ch in full.chains if len(ch.color) > m]
-        cat_reversors = ReversorStructure(base=cat.base, m=m, kind="minimal", chains=restricted)
 
-    g = _Completion(X, cat, umap, N, m, rev_cat, budget)
+    g = _Completion(X, cat, umap, N, m, cat_reversors, budget)
     for c in X.colors():
         for x in X.cells_at(c):
             g.gen(c, x)
@@ -530,9 +524,7 @@ def free_weak(
         stage_log=log,
     )
     unit = MsMorphism(X, base_M, {c: {x: x for x in X.cells_at(c)} for c in X.colors()})
-    return FreeWeakResult(
-        stretching=e, unit=unit, stages=stages, bounds=(N, size_bound), stage_log=log
-    )
+    return FreeWeakResult(stretching=e, unit=unit, stage_log=log)
 
 
 def algebra_unit_check(fw: FreeWeakResult, h: MsMorphism) -> ValidationReport:

@@ -206,9 +206,6 @@ class StrictPresentation(TermGraph):
         self.absorbed.append(rb)
         return True
 
-    def render(self, nid: int) -> str:
-        return self._render(nid, {})
-
     def _render(self, nid: int, names: dict[int, str]) -> str:
         """The term's name; ``names`` caches the names of shared subterms."""
         name = names.get(nid)
@@ -437,11 +434,12 @@ def free_strict(
 
 def unit_map(p: StrictPresentation) -> dict[tuple[Color, CellId], str]:
     """The generator embedding, as (color, generator) -> class representative."""
-    reps = {root: p.render(rep) for root, rep in p.representatives().items()}
+    reps = p.representatives()
+    names: dict[int, str] = {}
     out = {}
     for c in p.generators.colors():
         for x in p.generators.cells_at(c):
-            out[(c, x)] = reps[p.uf.find(p.memo[("gen", c, x)])]
+            out[(c, x)] = p._render(reps[p.uf.find(p.memo[("gen", c, x)])], names)
     return out
 
 
@@ -452,7 +450,8 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     composite or a degeneracy was never built.
     """
     reps = p.representatives()
-    names = {root: p.render(rep) for root, rep in reps.items()}
+    cache: dict[int, str] = {}
+    names = {root: p._render(rep, cache) for root, rep in reps.items()}
 
     base = MultipleSet(p.generators.universe_bound, p.dim_bound)
     by_color: dict[Color, list[int]] = {}

@@ -294,7 +294,7 @@ def multiple_set_axiom_ids(ms: MultipleSet) -> set:
     return found
 
 
-def reflexive_axiom_ids(refl_tables, ms: MultipleSet, check_section=True) -> set:
+def reflexive_axiom_ids(refl_tables, ms: MultipleSet) -> set:
     found = set()
     for c in colors_within(ms.universe_bound, ms.dim_bound):
         if not ms.cells_at(c) or len(c) + 1 > ms.dim_bound:
@@ -310,9 +310,8 @@ def reflexive_axiom_ids(refl_tables, ms: MultipleSet, check_section=True) -> set
             if dx not in ms.cells_at(up):
                 found.add("TOTAL")
                 continue
-            if check_section:
-                if ms.src[(up, l)][dx] != x or ms.tgt[(up, l)][dx] != x:
-                    found.add("REFL-SECT")
+            if ms.src[(up, l)][dx] != x or ms.tgt[(up, l)][dx] != x:
+                found.add("REFL-SECT")
             for k in c:
                 lower = refl_tables.get((minus(c, k), l), {})
                 if ms.src[(up, k)][dx] != lower.get(ms.src[(c, k)][x]):

@@ -52,6 +52,30 @@ def test_validate_strict_document(capsys):
     assert main(["validate", fpath("pair-groupoid.mset")]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("refl, line", [
+    # validate_reflexive_magma: the section law, and no strict UNIT check
+    (True, "REFL-SECT color=[] cells=o0 entry=1 polarity=target"),
+    # validate_magma: totality on the pullback
+    (False, "TOTAL color=[1] cells=o0>o1,o1>o0 composite undefined for direction 1"),
+])
+def test_validate_magma_document(refl, line, fmt, tmp_path, capsys):
+    pg = fx.pair_groupoid(2)
+    if refl:
+        pg.refl.refl[((), 1)]["o0"] = "o0>o1"
+    else:
+        pg.refl = None
+        del pg.comp[((1,), 1)][("o0>o1", "o1>o0")]
+    p = tmp_path / "magma.mset"
+    p.write_text(serialize(pg, "magma"))
+    assert main(["validate", str(p), "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        (v,) = json.loads(out)["violations"]
+        out = f"{v['axiom']} color={v['color']} cells={','.join(v['cells'])} {v['detail']}"
+    assert out.strip() == line
+
+
 def test_validate_reversors_document(capsys):
     assert main(["validate", fpath("pair-groupoid-reversors.mset")]) == 0
 
@@ -164,6 +188,26 @@ def test_diff_different(capsys):
     assert main(["diff", fpath("square.mset"), fpath("square-broken-st.mset")]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith(("-", "+", "!")) for line in out.splitlines())
+
+
+def test_diff_json_format(capsys):
+    args = ["diff", fpath("square.mset"), fpath("square-broken-st.mset")]
+    assert main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert main(args + ["--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"equal": False, "diffs": lines}
+    assert main(["diff", fpath("square.mset"), fpath("square.mset"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"equal": True, "diffs": []}
+
+
+def test_diff_compares_document_kinds(tmp_path, capsys):
+    with open(fpath("path2-free-strict.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["kind"] = "magma"
+    p = tmp_path / "as-magma.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["diff", fpath("path2-free-strict.mset"), str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["! kind: 'strict' != 'magma'"]
 
 
 def test_diff_parse_error(capsys):

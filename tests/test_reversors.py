@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -159,6 +160,20 @@ def test_reversor_morphism_equivariance():
     twisted.maps[(1,)]["o0>o1"] = "o0>o0"
     report = mc.validate_reversor_morphism(twisted, r, r)
     assert "EQUIVAR" in report.axioms()
+
+
+@pytest.mark.parametrize("side, field, value, detail", [
+    ("both", "entries", (2,), "entry 2 not in color [1]"),
+    ("source", "maps", (), "0 maps for entries (1,)"),
+    ("target", "maps", (), "0 maps for entries (1,)"),
+])
+def test_reversor_morphism_reports_malformed_chain_as_cover(side, field, value, detail):
+    pg = fx.pair_groupoid(2)
+    r = mc.search_reversors(pg, 0, "minimal")[0]
+    bad = dataclasses.replace(r, chains=[dataclasses.replace(r.chains[0], **{field: value})])
+    src, tgt = {"both": (bad, bad), "source": (bad, r), "target": (r, bad)}[side]
+    report = mc.validate_reversor_morphism(mc.identity_morphism(pg.base), src, tgt)
+    assert report.violations == [mc.Violation("COVER", (1,), (), detail)]
 
 
 @pytest.mark.parametrize("kind, count, used", [

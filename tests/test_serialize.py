@@ -90,6 +90,18 @@ def test_parsed_structures_validate_like_originals():
     assert not report.ok
 
 
+def test_missing_face_reports_the_same_after_a_round_trip():
+    ms = mc.load(os.path.join(FIXTURE_DIR, "square.mset"))
+    del ms.src[((1, 2), 1)]["A"]
+    text = serialize(ms)
+    # the writer renders the missing face as null
+    assert [[1, 2], 1, "A", None, "f1"] in json.loads(text)["faces"]
+    back = parse(text)
+    assert mc.validate_multiple_set(back) == mc.validate_multiple_set(ms)
+    assert mc.validate_multiple_set(back).render() == "SHAPE color=[1, 2] cells=A src undefined for entry 1"
+    assert serialize(back) == text
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 999))
 def test_random_multiple_sets_roundtrip(d, sizes, seed):

@@ -84,6 +84,23 @@ def test_free_weak_cutoff_rejects_irreversible_input():
         mc.free_weak(fx.single_edge(), m=0, dim_bound=1, size_bound=6, stages=1)
 
 
+@pytest.mark.parametrize("ms, kwargs", [
+    (fx.point(1, 1), dict(m=1, dim_bound=1, size_bound=6, stages=2)),
+    (fx.single_edge(), dict(m=1, dim_bound=1, size_bound=6)),
+    # squares are built, but none lies above m = 2
+    (fx.point(2, 2), dict(m=2, dim_bound=2, size_bound=10, stages=3)),
+])
+def test_free_weak_needs_no_reversors_at_or_below_the_cutoff(ms, kwargs):
+    fw = mc.free_weak(ms, **kwargs)
+    e = fw.stretching
+    assert e.m_rev_tables is None
+    assert all(entry["reversors"] == 0 for entry in fw.stage_log)
+    # the strict layer's structure is searched above m: no slot, no chain
+    assert (e.cat_reversors.m, e.cat_reversors.chains) == (kwargs["m"], [])
+    assert mc.validate_reversors(e.cat_reversors).ok
+    assert mc.validate_stretching(e).ok
+
+
 def test_free_weak_rejects_invalid_input():
     broken = fx.square()
     broken.src[((1, 2), 2)] = {"A": "e1"}

@@ -4,6 +4,7 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat.terms import Budget
 from oracles import NaiveFreeStrict, strict_axiom_ids
 
 
@@ -235,3 +236,55 @@ def test_interchange_pairs_every_entry_of_a_composite():
         jtab[pair] = orig
     assert not_first
     assert mc.validate_strict(cat).ok
+
+
+def _naive_congruence(p, merged):
+    """Node partition of ``p``'s term graph closed under the given merges,
+    congruence of equal-kind nodes with equal children, and equal faces."""
+    parent = list(range(len(p.nodes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def join(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return False
+        parent[max(a, b)] = min(a, b)
+        return True
+
+    for a, b in merged:
+        join(a, b)
+    changed = True
+    while changed:
+        changed = False
+        seen = {}
+        for nid, node in enumerate(p.nodes):
+            key = node if node[0] == "gen" else node[:2] + tuple(find(ch) for ch in node[2:])
+            if key in seen:
+                changed |= join(nid, seen[key])
+            else:
+                seen[key] = nid
+        for (nid, d, pol), f in p.faces.items():
+            for other in range(len(p.nodes)):
+                if find(other) == find(nid) and (other, d, pol) in p.faces:
+                    changed |= join(f, p.faces[(other, d, pol)])
+    return {frozenset(n for n in range(len(p.nodes)) if find(n) == find(r)) for r in range(len(p.nodes))}
+
+
+def test_rebuild_repairs_signatures_of_merged_children():
+    p = mc.StrictPresentation(loops(2), 1, 5, Budget(100))
+    x, y = p.gen((1,), "l0"), p.gen((1,), "l1")
+    xx, yy = p.comp(1, x, x), p.comp(1, y, y)
+    assert p.uf.find(xx) != p.uf.find(yy)
+    assert p.union(x, y, "UNIT")
+    p._rebuild()
+    assert p.uf.find(xx) == p.uf.find(yy)
+    assert p.unions["signature"] == 1
+    assert all(p._canon(key) == key for key in p.hashcons)
+    assert {key for ens in p.enodes.values() for key in ens} == set(p.hashcons)
+    classes = {frozenset(n for n in range(len(p.nodes)) if p.uf.find(n) == p.uf.find(r))
+               for r in range(len(p.nodes))}
+    assert classes == _naive_congruence(p, [(x, y)])
