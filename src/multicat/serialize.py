@@ -3,13 +3,15 @@
 One self-describing JSON layout for every structure kind; the ``kind``
 field dispatches.  Colors render as sorted integer arrays, tables as
 sorted record lists, and the byte rendering is canonical: sorted keys,
-two-space indent, trailing newline.  ``serialize(parse(text))`` is the
-identity on canonical documents.
+two-space indent, trailing newline, the bytes of
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``.
+``serialize(parse(text))`` is the identity on canonical documents.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring
 
 from .colors import Color, make_color
 from .core import MultipleSet
@@ -44,7 +46,7 @@ def _ms_body(ms: MultipleSet) -> dict:
             stab = ms.src.get((c, d), {})
             ttab = ms.tgt.get((c, d), {})
             for x in sorted(ms.cells[c]):
-                body["faces"].append([list(c), d, x, stab.get(x), ttab.get(x)])
+                body["faces"].append((c, d, x, stab.get(x), ttab.get(x)))
     return body
 
 
@@ -52,7 +54,7 @@ def _refl_records(refl: ReflexiveStructure) -> list:
     out = []
     for (c, l) in sorted(refl.refl, key=lambda k: (_color_key(k[0]), k[1])):
         for x, dx in sorted(refl.refl[(c, l)].items()):
-            out.append([list(c), l, x, dx])
+            out.append((c, l, x, dx))
     return out
 
 
@@ -60,7 +62,7 @@ def _comp_records(m: MagmaStructure) -> list:
     out = []
     for (c, d) in sorted(m.comp, key=lambda k: (_color_key(k[0]), k[1])):
         for (a, b), r in sorted(m.comp[(c, d)].items()):
-            out.append([list(c), d, a, b, r])
+            out.append((c, d, a, b, r))
     return out
 
 
@@ -73,7 +75,12 @@ def _magma_body(m: MagmaStructure) -> dict:
 
 
 def to_document(obj, kind: str | None = None) -> dict:
-    """Build the plain-dict document for any supported structure."""
+    """Build the plain-dict document for any supported structure.
+
+    Each table record (``faces``, ``refl``, ``comp``, ``pi``, ``brackets``,
+    ``stage_of``) is a tuple headed by its color tuple; json renders tuples
+    as arrays.
+    """
     if isinstance(obj, MultipleSet):
         kind = kind or "multiple-set"
         body = _ms_body(obj)
@@ -103,12 +110,12 @@ def to_document(obj, kind: str | None = None) -> dict:
             "magma": _magma_body(obj.magma),
             "cat": _magma_body(obj.cat),
             "pi": [
-                [list(c), x, obj.pi[c][x]]
+                (c, x, obj.pi[c][x])
                 for c in sorted(obj.pi, key=_color_key)
                 for x in sorted(obj.pi[c])
             ],
             "brackets": [
-                [list(c), r, a, b, cell]
+                (c, r, a, b, cell)
                 for (c, r) in sorted(obj.brackets, key=lambda k: (_color_key(k[0]), k[1]))
                 for (a, b), cell in sorted(obj.brackets[(c, r)].items())
             ],
@@ -120,7 +127,7 @@ def to_document(obj, kind: str | None = None) -> dict:
         if obj.stage_of is not None:
             body["stage"] = obj.stage
             body["stage_of"] = [
-                [list(c), x, s]
+                (c, x, s)
                 for (c, x), s in sorted(
                     obj.stage_of.items(), key=lambda kv: (_color_key(kv[0][0]), kv[0][1])
                 )
@@ -132,17 +139,132 @@ def to_document(obj, kind: str | None = None) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
+class _Writer:
+    """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``.
+
+    json's C encoder takes no indent, so the writer lays out the containers
+    itself and hands each run of scalars to the C encoder in one call, with
+    one encoder per indent whose item separator carries that indent.  A
+    list whose first item is a tuple is a table: each item is a record, a
+    color tuple and then scalars, appended as one chunk, and the text of
+    each (indent, color) head is rendered once.
+    """
+
+    def __init__(self):
+        self._encoders: dict = {}
+        self._heads: dict = {}
+
+    def _encoder(self, level: int):
+        """json's C encoder for scalars, separating items at ``level``."""
+        enc = self._encoders.get(level)
+        if enc is None:
+            enc = self._encoders[level] = c_make_encoder(
+                None, json.JSONEncoder().default, encode_basestring, None,
+                ": ", ",\n" + "  " * level, True, False, True,
+            )
+        return enc
+
+    def _scalars(self, v, level: int) -> str:
+        """A scalar, or a bracketed sequence of them separated at ``level``."""
+        return "".join(self._encoder(level)(v, 0))
+
+    def _head(self, c, level: int) -> str:
+        """A record's text at ``level`` up to its first scalar."""
+        head = self._heads.get((level, c))
+        if head is None:
+            inner = "\n" + "  " * (level + 1)
+            color: list[str] = []
+            self.write(c, level + 1, color)
+            head = self._heads[(level, c)] = f"[{inner}{''.join(color)},{inner}"
+        return head
+
+    def write(self, v, level: int, out: list[str]):
+        """Append the text of ``v`` at indent ``level``, its first line unindented."""
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level
+        if isinstance(v, dict):
+            if not v:
+                out.append("{}")
+                return
+            sep = "{" + inner
+            for k in sorted(v):
+                out.append(f"{sep}{encode_basestring(k)}: ")
+                self.write(v[k], level + 1, out)
+                sep = "," + inner
+            out.append(close + "}")
+        elif not isinstance(v, (list, tuple)):
+            out.append(self._scalars(v, level))
+        elif not v:
+            out.append("[]")
+        elif type(v[0]) is tuple:
+            enc, end = self._encoder(level + 2), inner + "]"
+            sep = "[" + inner
+            for rec in v:
+                scalars = "".join(enc(rec[1:], 0))[1:-1]
+                out.append(f"{sep}{self._head(rec[0], level + 1)}{scalars}{end}")
+                sep = "," + inner
+            out.append(close + "]")
+        elif any(isinstance(x, (dict, list, tuple)) for x in v):
+            sep = "[" + inner
+            for x in v:
+                out.append(sep)
+                self.write(x, level + 1, out)
+                sep = "," + inner
+            out.append(close + "]")
+        else:
+            out.append(f"[{inner}{self._scalars(v, level + 1)[1:-1]}{close}]")
+
+
 def serialize(obj, kind: str | None = None) -> str:
-    doc = to_document(obj, kind)
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _Writer().write(to_document(obj, kind), 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _color(raw) -> Color:
-    """A color read from a document; a malformed one is a parse error."""
-    try:
-        return make_color(raw)
-    except (NotStrictlyIncreasing, NonPositiveEntry) as exc:
-        raise ParseError(f"bad color {raw!r}: {exc}") from exc
+def _colors():
+    """A color reader for one document: each distinct entry list is checked
+    and built once, and a malformed color is a parse error.
+
+    Entry types are checked on every call: ``[true]`` and ``[1.0]`` hash
+    as ``[1]`` does, so the memo alone would let them through.
+    """
+    memo: dict = {}
+
+    def color(raw) -> Color:
+        key = tuple(raw)
+        for e in key:
+            if type(e) is not int:
+                raise ParseError(f"bad color {raw!r}: entries must be integers")
+        c = memo.get(key)
+        if c is None:
+            try:
+                c = memo[key] = make_color(key)
+            except (NotStrictlyIncreasing, NonPositiveEntry) as exc:
+                raise ParseError(f"bad color {raw!r}: {exc}") from exc
+        return c
+
+    return color
+
+
+def _int(value, field: str, least: int | None = None) -> int:
+    """An integer field: a JSON integer (not a bool, float or string), and
+    at least ``least`` when that is given."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ParseError(f"{field} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _stage_log(raw) -> list[dict]:
+    """A stage log: a list of objects that map counter names to integers."""
+    if not isinstance(raw, list) or not all(
+        isinstance(entry, dict)
+        and all(isinstance(k, str) and type(v) is int for k, v in entry.items())
+        for entry in raw
+    ):
+        raise ParseError("stage_log must be a list of objects that map names to integers")
+    return raw
 
 
 def _require(doc: dict, key: str):
@@ -163,19 +285,22 @@ def _reject_repeats(table: str, records, filled: int, width: int):
         return
     seen = set()
     for rec in records:
-        key = (_color(rec[0]), *map(str, rec[1:width]))
+        key = (tuple(rec[0]), *map(str, rec[1:width]))
         if key in seen:
             break
         seen.add(key)
     raise ParseError(f"repeated {table} record for {[list(key[0]), *key[1:]]}")
 
 
-def _parse_ms(doc: dict) -> MultipleSet:
+def _parse_ms(doc: dict, color) -> MultipleSet:
     try:
-        ms = MultipleSet(int(_require(doc, "universe_bound")), int(_require(doc, "dim_bound")))
+        ms = MultipleSet(
+            _int(_require(doc, "universe_bound"), "universe_bound"),
+            _int(_require(doc, "dim_bound"), "dim_bound"),
+        )
         for entry in _require(doc, "cells"):
             color_raw, ids = entry
-            c = _color(color_raw)
+            c = color(color_raw)
             if c in ms.cells:
                 raise ParseError(f"color {list(c)} listed twice in cells")
             # by length and largest entry: listing colors_within would grow
@@ -190,9 +315,9 @@ def _parse_ms(doc: dict) -> MultipleSet:
                 raise ParseError(f"cell id repeated at color {list(c)}")
         faces = _require(doc, "faces")
         for color_raw, d, x, s, t in faces:
-            c = _color(color_raw)
-            ms.src.setdefault((c, int(d)), {})[str(x)] = s
-            ms.tgt.setdefault((c, int(d)), {})[str(x)] = t
+            key = (color(color_raw), _int(d, "face direction"))
+            ms.src.setdefault(key, {})[str(x)] = s
+            ms.tgt.setdefault(key, {})[str(x)] = t
         _reject_repeats("faces", faces, sum(map(len, ms.src.values())), 3)
         # the writer renders an undefined face as null: read it back as undefined
         for tabs in (ms.src, ms.tgt):
@@ -204,27 +329,29 @@ def _parse_ms(doc: dict) -> MultipleSet:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc
 
 
-def _parse_refl(doc: dict, base: MultipleSet) -> ReflexiveStructure:
+def _parse_refl(doc: dict, base: MultipleSet, color) -> ReflexiveStructure:
     refl = ReflexiveStructure(base=base)
     try:
         records = doc.get("refl", [])
         for color_raw, l, x, dx in records:
-            refl.refl.setdefault((_color(color_raw), int(l)), {})[str(x)] = str(dx)
+            key = (color(color_raw), _int(l, "degeneracy direction"))
+            refl.refl.setdefault(key, {})[str(x)] = str(dx)
         _reject_repeats("refl", records, sum(map(len, refl.refl.values())), 3)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed reflexive table: {exc}") from exc
     return refl
 
 
-def _parse_magma(doc: dict) -> MagmaStructure:
-    base = _parse_ms(doc)
+def _parse_magma(doc: dict, color) -> MagmaStructure:
+    base = _parse_ms(doc, color)
     m = MagmaStructure(base=base)
     if "refl" in doc:
-        m.refl = _parse_refl(doc, base)
+        m.refl = _parse_refl(doc, base, color)
     try:
         records = doc.get("comp", [])
         for color_raw, d, a, b, r in records:
-            m.comp.setdefault((_color(color_raw), int(d)), {})[(str(a), str(b))] = str(r)
+            key = (color(color_raw), _int(d, "composition direction"))
+            m.comp.setdefault(key, {})[(str(a), str(b))] = str(r)
         _reject_repeats("comp", records, sum(map(len, m.comp.values())), 4)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed composition table: {exc}") from exc
@@ -234,31 +361,32 @@ def _parse_magma(doc: dict) -> MagmaStructure:
 def from_document(doc: dict):
     """Rebuild the structure named by the document's ``kind``."""
     version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     kind = _require(doc, "kind")
     if kind not in KINDS:
         raise ParseError(f"unknown document kind {kind!r}")
+    color = _colors()
     if kind == "multiple-set":
-        return _parse_ms(doc)
+        return _parse_ms(doc, color)
     if kind == "reflexive":
-        return _parse_refl(doc, _parse_ms(doc))
+        return _parse_refl(doc, _parse_ms(doc, color), color)
     if kind in ("magma", "strict"):
-        return _parse_magma(doc)
+        return _parse_magma(doc, color)
     if kind == "reversors":
-        base = _parse_ms(doc)
+        base = _parse_ms(doc, color)
         try:
             chains = [
                 make_chain(
-                    _color(color_raw),
-                    [int(e) for e in entries],
+                    color(color_raw),
+                    [_int(e, "chain entry") for e in entries],
                     [dict((str(x), str(y)) for x, y in level) for level in levels],
                 )
                 for color_raw, entries, levels in doc.get("chains", [])
             ]
             return ReversorStructure(
                 base=base,
-                m=int(_require(doc, "m")),
+                m=_int(_require(doc, "m"), "m", 0),
                 kind=str(_require(doc, "reversor_kind")),
                 chains=chains,
             )
@@ -266,31 +394,31 @@ def from_document(doc: dict):
             raise ParseError(f"malformed reversor chains: {exc}") from exc
     # stretching
     try:
-        magma = _parse_magma(_require(doc, "magma"))
-        cat = _parse_magma(_require(doc, "cat"))
+        magma = _parse_magma(_require(doc, "magma"), color)
+        cat = _parse_magma(_require(doc, "cat"), color)
         pi: dict = {}
         records = _require(doc, "pi")
         for color_raw, x, px in records:
-            pi.setdefault(_color(color_raw), {})[str(x)] = str(px)
+            pi.setdefault(color(color_raw), {})[str(x)] = str(px)
         _reject_repeats("pi", records, sum(map(len, pi.values())), 2)
         brackets: dict = {}
         records = doc.get("brackets", [])
         for color_raw, r, a, b, cell in records:
-            brackets.setdefault((_color(color_raw), int(r)), {})[
-                (str(a), str(b))
-            ] = str(cell)
+            key = (color(color_raw), _int(r, "bracket direction"))
+            brackets.setdefault(key, {})[(str(a), str(b))] = str(cell)
         _reject_repeats("brackets", records, sum(map(len, brackets.values())), 4)
         stage_of = None
         if "stage_of" in doc:
             stage_of = {
-                (_color(color_raw), str(x)): int(s)
+                (color(color_raw), str(x)): _int(s, "stage_of value", 0)
                 for color_raw, x, s in doc["stage_of"]
             }
             _reject_repeats("stage_of", doc["stage_of"], len(stage_of), 2)
         return Stretching(
-            magma=magma, cat=cat, pi=pi, brackets=brackets, m=doc.get("m"),
-            stage_of=stage_of, stage=int(doc.get("stage", 0)),
-            stage_log=doc.get("stage_log"),
+            magma=magma, cat=cat, pi=pi, brackets=brackets,
+            m=_int(doc["m"], "m", 0) if "m" in doc else None,
+            stage_of=stage_of, stage=_int(doc.get("stage", 0), "stage", 0),
+            stage_log=_stage_log(doc["stage_log"]) if "stage_log" in doc else None,
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed stretching body: {exc}") from exc

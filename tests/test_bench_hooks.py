@@ -1,0 +1,35 @@
+"""The benchmark's tracer wraps library functions by module and name
+(perfbench/tracing.py); these checks keep every hook it names resolvable."""
+
+import importlib
+import importlib.util
+import os
+
+from multicat import fixtures as fx
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_function_resolves():
+    for mod_name, attr, _ in load_tracing().WRAPPED:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+
+def test_dump_runs_inside_the_serialize_span(tmp_path):
+    from multicat.serialize import dump
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        dump(fx.path2(), str(tmp_path / "path2.mset"))
+    finally:
+        tracer.uninstall()
+    assert "serialize.serialize" in [span[0] for span in tracer.spans]
+    assert tracer.counts["serialize.bytes"] == (tmp_path / "path2.mset").stat().st_size

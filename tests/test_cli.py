@@ -179,6 +179,18 @@ def test_stats_skips_pairs_where_a_face_is_missing(tmp_path, capsys):
     assert payload["cells"]["[1]"] == 2
 
 
+@pytest.mark.parametrize("field, value", [("stage_log", "abc"), ("stage_log", [1]), ("m", "x")])
+def test_malformed_stretching_field_is_parse_error(field, value, tmp_path, capsys):
+    with open(fpath("parallel-edges-free-weak.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    p = tmp_path / "bad-field.mset"
+    p.write_text(json.dumps(doc))
+    for argv in (["stats", str(p)], ["validate", str(p)], ["diff", str(p), str(p)]):
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+
+
 def test_diff_identical(capsys):
     assert main(["diff", fpath("square.mset"), fpath("square.mset")]) == 0
     assert capsys.readouterr().out.strip() == "identical"

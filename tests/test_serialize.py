@@ -12,6 +12,11 @@ from multicat.serialize import from_document, parse, serialize, to_document
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+def json_dumps(obj, kind=None) -> str:
+    """The writer's oracle: json's own indented rendering of the document."""
+    return json.dumps(to_document(obj, kind), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def fixture_paths():
     return sorted(
         os.path.join(FIXTURE_DIR, f)
@@ -25,7 +30,9 @@ def test_fixture_roundtrip_byte_exact(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     obj = parse(text)
-    assert serialize(obj, json.loads(text)["kind"]) == text
+    kind = json.loads(text)["kind"]
+    assert serialize(obj, kind) == text
+    assert json_dumps(obj, kind) == text
 
 
 def test_parse_serialize_canonicalizes():
@@ -48,6 +55,7 @@ def test_every_kind_roundtrips():
     ]
     for obj, kind in objs:
         text = serialize(obj, kind)
+        assert text == json_dumps(obj, kind)
         again = serialize(parse(text), kind)
         assert text == again
         assert json.loads(text)["kind"] == kind
@@ -170,4 +178,95 @@ def test_parse_rejects_repeated_record(name, table):
         from_document(doc)
     doc[table][0] = first
     with pytest.raises(mc.ParseError, match=f"repeated {table} record"):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mc.MultipleSet(0, 0),
+    lambda: fx.point(),
+    lambda: mc.free_reflexive(fx.point(2, 2), 2),
+    lambda: mc.quotient_to_category(mc.free_strict(fx.square(), 2, 8)),
+    lambda: mc.free_weak(fx.path2(), stages=2).stretching,
+    lambda: mc.free_weak(fx.parallel_edges(), stages=2).stretching,
+    lambda: mc.free_weak(fx.point(1, 1), m=0, stages=2).stretching,
+    lambda: mc.free_weak(fx.point(1, 1), m=0, stages=2).stretching.cat_reversors,
+], ids=["empty", "point", "free-reflexive", "free-strict", "free-weak-path2",
+        "free-weak-parallel-edges", "free-weak-point-m0", "reversors-of-free-weak"])
+def test_writer_matches_json_dumps_on_built_structures(build):
+    obj = build()
+    assert serialize(obj) == json_dumps(obj)
+
+
+# cell names that need escaping, or that look like the layout's own syntax
+NAMES = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "[", "]", ",", ":",
+                                 " ", "x", "\u00e9", "\u2028", "\U0001f600"]), max_size=4)
+
+
+@st.composite
+def odd_named_magmas(draw):
+    ms = mc.MultipleSet(2, 2)
+    for c in [(), (1,), (2,), (1, 2)]:
+        ms.cells[c] = draw(st.lists(NAMES, unique=True, max_size=3))
+    faces = st.none() | NAMES
+    for c, ids in ms.cells.items():
+        for d in c:
+            for tab in (ms.src, ms.tgt):
+                # a face drawn as None is left out, and the writer renders it null
+                tab[(c, d)] = {x: y for x in ids if (y := draw(faces)) is not None}
+    refl = mc.ReflexiveStructure(base=ms)
+    for x in ms.cells[()]:
+        refl.refl.setdefault(((), 1), {})[x] = draw(NAMES)
+    m = mc.MagmaStructure(base=ms, refl=refl if draw(st.booleans()) else None)
+    for c in [(1,), (1, 2)]:
+        for d in c:
+            for a, b in draw(st.lists(st.tuples(NAMES, NAMES), max_size=2)):
+                m.comp.setdefault((c, d), {})[(a, b)] = draw(NAMES)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_named_magmas())
+def test_writer_matches_json_dumps_on_odd_names(m):
+    for obj in (m.base, m):
+        text = serialize(obj)
+        assert text == json_dumps(obj)
+        assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("square.mset", ("faces", 0, 1), 1.5),
+    ("square.mset", ("faces", 0, 1), True),
+    ("square.mset", ("universe_bound",), 2.5),
+    ("square.mset", ("universe_bound",), "2"),
+    ("square.mset", ("dim_bound",), 2.0),
+    ("square.mset", ("cells", 1, 0, 0), 1.7),
+    # [true] hashes as the [1] read before it: the color memo must not pass it
+    ("square.mset", ("faces", 0, 0, 0), True),
+    ("point-free-reflexive.mset", ("refl", 0, 1), 1.0),
+    ("pair-groupoid.mset", ("comp", 0, 1), "1"),
+    ("pair-groupoid-reversors.mset", ("m",), -1),
+    ("pair-groupoid-reversors.mset", ("m",), 0.0),
+    ("pair-groupoid-reversors.mset", ("chains", 0, 1, 0), 1.0),
+    ("parallel-edges-free-weak.mset", ("format_version",), True),
+    ("parallel-edges-free-weak.mset", ("brackets", 0, 1), 1.5),
+    ("parallel-edges-free-weak.mset", ("stage",), 1.5),
+    ("parallel-edges-free-weak.mset", ("stage",), -2),
+    ("parallel-edges-free-weak.mset", ("stage_of", 0, 2), 1.5),
+    ("parallel-edges-free-weak.mset", ("stage_of", 0, 2), -1),
+    ("parallel-edges-free-weak.mset", ("m",), "x"),
+    ("parallel-edges-free-weak.mset", ("m",), -3),
+    ("parallel-edges-free-weak.mset", ("m",), 1.5),
+    ("parallel-edges-free-weak.mset", ("stage_log",), "abc"),
+    ("parallel-edges-free-weak.mset", ("stage_log",), [1]),
+    ("parallel-edges-free-weak.mset", ("stage_log", 0, "brackets"), 6.0),
+])
+def test_parse_reads_integers_strictly(name, path, value):
+    with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    *outer, last = path
+    field = doc
+    for key in outer:
+        field = field[key]
+    field[last] = value
+    with pytest.raises(mc.ParseError):
         from_document(doc)
