@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .colors import Color, add, colors_within, minus
 from .errors import EntryAbsent, UnknownCell
@@ -19,6 +20,10 @@ CellId = str
 
 SOURCE = "source"
 TARGET = "target"
+
+# a table's ``get`` default that equals nothing a table holds, so one
+# comparison catches an undefined entry and a wrong one
+_MISSING = object()
 
 
 @dataclass
@@ -97,25 +102,24 @@ def _shape_check(ms: MultipleSet, report: ValidationReport,
     """Check that face tables exist, are total, and land in the right sets."""
     ok = True
     for c in ms.colors():
+        xs = ms.cells[c]
         for d in c:
             lower = minus(c, d)
-            below = members.get(lower, set())
+            below = members.get(lower, ())
             for tabs, name in ((ms.src, "src"), (ms.tgt, "tgt")):
                 tab = tabs.get((c, d))
                 if tab is None:
                     report.add("SHAPE", c, (), f"missing {name} table for entry {d}")
                     ok = False
                     continue
-                for x in ms.cells[c]:
+                get = tab.get
+                for x in [x for x in xs if get(x, _MISSING) not in below]:
+                    ok = False
                     if x not in tab:
                         report.add("SHAPE", c, (x,), f"{name} undefined for entry {d}")
-                        ok = False
-                    elif tab[x] not in below:
-                        report.add(
-                            "SHAPE", c, (x,),
-                            f"{name}[{d}] lands outside cells{list(lower)}",
-                        )
-                        ok = False
+                    else:
+                        report.add("SHAPE", c, (x,),
+                                   f"{name}[{d}] lands outside cells{list(lower)}")
     return ok
 
 
@@ -128,26 +132,24 @@ def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
     for c in ms.colors():
         if len(c) < 2:
             continue
-        for j in c:
-            cj = minus(c, j)
-            sj, tj = src[(c, j)], tgt[(c, j)]
-            for k in c:
-                if j == k:
-                    continue
-                ck = minus(c, k)
-                sk, tk = src[(c, k)], tgt[(c, k)]
-                # faces of faces: (j then k) and (k then j)
-                sjk, tjk = src[(cj, k)], tgt[(cj, k)]
-                skj, tkj = src[(ck, j)], tgt[(ck, j)]
-                for x in ms.cells[c]:
-                    if j < k:
-                        if sjk[sj[x]] != skj[sk[x]]:
-                            report.add("SS", c, (x,), f"entries=({j},{k})")
-                        if tjk[tj[x]] != tkj[tk[x]]:
-                            report.add("TT", c, (x,), f"entries=({j},{k})")
-                    # ST is not symmetric in (j, k): check both orders
-                    if tjk[sj[x]] != skj[tk[x]]:
-                        report.add("ST", c, (x,), f"entries=(s{j},t{k})")
+        xs = ms.cells[c]
+        for j, k in combinations(c, 2):
+            cj, ck = minus(c, j), minus(c, k)
+            sj, tj, sk, tk = src[(c, j)], tgt[(c, j)], src[(c, k)], tgt[(c, k)]
+            # faces of faces: (j then k) and (k then j)
+            sjk, tjk = src[(cj, k)], tgt[(cj, k)]
+            skj, tkj = src[(ck, j)], tgt[(ck, j)]
+            # ST is not symmetric in (j, k): check both orders
+            for x in [x for x in xs if sjk[sj[x]] != skj[sk[x]] or tjk[tj[x]] != tkj[tk[x]]
+                      or tjk[sj[x]] != skj[tk[x]] or tkj[sk[x]] != sjk[tj[x]]]:
+                if sjk[sj[x]] != skj[sk[x]]:
+                    report.add("SS", c, (x,), f"entries=({j},{k})")
+                if tjk[tj[x]] != tkj[tk[x]]:
+                    report.add("TT", c, (x,), f"entries=({j},{k})")
+                if tjk[sj[x]] != skj[tk[x]]:
+                    report.add("ST", c, (x,), f"entries=(s{j},t{k})")
+                if tkj[sk[x]] != sjk[tj[x]]:
+                    report.add("ST", c, (x,), f"entries=(s{k},t{j})")
     return report.sorted()
 
 
@@ -170,25 +172,28 @@ def validate_morphism(f: MsMorphism) -> ValidationReport:
         if fmap is None:
             report.add("MOR-TOTAL", c, (), "no component at this color")
             continue
-        for x in f.source.cells_at(c):
+        get, images = fmap.get, set(f.target.cells_at(c))
+        xs = f.source.cells_at(c)
+        outside = [x for x in xs if get(x, _MISSING) not in images]
+        for x in outside:
             if x not in fmap:
                 report.add("MOR-TOTAL", c, (x,), "unmapped cell")
-                continue
-            if not f.target.has_cell(c, fmap[x]):
+            else:
                 report.add("MOR-TOTAL", c, (x,), f"image {fmap[x]!r} not a cell")
-                continue
-            for d in c:
-                lower = minus(c, d)
-                for pol, axiom in ((SOURCE, "MOR-S"), (TARGET, "MOR-T")):
-                    # neither multiple set is validated: a face may be missing
-                    fx_face = f.target.table(pol, c, d).get(fmap[x])
-                    x_face = f.source.table(pol, c, d).get(x)
-                    if fx_face is None or x_face is None:
-                        side = "source" if x_face is None else "target"
+        if outside:
+            xs = [x for x in xs if get(x, _MISSING) in images]
+        for d in c:
+            lower = f.maps.get(minus(c, d), {}).get
+            for pol, axiom in ((SOURCE, "MOR-S"), (TARGET, "MOR-T")):
+                # neither multiple set is validated: a face may be missing
+                x_face = f.source.table(pol, c, d).get
+                fx_face = f.target.table(pol, c, d).get
+                for x in [x for x in xs
+                          if (y := fx_face(fmap[x])) is None or lower(x_face(x)) != y]:
+                    if fx_face(fmap[x]) is None or x_face(x) is None:
+                        side = "source" if x_face(x) is None else "target"
                         report.add("SHAPE", c, (x,), f"{pol}[{d}] undefined in the {side}")
-                        continue
-                    mapped = f.maps.get(lower, {}).get(x_face)
-                    if mapped != fx_face:
+                    else:
                         report.add(axiom, c, (x,), f"entry={d} polarity={pol}")
     return report.sorted()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, minus
+from .core import _MISSING
 from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, face, validate_multiple_set
 from .errors import NotComposable, UnknownCell
 from .reflexive import ReflexiveStructure, _scan_reflexive
@@ -76,41 +77,46 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
         for c in ms.colors():
             for d in c:
                 tab = m.comp.get((c, d), {})
-                for pair in _pullback(ms, c, d):
-                    if pair not in tab:
-                        report.add("TOTAL", c, pair, f"composite undefined for direction {d}")
+                for pair in [pair for pair in _pullback(ms, c, d) if pair not in tab]:
+                    report.add("TOTAL", c, pair, f"composite undefined for direction {d}")
 
     src, tgt = ms.src, ms.tgt
     for (c, d), tab in m.comp.items():
-        here = members.get(c, set())
-        for (a, b), r in tab.items():
-            if d not in c:
-                report.add("TOTAL", c, (a, b), f"direction {d} not an entry of {list(c)}")
+        if d not in c:
+            for pair in tab:
+                report.add("TOTAL", c, pair, f"direction {d} not an entry of {list(c)}")
+            continue
+        here = members.get(c, ())
+        outside = [(a, b) for (a, b), r in tab.items()
+                   if not (a in here and b in here and r in here)]
+        if outside:
+            tab = dict(tab)  # the positional scans read the other entries
+            for a, b in outside:
+                r = tab.pop((a, b))
+                if not (a in here and b in here):
+                    report.add("TOTAL", c, (a, b), f"operand not a cell at {list(c)}")
+                else:
+                    report.add("TOTAL", c, (a, b), f"composite {r!r} not a cell at {list(c)}")
+        if not tab:
+            continue
+        sd, td = src[(c, d)], tgt[(c, d)]
+        for pair in [(a, b) for (a, b), r in tab.items() if sd[r] != sd[b]]:
+            report.add("POS1", c, pair, f"direction={d} polarity={SOURCE}")
+        for pair in [(a, b) for (a, b), r in tab.items() if td[r] != td[a]]:
+            report.add("POS1", c, pair, f"direction={d} polarity={TARGET}")
+        for k in c:
+            if k == d:
                 continue
-            if not (a in here and b in here):
-                report.add("TOTAL", c, (a, b), f"operand not a cell at {list(c)}")
-                continue
-            if r not in here:
-                report.add("TOTAL", c, (a, b), f"composite {r!r} not a cell at {list(c)}")
-                continue
-            if src[(c, d)][r] != src[(c, d)][b]:
-                report.add("POS1", c, (a, b), f"direction={d} polarity={SOURCE}")
-            if tgt[(c, d)][r] != tgt[(c, d)][a]:
-                report.add("POS1", c, (a, b), f"direction={d} polarity={TARGET}")
-            for k in c:
-                if k == d:
-                    continue
-                lower_tab = m.comp.get((minus(c, k), d), {})
-                for tabs, pol in ((src, SOURCE), (tgt, TARGET)):
-                    tab_k = tabs[(c, k)]
-                    faces = (tab_k[a], tab_k[b])
-                    if faces not in lower_tab:
-                        report.add(
-                            "POS2", c, (a, b),
-                            f"direction={d} entry={k} polarity={pol} face composite undefined",
-                        )
-                    elif lower_tab[faces] != tab_k[r]:
-                        report.add("POS2", c, (a, b), f"direction={d} entry={k} polarity={pol}")
+            lower_tab = m.comp.get((minus(c, k), d), {})
+            lower = lower_tab.get
+            for tabs, pol in ((src, SOURCE), (tgt, TARGET)):
+                tab_k = tabs[(c, k)]
+                for a, b in [(a, b) for (a, b), r in tab.items()
+                             if lower((tab_k[a], tab_k[b]), _MISSING) != tab_k[r]]:
+                    detail = f"direction={d} entry={k} polarity={pol}"
+                    if (tab_k[a], tab_k[b]) not in lower_tab:
+                        detail += " face composite undefined"
+                    report.add("POS2", c, (a, b), detail)
 
 
 def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
@@ -136,16 +142,16 @@ def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: 
     if m.refl is None:
         return
     for (c, d), tab in m.comp.items():
+        if len(c) + 1 > m.base.dim_bound:
+            continue
         for l in addable_entries(c, m.base.universe_bound):
-            if len(c) + 1 > m.base.dim_bound:
-                continue
             refl_tab = m.refl.refl.get((c, l))
-            up_tab = m.comp.get((add(c, l), d), {})
             if refl_tab is None:
                 continue
-            for (a, b), r in tab.items():
-                da, db, dr = refl_tab.get(a), refl_tab.get(b), refl_tab.get(r)
-                if None in (da, db, dr):
-                    continue
-                if up_tab.get((da, db)) != dr:
-                    report.add("DIST", c, (a, b), f"direction={d} added={l}")
+            dg = refl_tab.get
+            up = m.comp.get((add(c, l), d), {}).get
+            # a pair is checked only where all three degeneracies exist
+            for pair in [(a, b) for (a, b), r in tab.items()
+                         if (dr := dg(r)) is not None and (da := dg(a)) is not None
+                         and (db := dg(b)) is not None and up((da, db)) != dr]:
+                report.add("DIST", c, pair, f"direction={d} added={l}")

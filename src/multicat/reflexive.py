@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, colors_within, k_colors, minus
 from .core import (
+    _MISSING,
     SOURCE,
     TARGET,
     CellId,
@@ -71,47 +72,52 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
             if tab is None:
                 report.add("TOTAL", c, (), f"missing degeneracy table for entry {l}")
                 continue
-            for x in ms.cells_at(c):
-                if x not in tab:
-                    report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
+            for x in [x for x in ms.cells_at(c) if x not in tab]:
+                report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
 
     # the other degeneracy tables at each color, for the exchange scan
     by_color: dict[Color, list[tuple[int, dict]]] = {}
     for (c, k), tab in r.refl.items():
         by_color.setdefault(c, []).append((k, tab))
+    # an exchange square missing both composites fails only under totality
+    unset = _MISSING if require_total else None
     for (c, l), tab in r.refl.items():
         if l in c or l < 1:
             for x in tab:
                 report.add("TOTAL", c, (x,), f"entry {l} cannot be added to {list(c)}")
             continue
         up = add(c, l)
-        here, above = members.get(c, set()), members.get(up, set())
-        for x, dx in tab.items():
-            if x not in here:
-                report.add("TOTAL", c, (x,), f"degeneracy of {x!r}, not a cell at {list(c)}")
+        here, above = members.get(c, ()), members.get(up, ())
+        outside = [x for x, dx in tab.items() if not (x in here and dx in above)]
+        if outside:
+            tab = dict(tab)  # the other scans read the other entries
+            for x in outside:
+                dx = tab.pop(x)
+                if x not in here:
+                    report.add("TOTAL", c, (x,), f"degeneracy of {x!r}, not a cell at {list(c)}")
+                else:
+                    report.add("TOTAL", c, (x,), f"degenerate image {dx!r} not at {list(up)}")
+        if not tab:
+            continue
+        for tabs, pol in ((ms.src, SOURCE), (ms.tgt, TARGET)):
+            section = tabs[(up, l)]
+            for x in [x for x, dx in tab.items() if section[dx] != x]:
+                report.add("REFL-SECT", c, (x,), f"entry={l} polarity={pol}")
+        for k in c:
+            lower = r.refl.get((minus(c, k), l), {}).get
+            for tabs, axiom in ((ms.src, "REFL-S"), (ms.tgt, "REFL-T")):
+                up_k, c_k = tabs[(up, k)], tabs[(c, k)]
+                for x in [x for x, dx in tab.items() if up_k[dx] != lower(c_k[x])]:
+                    report.add(axiom, c, (x,), f"added={l} entry={k}")
+        # exchange with every other degeneracy defined at this color
+        for k, tab2 in by_color[c]:
+            if k <= l or k in c:
                 continue
-            if dx not in above:
-                report.add("TOTAL", c, (x,), f"degenerate image {dx!r} not at {list(up)}")
-                continue
-            if ms.src[(up, l)][dx] != x:
-                report.add("REFL-SECT", c, (x,), f"entry={l} polarity={SOURCE}")
-            if ms.tgt[(up, l)][dx] != x:
-                report.add("REFL-SECT", c, (x,), f"entry={l} polarity={TARGET}")
-            for k in c:
-                lower_tab = r.refl.get((minus(c, k), l), {})
-                for tabs, axiom in ((ms.src, "REFL-S"), (ms.tgt, "REFL-T")):
-                    if tabs[(up, k)][dx] != lower_tab.get(tabs[(c, k)][x]):
-                        report.add(axiom, c, (x,), f"added={l} entry={k}")
-            # exchange with every other degeneracy defined at this color
-            for k, tab2 in by_color[c]:
-                if k <= l or k in c or x not in tab2:
-                    continue
-                via_l = r.refl.get((up, k), {}).get(dx)
-                via_k = r.refl.get((add(c, k), l), {}).get(tab2[x])
-                if via_l is None and via_k is None and not require_total:
-                    continue
-                if via_l is None or via_k is None or via_l != via_k:
-                    report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
+            via_l = r.refl.get((up, k), {}).get
+            via_k = r.refl.get((add(c, k), l), {}).get
+            for x in [x for x, dx in tab.items()
+                      if x in tab2 and via_l(dx, unset) != via_k(tab2[x])]:
+                report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
 
 
 def _free_cell_id(x: CellId, added: frozenset[int]) -> CellId:

@@ -18,7 +18,7 @@ from .core import MultipleSet
 from .errors import NonPositiveEntry, NotStrictlyIncreasing, ParseError
 from .magma import MagmaStructure
 from .reflexive import ReflexiveStructure
-from .reversors import ReversorStructure, make_chain
+from .reversors import KINDS as REVERSOR_KINDS, ReversorStructure, make_chain
 from .stretching import Stretching
 
 FORMAT_VERSION = 1
@@ -267,6 +267,13 @@ def _stage_log(raw) -> list[dict]:
     return raw
 
 
+def _not_strings(table: str) -> ParseError:
+    """The error for a ``table`` record naming a cell by a non-string.  The
+    readers test ids inline, in the loop over records: a second pass over
+    each column (``set(map(type, ...))``) costs more on small documents."""
+    return ParseError(f"cells named in {table} records must be strings")
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise ParseError(f"document missing required field {key!r}")
@@ -310,14 +317,19 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
                     f"color {list(c)} outside universe_bound {ms.universe_bound}"
                     f" and dim_bound {ms.dim_bound}"
                 )
-            ms.cells[c] = [str(x) for x in ids]
+            ms.cells[c] = list(ids)
+            if not set(map(type, ms.cells[c])) <= {str}:
+                raise ParseError(f"cell ids at color {list(c)} must be strings")
             if len(set(ms.cells[c])) != len(ms.cells[c]):
                 raise ParseError(f"cell id repeated at color {list(c)}")
         faces = _require(doc, "faces")
         for color_raw, d, x, s, t in faces:
+            if (type(x) is not str or (type(s) is not str and s is not None)
+                    or (type(t) is not str and t is not None)):
+                raise _not_strings("faces")
             key = (color(color_raw), _int(d, "face direction"))
-            ms.src.setdefault(key, {})[str(x)] = s
-            ms.tgt.setdefault(key, {})[str(x)] = t
+            ms.src.setdefault(key, {})[x] = s
+            ms.tgt.setdefault(key, {})[x] = t
         _reject_repeats("faces", faces, sum(map(len, ms.src.values())), 3)
         # the writer renders an undefined face as null: read it back as undefined
         for tabs in (ms.src, ms.tgt):
@@ -334,8 +346,10 @@ def _parse_refl(doc: dict, base: MultipleSet, color) -> ReflexiveStructure:
     try:
         records = doc.get("refl", [])
         for color_raw, l, x, dx in records:
+            if not type(x) is type(dx) is str:
+                raise _not_strings("refl")
             key = (color(color_raw), _int(l, "degeneracy direction"))
-            refl.refl.setdefault(key, {})[str(x)] = str(dx)
+            refl.refl.setdefault(key, {})[x] = dx
         _reject_repeats("refl", records, sum(map(len, refl.refl.values())), 3)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed reflexive table: {exc}") from exc
@@ -350,8 +364,10 @@ def _parse_magma(doc: dict, color) -> MagmaStructure:
     try:
         records = doc.get("comp", [])
         for color_raw, d, a, b, r in records:
+            if not type(a) is type(b) is type(r) is str:
+                raise _not_strings("comp")
             key = (color(color_raw), _int(d, "composition direction"))
-            m.comp.setdefault(key, {})[(str(a), str(b))] = str(r)
+            m.comp.setdefault(key, {})[(a, b)] = r
         _reject_repeats("comp", records, sum(map(len, m.comp.values())), 4)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed composition table: {exc}") from exc
@@ -376,19 +392,18 @@ def from_document(doc: dict):
     if kind == "reversors":
         base = _parse_ms(doc, color)
         try:
-            chains = [
-                make_chain(
-                    color(color_raw),
-                    [_int(e, "chain entry") for e in entries],
-                    [dict((str(x), str(y)) for x, y in level) for level in levels],
-                )
-                for color_raw, entries, levels in doc.get("chains", [])
-            ]
+            chains = []
+            for color_raw, entries, levels in doc.get("chains", []):
+                maps = [dict(level) for level in levels]
+                if any(not type(x) is type(y) is str for lv in maps for x, y in lv.items()):
+                    raise _not_strings("chains")
+                chains.append(make_chain(
+                    color(color_raw), [_int(e, "chain entry") for e in entries], maps))
+            rev_kind = _require(doc, "reversor_kind")
+            if type(rev_kind) is not str or rev_kind not in REVERSOR_KINDS:
+                raise ParseError(f"unknown reversor_kind {rev_kind!r}")
             return ReversorStructure(
-                base=base,
-                m=_int(_require(doc, "m"), "m", 0),
-                kind=str(_require(doc, "reversor_kind")),
-                chains=chains,
+                base=base, m=_int(_require(doc, "m"), "m", 0), kind=rev_kind, chains=chains,
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed reversor chains: {exc}") from exc
@@ -399,20 +414,25 @@ def from_document(doc: dict):
         pi: dict = {}
         records = _require(doc, "pi")
         for color_raw, x, px in records:
-            pi.setdefault(color(color_raw), {})[str(x)] = str(px)
+            if not type(x) is type(px) is str:
+                raise _not_strings("pi")
+            pi.setdefault(color(color_raw), {})[x] = px
         _reject_repeats("pi", records, sum(map(len, pi.values())), 2)
         brackets: dict = {}
         records = doc.get("brackets", [])
         for color_raw, r, a, b, cell in records:
+            if not type(a) is type(b) is type(cell) is str:
+                raise _not_strings("brackets")
             key = (color(color_raw), _int(r, "bracket direction"))
-            brackets.setdefault(key, {})[(str(a), str(b))] = str(cell)
+            brackets.setdefault(key, {})[(a, b)] = cell
         _reject_repeats("brackets", records, sum(map(len, brackets.values())), 4)
         stage_of = None
         if "stage_of" in doc:
-            stage_of = {
-                (color(color_raw), str(x)): _int(s, "stage_of value", 0)
-                for color_raw, x, s in doc["stage_of"]
-            }
+            stage_of = {}
+            for color_raw, x, s in doc["stage_of"]:
+                if type(x) is not str:
+                    raise _not_strings("stage_of")
+                stage_of[(color(color_raw), x)] = _int(s, "stage_of value", 0)
             _reject_repeats("stage_of", doc["stage_of"], len(stage_of), 2)
         return Stretching(
             magma=magma, cat=cat, pi=pi, brackets=brackets,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .colors import Color, add, addable_entries, minus
 from .core import (
+    _MISSING,
     SOURCE,
     TARGET,
     CellId,
@@ -91,49 +92,47 @@ def _validate_pi(e: Stretching, report: ValidationReport,
     M, C = e.magma.base, e.cat.base
     for c in M.colors():
         pmap = e.pi.get(c, {})
-        images = c_members.get(c, set())
-        for x in M.cells_at(c):
+        get, images = pmap.get, c_members.get(c, ())
+        xs = M.cells_at(c)
+        outside = [x for x in xs if get(x, _MISSING) not in images]
+        for x in outside:
             if x not in pmap:
                 report.add("PI", c, (x,), "projection undefined")
-                continue
-            px = pmap[x]
-            if px not in images:
-                report.add("PI", c, (x,), f"image {px!r} not a cell of the strict layer")
-                continue
-            if not faces_ok:
-                continue
-            for d in c:
-                lower = e.pi.get(minus(c, d), {})
-                for m_tabs, c_tabs, pol in ((M.src, C.src, SOURCE), (M.tgt, C.tgt, TARGET)):
-                    if lower.get(m_tabs[(c, d)][x]) != c_tabs[(c, d)][px]:
-                        report.add("PI", c, (x,), f"face entry={d} polarity={pol}")
+            else:
+                report.add("PI", c, (x,), f"image {pmap[x]!r} not a cell of the strict layer")
+        if outside:
+            xs = [x for x in xs if get(x, _MISSING) in images]
+        if not (faces_ok and xs):
+            continue
+        for d in c:
+            lower = e.pi.get(minus(c, d), {}).get
+            for m_tabs, c_tabs, pol in ((M.src, C.src, SOURCE), (M.tgt, C.tgt, TARGET)):
+                m_face, c_face = m_tabs[(c, d)], c_tabs[(c, d)]
+                for x in [x for x in xs if lower(m_face[x]) != c_face[pmap[x]]]:
+                    report.add("PI", c, (x,), f"face entry={d} polarity={pol}")
     # degeneracies
     if e.magma.refl is not None and e.cat.refl is not None:
         for (c, l), tab in e.magma.refl.refl.items():
             if l in c or l < 1:  # reported by the reflexive scan
                 continue
-            up = add(c, l)
-            for x, dx in tab.items():
-                want = e.cat.refl.refl.get((c, l), {}).get(e.pi.get(c, {}).get(x))
-                if e.pi.get(up, {}).get(dx) != want:
-                    report.add("PI", c, (x,), f"degeneracy added={l}")
+            want = e.cat.refl.refl.get((c, l), {}).get
+            down, up = e.pi.get(c, {}).get, e.pi.get(add(c, l), {}).get
+            for x in [x for x, dx in tab.items() if up(dx) != want(down(x))]:
+                report.add("PI", c, (x,), f"degeneracy added={l}")
     # composites
     for (c, d), tab in e.magma.comp.items():
-        ctab = e.cat.comp.get((c, d), {})
-        pmap = e.pi.get(c, {})
-        for (a, b), r in tab.items():
-            want = ctab.get((pmap.get(a), pmap.get(b)))
-            if pmap.get(r) != want:
-                report.add("PI", c, (a, b), f"composite direction={d}")
+        want = e.cat.comp.get((c, d), {}).get
+        p = e.pi.get(c, {}).get
+        for pair in [(a, b) for (a, b), r in tab.items() if p(r) != want((p(a), p(b)))]:
+            report.add("PI", c, pair, f"composite direction={d}")
     # reversors
     if e.m_rev_tables and e.cat_reversors is not None:
         cat_tabs = _swap_tables(e.cat_reversors)
         for (c, ev), tab in e.m_rev_tables.items():
-            ctab = cat_tabs.get((c, ev), {})
-            pmap = e.pi.get(c, {})
-            for x, jx in tab.items():
-                if pmap.get(jx) != ctab.get(pmap.get(x)):
-                    report.add("PI", c, (x,), f"reversor entry={ev}")
+            want = cat_tabs.get((c, ev), {}).get
+            p = e.pi.get(c, {}).get
+            for x in [x for x, jx in tab.items() if p(jx) != want(p(x))]:
+                report.add("PI", c, (x,), f"reversor entry={ev}")
 
 
 def validate_stretching(e: Stretching) -> ValidationReport:
@@ -172,21 +171,19 @@ def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bo
     """
     M = e.magma.base
     last = e.stage - 1
-    inside = {c: [x for x in M.cells_at(c) if e.stage_of.get((c, x), 0) <= last]
-              for c in M.colors()}
+    stage = e.stage_of.get
+    inside = {c: [x for x in M.cells_at(c) if stage((c, x), 0) <= last] for c in M.colors()}
     if faces_ok:
         for c, cells in inside.items():
             for d in c:
                 tab = e.magma.comp.get((c, d), {})
-                for a, b in _pullback(M, c, d, cells):
-                    if (a, b) not in tab:
-                        report.add("TOTAL", c, (a, b), f"staged composite missing, direction={d}")
+                for pair in [pair for pair in _pullback(M, c, d, cells) if pair not in tab]:
+                    report.add("TOTAL", c, pair, f"staged composite missing, direction={d}")
     if e.magma.refl is not None:
         for c, l in admissible_refl_keys(M):
             tab = e.magma.refl.refl.get((c, l), {})
-            for x in inside[c]:
-                if x not in tab:
-                    report.add("TOTAL", c, (x,), f"staged degeneracy missing, added={l}")
+            for x in [x for x in inside[c] if x not in tab]:
+                report.add("TOTAL", c, (x,), f"staged degeneracy missing, added={l}")
 
 
 def _validate_brackets(e: Stretching, report: ValidationReport,
@@ -203,45 +200,54 @@ def _validate_brackets(e: Stretching, report: ValidationReport,
         pairs = pi_equal_pairs(e, c, max_stage=max_stage)
         for r in addable_entries(c, M.universe_bound):
             tab = e.brackets.get((c, r), {})
-            for a, b in pairs:
-                if (a, b) not in tab:
-                    report.add("BR-TOTAL", c, (a, b), f"added={r}")
+            for pair in [pair for pair in pairs if pair not in tab]:
+                report.add("BR-TOTAL", c, pair, f"added={r}")
 
+    cat_refl = e.cat.refl.refl if e.cat.refl is not None else None
     for (c, r), tab in e.brackets.items():
         if r in c or r < 1:
-            for a, b in tab:
-                report.add("BR-TOTAL", c, (a, b), f"added={r} cannot be added to {list(c)}")
+            for pair in tab:
+                report.add("BR-TOTAL", c, pair, f"added={r} cannot be added to {list(c)}")
             continue
         up = add(c, r)
-        here, above = members.get(c, set()), members.get(up, set())
-        pmap = e.pi.get(c, {})
-        for (a, b), x in tab.items():
-            if not (a in here and b in here):
-                report.add("BR-TOTAL", c, (a, b), f"added={r} endpoint not a cell at {list(c)}")
-                continue
-            if x not in above:
-                report.add("BR-TOTAL", c, (a, b), f"bracket image {x!r} not at {list(up)}")
-                continue
-            if faces_ok:
-                if M.src[(up, r)][x] != a:
-                    report.add("BR-END", c, (a, b), f"added={r} polarity={SOURCE}")
-                if M.tgt[(up, r)][x] != b:
-                    report.add("BR-END", c, (a, b), f"added={r} polarity={TARGET}")
-                for s in c:
-                    lower_tab = e.brackets.get((minus(c, s), r), {})
-                    for tabs, pol in ((M.src, SOURCE), (M.tgt, TARGET)):
-                        tab_s = tabs[(c, s)]
-                        if lower_tab.get((tab_s[a], tab_s[b])) != tabs[(up, s)][x]:
-                            report.add("BR-FACE", c, (a, b),
-                                       f"added={r} entry={s} polarity={pol}")
-            want = None
-            if e.cat.refl is not None:
-                want = e.cat.refl.refl.get((c, r), {}).get(pmap.get(a))
-                want_b = e.cat.refl.refl.get((c, r), {}).get(pmap.get(b))
-                if want is None or want != want_b:
-                    want = None
-            if want is None or e.pi.get(up, {}).get(x) != want:
-                report.add("BR-PI", c, (a, b), f"added={r}")
+        here, above = members.get(c, ()), members.get(up, ())
+        outside = [(a, b) for (a, b), x in tab.items()
+                   if not (a in here and b in here and x in above)]
+        if outside:
+            tab = dict(tab)  # the other scans read the other entries
+            for a, b in outside:
+                x = tab.pop((a, b))
+                if not (a in here and b in here):
+                    report.add("BR-TOTAL", c, (a, b),
+                               f"added={r} endpoint not a cell at {list(c)}")
+                else:
+                    report.add("BR-TOTAL", c, (a, b), f"bracket image {x!r} not at {list(up)}")
+        if not tab:
+            continue
+        if faces_ok:
+            src, tgt = M.src[(up, r)], M.tgt[(up, r)]
+            for pair in [(a, b) for (a, b), x in tab.items() if src[x] != a]:
+                report.add("BR-END", c, pair, f"added={r} polarity={SOURCE}")
+            for pair in [(a, b) for (a, b), x in tab.items() if tgt[x] != b]:
+                report.add("BR-END", c, pair, f"added={r} polarity={TARGET}")
+            for s in c:
+                lower = e.brackets.get((minus(c, s), r), {}).get
+                for tabs, pol in ((M.src, SOURCE), (M.tgt, TARGET)):
+                    face, face_up = tabs[(c, s)], tabs[(up, s)]
+                    for pair in [(a, b) for (a, b), x in tab.items()
+                                 if lower((face[a], face[b])) != face_up[x]]:
+                        report.add("BR-FACE", c, pair, f"added={r} entry={s} polarity={pol}")
+        # BR-PI: the projections of both endpoints have one degeneracy,
+        # and it is the bracket's projection
+        if cat_refl is None:
+            bad = list(tab)
+        else:
+            want = cat_refl.get((c, r), {}).get
+            p, p_up = e.pi.get(c, {}).get, e.pi.get(up, {}).get
+            bad = [(a, b) for (a, b), x in tab.items()
+                   if (w := want(p(a))) is None or w != want(p(b)) or p_up(x) != w]
+        for pair in bad:
+            report.add("BR-PI", c, pair, f"added={r}")
 
 
 def validate_stretching_morphism(

@@ -61,25 +61,22 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
         by_left: dict[CellId, list[tuple[CellId, CellId]]] = {}
         for (x, e), xe in tab.items():
             by_left.setdefault(x, []).append((e, xe))
-        for (a, b), ab in tab.items():
-            for e, be in by_left.get(b, ()):
-                left = tab.get((ab, e))
-                right = tab.get((a, be))
-                if left is not None and right is not None and left != right:
-                    report.add("ASSOC", c, (a, b, e), f"direction={d}")
+        get, right_of = tab.get, by_left.get
+        for triple in [(a, b, e) for (a, b), ab in tab.items() for e, be in right_of(b, ())
+                       if (left := get((ab, e))) is not None and get((a, be), left) != left]:
+            report.add("ASSOC", c, triple, f"direction={d}")
         # UNIT: a * 1(s(a)) == a and 1(t(a)) * a == a; the magma scan
         # reports a table keyed by a direction outside its color
-        if d not in c:
+        refl_tab = m.refl.refl.get((minus(c, d), d)) if d in c else None
+        if not refl_tab:
             continue
-        refl_tab = m.refl.refl.get((minus(c, d), d), {})
+        unit = refl_tab.get
         stab, ttab = ms.table(SOURCE, c, d), ms.table(TARGET, c, d)
-        for a in ms.cells_at(c):
-            us = refl_tab.get(stab[a])
-            ut = refl_tab.get(ttab[a])
-            if us is not None and tab.get((a, us)) != a:
-                report.add("UNIT", c, (a,), f"direction={d} side=right")
-            if ut is not None and tab.get((ut, a)) != a:
-                report.add("UNIT", c, (a,), f"direction={d} side=left")
+        cells = ms.cells_at(c)
+        for a in [a for a in cells if (u := unit(stab[a])) is not None and get((a, u)) != a]:
+            report.add("UNIT", c, (a,), f"direction={d} side=right")
+        for a in [a for a in cells if (u := unit(ttab[a])) is not None and get((u, a)) != a]:
+            report.add("UNIT", c, (a,), f"direction={d} side=left")
 
     # MFI: (a *_j b) *_k (p *_j q) == (a *_k p) *_j (b *_k q)
     for (c, j), jtab in m.comp.items():

@@ -308,3 +308,14 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys):
 def test_free_reflexive_spends_the_budget(capsys):
     assert main(["free", "reflexive", fpath("point.mset"), "--dim", "2", "--budget", "1"]) == 1
     assert "free reflexive exceeded the work budget of 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["foo", 7])
+def test_validate_unknown_reversor_kind_is_parse_error(value, tmp_path, capsys):
+    with open(fpath("pair-groupoid-reversors.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["reversor_kind"] = value
+    p = tmp_path / "bad-kind.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "reversor_kind" in capsys.readouterr().err

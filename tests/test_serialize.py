@@ -259,6 +259,28 @@ def test_writer_matches_json_dumps_on_odd_names(m):
     ("parallel-edges-free-weak.mset", ("stage_log",), "abc"),
     ("parallel-edges-free-weak.mset", ("stage_log",), [1]),
     ("parallel-edges-free-weak.mset", ("stage_log", 0, "brackets"), 6.0),
+    # cell ids used to be coerced with str(): [1, true] read as "1" and "True"
+    ("square.mset", ("cells", 0, 1), [1, True]),
+    ("square.mset", ("cells", 1, 1, 0), 2.5),
+    ("square.mset", ("faces", 0, 2), 5),
+    # a face value used to be kept as read, and 5 came out as a SHAPE report
+    ("square.mset", ("faces", 0, 3), 5),
+    ("square.mset", ("faces", 0, 4), ["v"]),
+    ("point-free-reflexive.mset", ("refl", 0, 2), 1),
+    ("point-free-reflexive.mset", ("refl", 0, 3), False),
+    ("pair-groupoid.mset", ("comp", 0, 2), 1),
+    ("pair-groupoid.mset", ("comp", 0, 3), None),
+    ("pair-groupoid.mset", ("comp", 0, 4), 1.0),
+    ("pair-groupoid-reversors.mset", ("chains", 0, 2, 0, 0, 0), 1),
+    ("pair-groupoid-reversors.mset", ("chains", 0, 2, 0, 0, 1), None),
+    ("parallel-edges-free-weak.mset", ("magma", "faces", 0, 3), 3),
+    ("parallel-edges-free-weak.mset", ("cat", "refl", 0, 3), 0),
+    ("parallel-edges-free-weak.mset", ("pi", 0, 1), 0),
+    ("parallel-edges-free-weak.mset", ("pi", 0, 2), True),
+    ("parallel-edges-free-weak.mset", ("brackets", 0, 2), 0),
+    ("parallel-edges-free-weak.mset", ("brackets", 0, 3), 0.5),
+    ("parallel-edges-free-weak.mset", ("brackets", 0, 4), 7),
+    ("parallel-edges-free-weak.mset", ("stage_of", 0, 1), 7),
 ])
 def test_parse_reads_integers_strictly(name, path, value):
     with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
