@@ -201,10 +201,11 @@ def _face_buckets(ms: MultipleSet, color: Color, e: int):
 
 
 def _map_candidates(cells: list[CellId], images: list[list[CellId]], budget: Budget) -> list[tuple]:
-    """Every map sending ``cells[i]`` into ``images[i]``, as (cell, image)
-    tuples sorted by cell.  The product is paid for before it is built."""
+    """Every map sending ``cells[i]`` into ``images[i]``, as tuples of
+    (cell, image) pairs sorted by cell; the maps share one pair per cell and
+    image.  The product is paid for before it is built."""
     budget.spend(max(1, math.prod(map(len, images))), PHASE)
-    maps = [tuple(zip(cells, combo)) for combo in itertools.product(*images)]
+    maps = list(itertools.product(*[[(x, y) for y in ys] for x, ys in zip(cells, images)]))
     # parsed documents may list a color's cells out of order
     return maps if cells == sorted(cells) else [tuple(sorted(m)) for m in maps]
 
@@ -231,7 +232,8 @@ def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: Budget) ->
             images = [buckets.get((nxt.get(s), nxt.get(t)), []) for s, t in pairs]
             out.extend((m,) + suffix for m in _map_candidates(ms.cells_at(lc), images, budget))
         suffixes = out
-    return [Chain(color, tuple(entries), maps) for maps in suffixes]
+    entries = tuple(entries)
+    return [Chain(color, entries, maps) for maps in suffixes]
 
 
 def search_reversors(

@@ -292,11 +292,13 @@ def _reject_repeats(table: str, records, filled: int, width: int):
         return
     seen = set()
     for rec in records:
-        key = (tuple(rec[0]), *map(str, rec[1:width]))
+        key = (tuple(rec[0]), *rec[1:width])
         if key in seen:
             break
         seen.add(key)
-    raise ParseError(f"repeated {table} record for {[list(key[0]), *key[1:]]}")
+    # the readers have checked every field's type: name the key as the document writes it
+    shown = json.dumps([list(key[0]), *key[1:]], ensure_ascii=False)
+    raise ParseError(f"repeated {table} record for {shown}")
 
 
 def _parse_ms(doc: dict, color) -> MultipleSet:

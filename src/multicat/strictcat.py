@@ -18,6 +18,14 @@ and are not matched again until an e-node is added or two classes merge.
 ``StrictPresentation.unions`` counts the successful unions of each rule.
 Materialization composes class representatives that fit the size bound and
 whose faces meet, found by sorting them by size and bucketing them by face.
+
+Nodes are made only while the classes are closed under congruence: the
+generators before any union, everything else after ``saturate``.  So a new
+node congruent to an e-node joins that e-node's class in place (a signature
+union that allocates nothing and queues no rebuild): its faces already lie
+in the classes of the e-node's faces.  A term's name depends only on its
+node, so each name is rendered once, into one cache on the presentation
+that representatives, ``unit_map`` and ``quotient_to_category`` share.
 """
 
 from __future__ import annotations
@@ -101,11 +109,9 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
 
 class _UnionFind:
     def __init__(self):
+        # node id -> its parent; a new node is its own root or, when it is
+        # congruent to an e-node, a child of that e-node's root
         self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -124,7 +130,8 @@ class StrictPresentation(TermGraph):
     An e-node is a node tuple whose children are class roots.  After a
     rebuild the keys of ``hashcons`` are exactly the e-nodes, each mapped to a
     member of its class.  Per class root: its e-nodes, the (e-node, class)
-    pairs that use it as a child, and its members of least size.
+    pairs that use it as a child, and its members of least size.  New nodes
+    may be made only while no union waits for a rebuild.
     """
 
     def __init__(self, generators: MultipleSet, dim_bound: int, size_bound: int,
@@ -137,6 +144,8 @@ class StrictPresentation(TermGraph):
         self.enodes: dict[int, list[tuple]] = {}
         self.uses: dict[int, list[tuple[tuple, int]]] = {}
         self.smallest: dict[int, list[int]] = {}
+        # a term's name depends only on its node: each is rendered once
+        self.names: dict[int, str] = {}
         # successful unions per rule; they sum to len(nodes) minus the classes
         self.unions: dict[str, int] = dict.fromkeys(RULES, 0)
         # the rebuild worklist: classes absorbed, and the roots that took over
@@ -149,21 +158,25 @@ class StrictPresentation(TermGraph):
 
     def _new(self, node: tuple, color: Color, size: int) -> int:
         nid = super()._new(node, color, size)
-        self.uf.make()
-        self.enodes[nid] = []
+        key = self._canon(node)
+        member = self.hashcons.get(key)
+        if member is not None:
+            # congruent to an e-node: it joins the class in place, its faces
+            # already lying in the classes of that e-node's faces
+            root = self.uf.find(member)
+            self.uf.parent.append(root)
+            self.unions["signature"] += 1
+            self._keep_smallest(root, [nid])
+            return nid
+        self.uf.parent.append(nid)
+        self.hashcons[key] = nid
+        self.enodes[nid] = [key]
         self.uses[nid] = []
         self.smallest[nid] = [nid]
-        key = self._canon(node)
-        if key in self.hashcons:
-            # a node congruent to an e-node joins its class and adds no e-node
-            self.union(nid, self.hashcons[key], "signature")
-        else:
-            self.hashcons[key] = nid
-            self.enodes[nid].append(key)
-            self.closed = False
-            if key[0] != "gen":
-                for child in set(key[2:]):
-                    self.uses[child].append((key, nid))
+        self.closed = False
+        if key[0] != "gen":
+            for child in set(key[2:]):
+                self.uses[child].append((key, nid))
         return nid
 
     # -- classes -----------------------------------------------------------
@@ -195,36 +208,40 @@ class StrictPresentation(TermGraph):
         if gone:
             self.uses[ra].extend(gone)
             self.repair.append(ra)
-        low_a, low_b = self.smallest[ra], self.smallest.pop(rb)
-        if self.size[low_b[0]] < self.size[low_a[0]]:
-            self.smallest[ra] = low_b
-        elif self.size[low_b[0]] == self.size[low_a[0]]:
-            low_a.extend(low_b)
+        self._keep_smallest(ra, self.smallest.pop(rb))
         self.absorbed.append(rb)
         return True
 
-    def _render(self, nid: int, names: dict[int, str]) -> str:
-        """The term's name; ``names`` caches the names of shared subterms."""
-        name = names.get(nid)
+    def _keep_smallest(self, root: int, low: list[int]):
+        """Merge ``low``, the members of least size of what joins ``root``'s
+        class, into the root's."""
+        have = self.smallest[root]
+        if self.size[low[0]] < self.size[have[0]]:
+            self.smallest[root] = low
+        elif self.size[low[0]] == self.size[have[0]]:
+            have.extend(low)
+
+    def _render(self, nid: int) -> str:
+        """The term's name, rendered once and kept in ``names``."""
+        name = self.names.get(nid)
         if name is None:
             node = self.nodes[nid]
             if node[0] == "gen":
                 name = node[2]
             elif node[0] == "refl":
-                name = f"1[{node[1]}]({self._render(node[2], names)})"
+                name = f"1[{node[1]}]({self._render(node[2])})"
             else:
-                name = f"({self._render(node[2], names)} *{node[1]} {self._render(node[3], names)})"
-            names[nid] = name
+                name = f"({self._render(node[2])} *{node[1]} {self._render(node[3])})"
+            self.names[nid] = name
         return name
 
     def representatives(self) -> dict[int, int]:
         """Class root -> its member of least size, then least rendered name."""
-        names: dict[int, str] = {}
         reps = {}
         for root, low in self.smallest.items():
             if len(low) > 1:
                 # the losers of a tie never win a later one: drop them
-                low[:] = [min(low, key=lambda n: self._render(n, names))]
+                low[:] = [min(low, key=self._render)]
             reps[root] = low[0]
         return reps
 
@@ -432,11 +449,10 @@ def free_strict(
 def unit_map(p: StrictPresentation) -> dict[tuple[Color, CellId], str]:
     """The generator embedding, as (color, generator) -> class representative."""
     reps = p.representatives()
-    names: dict[int, str] = {}
     out = {}
     for c in p.generators.colors():
         for x in p.generators.cells_at(c):
-            out[(c, x)] = p._render(reps[p.uf.find(p.memo[("gen", c, x)])], names)
+            out[(c, x)] = p._render(reps[p.uf.find(p.memo[("gen", c, x)])])
     return out
 
 
@@ -447,8 +463,7 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     composite or a degeneracy was never built.
     """
     reps = p.representatives()
-    cache: dict[int, str] = {}
-    names = {root: p._render(rep, cache) for root, rep in reps.items()}
+    names = {root: p._render(rep) for root, rep in reps.items()}
 
     base = MultipleSet(p.generators.universe_bound, p.dim_bound)
     by_color: dict[Color, list[int]] = {}

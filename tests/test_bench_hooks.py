@@ -6,6 +6,7 @@ import importlib.util
 import os
 
 from multicat import fixtures as fx
+from test_strictcat import loops
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -33,3 +34,21 @@ def test_dump_runs_inside_the_serialize_span(tmp_path):
         tracer.uninstall()
     assert "serialize.serialize" in [span[0] for span in tracer.spans]
     assert tracer.counts["serialize.bytes"] == (tmp_path / "path2.mset").stat().st_size
+
+
+def test_free_strict_spans_and_counters():
+    # the counters read the presentation's union-find and the tracer wraps
+    # StrictPresentation.saturate by name: a refactor of either shows here
+    from multicat import strictcat
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        p = strictcat.free_strict(loops(2), 1, 9)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "strictcat.free_strict" in names
+    assert "strictcat.saturate" in names
+    assert tracer.counts["strictcat.nodes"] == len(p.nodes) == 293
+    assert tracer.counts["strictcat.classes"] == sum(p.class_counts().values()) == 64

@@ -159,6 +159,17 @@ def test_parse_rejects_malformed_color():
             from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [color, ["e"]]]))
 
 
+# the key of each table's first record, as the document writes it
+REPEATED_KEYS = {
+    "faces": '[[1], 1, "e0"]',
+    "refl": '[[], 1, "p"]',
+    "comp": '[[1], 1, "o0>o0", "o0>o0"]',
+    "pi": '[[], "v0"]',
+    "brackets": '[[], 1, "v0", "v0"]',
+    "stage_of": '[[], "v0"]',
+}
+
+
 @pytest.mark.parametrize("name, table", [
     ("square.mset", "faces"),
     ("point-free-reflexive.mset", "refl"),
@@ -177,8 +188,9 @@ def test_parse_rejects_repeated_record(name, table):
     with pytest.raises(mc.ParseError, match=f"repeated {table} record"):
         from_document(doc)
     doc[table][0] = first
-    with pytest.raises(mc.ParseError, match=f"repeated {table} record"):
+    with pytest.raises(mc.ParseError, match=f"repeated {table} record") as info:
         from_document(doc)
+    assert str(info.value) == f"repeated {table} record for {REPEATED_KEYS[table]}"
 
 
 @pytest.mark.parametrize("build", [

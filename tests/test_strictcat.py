@@ -4,6 +4,7 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat.core import SOURCE, TARGET
 from multicat.terms import Budget
 from oracles import NaiveFreeStrict, strict_axiom_ids
 
@@ -288,3 +289,72 @@ def test_rebuild_repairs_signatures_of_merged_children():
     classes = {frozenset(n for n in range(len(p.nodes)) if p.uf.find(n) == p.uf.find(r))
                for r in range(len(p.nodes))}
     assert classes == _naive_congruence(p, [(x, y)])
+
+
+def _unions(face=0, signature=0, UNIT=0, ASSOC=0, MFI=0, DIST=0, EXCH=0):
+    return {"face": face, "signature": signature, "UNIT": UNIT, "ASSOC": ASSOC,
+            "MFI": MFI, "DIST": DIST, "EXCH": EXCH}
+
+
+@pytest.mark.parametrize("ms, dim, size, nodes, unions, classes", [
+    (loops(2), 1, 7, 85, _unions(UNIT=13, ASSOC=40), {(): 1, (1,): 31}),
+    (loops(2), 1, 9, 293, _unions(signature=64, UNIT=21, ASSOC=144), {(): 1, (1,): 63}),
+    (loops(2), 1, 11, 933, _unions(signature=352, UNIT=37, ASSOC=416), {(): 1, (1,): 127}),
+    (loops(2), 1, 13, 2853, _unions(signature=1440, UNIT=69, ASSOC=1088), {(): 1, (1,): 255}),
+    (loops(2), 1, 15, 8357, _unions(signature=5024, UNIT=133, ASSOC=2688), {(): 1, (1,): 511}),
+    (fx.grid2x2(), 2, 12, 259, _unions(UNIT=90, MFI=19, DIST=60, EXCH=9),
+     {(): 9, (1,): 18, (2,): 18, (1, 2): 36}),
+    (fx.square(), 2, 8, 69, _unions(UNIT=24, DIST=16, EXCH=4),
+     {(): 4, (1,): 6, (2,): 6, (1, 2): 9}),
+    (fx.parallel_edges(), 2, 8, 32, _unions(UNIT=10, DIST=8, EXCH=2),
+     {(): 2, (1,): 4, (2,): 2, (1, 2): 4}),
+])
+def test_closure_is_pinned_rule_by_rule(ms, dim, size, nodes, unions, classes):
+    # which rule gets credit for each merge is part of the closure's output
+    p = mc.free_strict(ms, dim, size)
+    assert p.unions == unions
+    assert len(p.nodes) == nodes
+    assert p.class_counts() == classes
+
+
+def _assert_closed_egraph(p):
+    """The rebuild left nothing pending, the e-nodes are canonical and listed
+    once, every node is congruent to an e-node of its class, and every node
+    has the faces of its class's e-node members."""
+    find = p.uf.find
+    assert p.absorbed == [] and p.repair == []
+    assert all(p._canon(key) == key for key in p.hashcons)
+    listed = [key for ens in p.enodes.values() for key in ens]
+    assert len(listed) == len(set(listed)) == len(p.hashcons)
+    assert set(listed) == set(p.hashcons)
+    for root, ens in p.enodes.items():
+        assert find(root) == root
+        assert all(find(p.hashcons[key]) == root for key in ens)
+    for nid, node in enumerate(p.nodes):
+        root = find(nid)
+        assert find(p.hashcons[p._canon(node)]) == root
+        for key in p.enodes[root]:
+            member = p.hashcons[key]
+            for d in p.color[nid]:
+                for pol in (SOURCE, TARGET):
+                    assert p.class_face(nid, d, pol) == p.class_face(member, d, pol)
+
+
+@pytest.mark.parametrize("ms, dim, size", [(loops(2), 1, 11), (fx.grid2x2(), 2, 12)])
+def test_every_materialization_round_keeps_the_egraph_closed(ms, dim, size):
+    p = mc.StrictPresentation(ms, dim, size, Budget(100_000))
+    for c in ms.colors():
+        for x in ms.cells_at(c):
+            p.gen(c, x)
+    rounds = 0
+    while True:
+        p.saturate()
+        _assert_closed_egraph(p)
+        grew = p._materialize_round()
+        # congruent nodes joined their classes in place: nothing to rebuild
+        _assert_closed_egraph(p)
+        rounds += 1
+        if not grew:
+            break
+    assert rounds > 2
+    assert p.unions == mc.free_strict(ms, dim, size).unions
