@@ -10,7 +10,9 @@ two-space indent, trailing newline, the bytes of
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain, groupby, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring
 
 from .colors import Color, make_color
@@ -31,23 +33,31 @@ def _color_key(c: Color):
 
 
 def _ms_body(ms: MultipleSet) -> dict:
-    body = {
-        "universe_bound": ms.universe_bound,
-        "dim_bound": ms.dim_bound,
-        "cells": [
-            [list(c), sorted(ms.cells[c])]
-            for c in sorted(ms.cells, key=_color_key)
-            if ms.cells[c]
-        ],
-        "faces": [],
-    }
+    cells, faces = [], []
     for c in sorted(ms.cells, key=_color_key):
+        xs = sorted(ms.cells[c])
+        if xs:
+            cells.append([list(c), xs])
         for d in c:
             stab = ms.src.get((c, d), {})
             ttab = ms.tgt.get((c, d), {})
-            for x in sorted(ms.cells[c]):
-                body["faces"].append((c, d, x, stab.get(x), ttab.get(x)))
-    return body
+            faces += zip(repeat(c), repeat(d), xs, map(stab.get, xs), map(ttab.get, xs))
+    return {
+        "universe_bound": ms.universe_bound,
+        "dim_bound": ms.dim_bound,
+        "cells": cells,
+        "faces": faces,
+    }
+
+
+def _cell_records(tabs: dict) -> list:
+    """The records ``(c, x, tabs[c][x])`` of per-color tables, in canonical order."""
+    out = []
+    for c in sorted(tabs, key=_color_key):
+        tab = tabs[c]
+        xs = sorted(tab)
+        out += zip(repeat(c), xs, map(tab.__getitem__, xs))
+    return out
 
 
 def _refl_records(refl: ReflexiveStructure) -> list:
@@ -109,11 +119,7 @@ def to_document(obj, kind: str | None = None) -> dict:
         body = {
             "magma": _magma_body(obj.magma),
             "cat": _magma_body(obj.cat),
-            "pi": [
-                (c, x, obj.pi[c][x])
-                for c in sorted(obj.pi, key=_color_key)
-                for x in sorted(obj.pi[c])
-            ],
+            "pi": _cell_records(obj.pi),
             "brackets": [
                 (c, r, a, b, cell)
                 for (c, r) in sorted(obj.brackets, key=lambda k: (_color_key(k[0]), k[1]))
@@ -126,12 +132,10 @@ def to_document(obj, kind: str | None = None) -> dict:
             body["stage_log"] = obj.stage_log
         if obj.stage_of is not None:
             body["stage"] = obj.stage
-            body["stage_of"] = [
-                (c, x, s)
-                for (c, x), s in sorted(
-                    obj.stage_of.items(), key=lambda kv: (_color_key(kv[0][0]), kv[0][1])
-                )
-            ]
+            stages: dict = {}
+            for (c, x), s in obj.stage_of.items():
+                stages.setdefault(c, {})[x] = s
+            body["stage_of"] = _cell_records(stages)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if kind not in KINDS:
@@ -139,47 +143,139 @@ def to_document(obj, kind: str | None = None) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
+# The types json renders as scalars.  Equal values of different types can
+# render apart (True == 1 == 1.0 hash alike but render as true, 1 and 1.0),
+# so a memo keyed by value takes only types whose equal values render alike.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_MEMO_TYPES = frozenset((str, int, type(None)))
+# the encoders' fallback for a value json cannot render: it raises TypeError
+_DEFAULT = json.JSONEncoder().default
+# Tables are laid out this many records at a time, and filled once this many
+# records wait.  A fill that long joins each record into a string of its own:
+# a long document's text joined from one list of all its pieces, or from a few
+# long strings, leaves that memory in the allocator under the text (the
+# benchmark's weak-build peak resident memory rose from 99 to 112 MB).
+_BATCH = 1024
+
+
+@functools.cache
+def _encoder(level: int):
+    """json's C encoder for scalars, separating items at ``level``; it keeps
+    no state between calls, so every writer shares one per level."""
+    return c_make_encoder(
+        None, _DEFAULT, encode_basestring, None, ": ", ",\n" + "  " * level, True, False, True,
+    )
+
+
+def _scalars(v, level: int) -> str:
+    """A scalar, or a bracketed sequence of them separated at ``level``."""
+    return "".join(_encoder(level)(v, 0))
+
+
+def _each(values: list) -> list[str]:
+    """The JSON text of each scalar of a non-empty list, from one encoder call."""
+    # an encoded scalar holds no raw newline, so ",\n" separates them exactly
+    return _scalars(values, 0)[1:-1].split(",\n")
+
+
 class _Writer:
     """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``.
 
     json's C encoder takes no indent, so the writer lays out the containers
-    itself and hands each run of scalars to the C encoder in one call, with
-    one encoder per indent whose item separator carries that indent.  A
-    list whose first item is a tuple is a table: each item is a record, a
-    color tuple and then scalars, appended as one chunk, and the text of
-    each (indent, color) head is rendered once.
+    itself and hands scalars to the C encoder, with one shared encoder per
+    indent whose item separator carries that indent.
+
+    A list whose first item is a tuple is a table: each item is a record, a
+    color tuple and then at least one scalar.  No encoder is called per
+    record.  Each run of records of one width is laid out by slice
+    assignment at a stride: the color column's cached heads, the separators,
+    and a slot for each scalar at every second place.  The slots are filled
+    once ``_BATCH`` records wait, or the document ends.  A full fill reads
+    one memo per document that maps each distinct scalar to its JSON text,
+    encoded once: a cell name recurs in faces, comp, pi and stage_of.  The
+    memo is used only when every scalar of the fill is a ``str``, an ``int``
+    or ``None``; a fill holding any other type, and a short fill, encode
+    their scalars in one encoder call.  The text goes into the places the
+    layout kept: one string per record for a full fill, one per run for a
+    short one.
     """
 
     def __init__(self):
-        self._encoders: dict = {}
         self._heads: dict = {}
+        self._memo: dict = {}
+        # runs laid out but not filled: (place in the output, records,
+        # pieces per record, pieces, scalars), and how many records they hold
+        self._pending: list = []
+        self._waiting = 0
 
-    def _encoder(self, level: int):
-        """json's C encoder for scalars, separating items at ``level``."""
-        enc = self._encoders.get(level)
-        if enc is None:
-            enc = self._encoders[level] = c_make_encoder(
-                None, json.JSONEncoder().default, encode_basestring, None,
-                ": ", ",\n" + "  " * level, True, False, True,
-            )
-        return enc
+    def render(self, doc) -> str:
+        """The document's text, with its trailing newline."""
+        out: list[str] = []
+        self._write(doc, 0, out)
+        self._fill(out)
+        out.append("\n")
+        return "".join(out)
 
-    def _scalars(self, v, level: int) -> str:
-        """A scalar, or a bracketed sequence of them separated at ``level``."""
-        return "".join(self._encoder(level)(v, 0))
+    def _fill(self, out: list[str]):
+        """Fill the slots of the pending runs and join their text into the
+        places kept for it in ``out``."""
+        if not self._pending:
+            return
+        # a full fill, within a long table, reads the memo and joins each record
+        # into a string of its own; a short fill, of a small document or of a
+        # long table's tail, encodes its scalars in one call and joins each run,
+        # which renders small documents 3-8 % faster than joins per record
+        full = self._waiting >= _BATCH
+        pending, self._pending, self._waiting = self._pending, [], 0
+        values = list(chain.from_iterable(run[4] for run in pending))
+        if full and set(map(type, values)) <= _MEMO_TYPES:
+            memo = self._memo
+            new = list(set(values).difference(memo))
+            if new:
+                memo.update(zip(new, _each(new)))
+            texts = map(memo.__getitem__, values)
+        else:
+            texts = iter(_each(values))
+        for at, n, k, pieces, scalars in pending:
+            pieces[1::2] = islice(texts, len(scalars))
+            if full:
+                out[at:at + n] = map("".join, zip(*[iter(pieces)] * k))
+            else:
+                out[at] = "".join(pieces)
 
-    def _head(self, c, level: int) -> str:
-        """A record's text at ``level`` up to its first scalar."""
-        head = self._heads.get((level, c))
-        if head is None:
-            inner = "\n" + "  " * (level + 1)
-            color: list[str] = []
-            self.write(c, level + 1, color)
-            head = self._heads[(level, c)] = f"[{inner}{''.join(color)},{inner}"
-        return head
+    def _table(self, records, level: int, out: list[str]):
+        """Lay out a non-empty table at indent ``level``, a place for each record."""
+        inner = "\n" + "  " * (level + 1)
+        mid = ",\n" + "  " * (level + 2)
+        between = inner + "]," + inner
+        heads = self._heads.setdefault(level, {})
+        top = len(out)
+        for start in range(0, len(records), _BATCH):
+            for width, run in groupby(records[start:start + _BATCH], len):
+                scalars = list(chain.from_iterable(run))
+                colors = scalars[::width]
+                del scalars[::width]
+                for c in set(colors).difference(heads):
+                    color: list[str] = []
+                    self._write(c, level + 2, color)
+                    heads[c] = f"{between}[{mid[1:]}{''.join(color)}{mid}"
+                # a record's pieces: its head, then its scalars with a mid
+                # between each two, so the scalars sit two apart
+                n, k = len(colors), 2 * width - 2
+                pieces = [mid] * (n * k)
+                pieces[::k] = map(heads.__getitem__, colors)
+                if len(out) == top:
+                    # the first record opens the table instead of closing the one before
+                    pieces[0] = "[" + inner + pieces[0][len(between):]
+                self._pending.append((len(out), n, k, pieces, scalars))
+                out += repeat("", n)
+                self._waiting += n
+            if self._waiting >= _BATCH:
+                self._fill(out)
+        out.append(inner + "]\n" + "  " * level + "]")
 
-    def write(self, v, level: int, out: list[str]):
-        """Append the text of ``v`` at indent ``level``, its first line unindented."""
+    def _write(self, v, level: int, out: list[str]):
+        """Lay out ``v`` at indent ``level``, its first line unindented."""
         inner = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level
         if isinstance(v, dict):
@@ -188,38 +284,33 @@ class _Writer:
                 return
             sep = "{" + inner
             for k in sorted(v):
-                out.append(f"{sep}{encode_basestring(k)}: ")
-                self.write(v[k], level + 1, out)
+                x = v[k]
+                if type(x) in _SCALAR_TYPES:
+                    out.append(f"{sep}{encode_basestring(k)}: {_scalars(x, level + 1)}")
+                else:
+                    out.append(f"{sep}{encode_basestring(k)}: ")
+                    self._write(x, level + 1, out)
                 sep = "," + inner
             out.append(close + "}")
         elif not isinstance(v, (list, tuple)):
-            out.append(self._scalars(v, level))
+            out.append(_scalars(v, level))
         elif not v:
             out.append("[]")
         elif type(v[0]) is tuple:
-            enc, end = self._encoder(level + 2), inner + "]"
-            sep = "[" + inner
-            for rec in v:
-                scalars = "".join(enc(rec[1:], 0))[1:-1]
-                out.append(f"{sep}{self._head(rec[0], level + 1)}{scalars}{end}")
-                sep = "," + inner
-            out.append(close + "]")
-        elif any(isinstance(x, (dict, list, tuple)) for x in v):
+            self._table(v, level, out)
+        elif set(map(type, v)) <= _SCALAR_TYPES:
+            out.append(f"[{inner}{_scalars(v, level + 1)[1:-1]}{close}]")
+        else:
             sep = "[" + inner
             for x in v:
                 out.append(sep)
-                self.write(x, level + 1, out)
+                self._write(x, level + 1, out)
                 sep = "," + inner
             out.append(close + "]")
-        else:
-            out.append(f"[{inner}{self._scalars(v, level + 1)[1:-1]}{close}]")
 
 
 def serialize(obj, kind: str | None = None) -> str:
-    out: list[str] = []
-    _Writer().write(to_document(obj, kind), 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _Writer().render(to_document(obj, kind))
 
 
 def _colors():
@@ -274,6 +365,14 @@ def _not_strings(table: str) -> ParseError:
     return ParseError(f"cells named in {table} records must be strings")
 
 
+def _array(value, field: str) -> list:
+    """A field that must be a JSON array: iterating a string or an object
+    would read its characters or its keys as entries."""
+    if not isinstance(value, list):
+        raise ParseError(f"{field} must be an array")
+    return value
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise ParseError(f"document missing required field {key!r}")
@@ -307,7 +406,7 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
             _int(_require(doc, "universe_bound"), "universe_bound"),
             _int(_require(doc, "dim_bound"), "dim_bound"),
         )
-        for entry in _require(doc, "cells"):
+        for entry in _array(_require(doc, "cells"), "cells"):
             color_raw, ids = entry
             c = color(color_raw)
             if c in ms.cells:
@@ -319,12 +418,12 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
                     f"color {list(c)} outside universe_bound {ms.universe_bound}"
                     f" and dim_bound {ms.dim_bound}"
                 )
-            ms.cells[c] = list(ids)
+            ms.cells[c] = list(_array(ids, f"cell ids at color {list(c)}"))
             if not set(map(type, ms.cells[c])) <= {str}:
                 raise ParseError(f"cell ids at color {list(c)} must be strings")
             if len(set(ms.cells[c])) != len(ms.cells[c]):
                 raise ParseError(f"cell id repeated at color {list(c)}")
-        faces = _require(doc, "faces")
+        faces = _array(_require(doc, "faces"), "faces")
         for color_raw, d, x, s, t in faces:
             if (type(x) is not str or (type(s) is not str and s is not None)
                     or (type(t) is not str and t is not None)):
@@ -346,7 +445,7 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
 def _parse_refl(doc: dict, base: MultipleSet, color) -> ReflexiveStructure:
     refl = ReflexiveStructure(base=base)
     try:
-        records = doc.get("refl", [])
+        records = _array(doc.get("refl", []), "refl")
         for color_raw, l, x, dx in records:
             if not type(x) is type(dx) is str:
                 raise _not_strings("refl")
@@ -364,7 +463,7 @@ def _parse_magma(doc: dict, color) -> MagmaStructure:
     if "refl" in doc:
         m.refl = _parse_refl(doc, base, color)
     try:
-        records = doc.get("comp", [])
+        records = _array(doc.get("comp", []), "comp")
         for color_raw, d, a, b, r in records:
             if not type(a) is type(b) is type(r) is str:
                 raise _not_strings("comp")
@@ -395,12 +494,15 @@ def from_document(doc: dict):
         base = _parse_ms(doc, color)
         try:
             chains = []
-            for color_raw, entries, levels in doc.get("chains", []):
-                maps = [dict(level) for level in levels]
+            for color_raw, entries, levels in _array(doc.get("chains", []), "chains"):
+                maps = [
+                    dict(_array(pair, "chain map pair") for pair in _array(level, "chain map"))
+                    for level in _array(levels, "chain maps")
+                ]
                 if any(not type(x) is type(y) is str for lv in maps for x, y in lv.items()):
                     raise _not_strings("chains")
-                chains.append(make_chain(
-                    color(color_raw), [_int(e, "chain entry") for e in entries], maps))
+                entries = [_int(e, "chain entry") for e in _array(entries, "chain entries")]
+                chains.append(make_chain(color(color_raw), entries, maps))
             rev_kind = _require(doc, "reversor_kind")
             if type(rev_kind) is not str or rev_kind not in REVERSOR_KINDS:
                 raise ParseError(f"unknown reversor_kind {rev_kind!r}")
@@ -414,14 +516,14 @@ def from_document(doc: dict):
         magma = _parse_magma(_require(doc, "magma"), color)
         cat = _parse_magma(_require(doc, "cat"), color)
         pi: dict = {}
-        records = _require(doc, "pi")
+        records = _array(_require(doc, "pi"), "pi")
         for color_raw, x, px in records:
             if not type(x) is type(px) is str:
                 raise _not_strings("pi")
             pi.setdefault(color(color_raw), {})[x] = px
         _reject_repeats("pi", records, sum(map(len, pi.values())), 2)
         brackets: dict = {}
-        records = doc.get("brackets", [])
+        records = _array(doc.get("brackets", []), "brackets")
         for color_raw, r, a, b, cell in records:
             if not type(a) is type(b) is type(cell) is str:
                 raise _not_strings("brackets")
@@ -431,7 +533,7 @@ def from_document(doc: dict):
         stage_of = None
         if "stage_of" in doc:
             stage_of = {}
-            for color_raw, x, s in doc["stage_of"]:
+            for color_raw, x, s in _array(doc["stage_of"], "stage_of"):
                 if type(x) is not str:
                     raise _not_strings("stage_of")
                 stage_of[(color(color_raw), x)] = _int(s, "stage_of value", 0)

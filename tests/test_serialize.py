@@ -193,6 +193,39 @@ def test_parse_rejects_repeated_record(name, table):
     assert str(info.value) == f"repeated {table} record for {REPEATED_KEYS[table]}"
 
 
+@pytest.mark.parametrize("name, path, value, field", [
+    # a cell-id list written as a string used to parse as its characters,
+    # and one written as an object as its keys
+    ("square.mset", ("cells", 0, 1), "pq", "cell ids at color []"),
+    ("square.mset", ("cells", 1, 1), {"p": 1, "q": 2}, "cell ids at color [1]"),
+    # an empty object or string used to parse as an empty table
+    ("square.mset", ("cells",), {}, "cells"),
+    ("square.mset", ("faces",), {}, "faces"),
+    ("point-free-reflexive.mset", ("refl",), "", "refl"),
+    ("pair-groupoid.mset", ("comp",), {}, "comp"),
+    ("parallel-edges-free-weak.mset", ("magma", "faces"), "", "faces"),
+    ("parallel-edges-free-weak.mset", ("pi",), {}, "pi"),
+    ("parallel-edges-free-weak.mset", ("brackets",), "", "brackets"),
+    ("parallel-edges-free-weak.mset", ("stage_of",), {}, "stage_of"),
+    ("pair-groupoid-reversors.mset", ("chains",), {}, "chains"),
+    ("pair-groupoid-reversors.mset", ("chains", 0, 1), "", "chain entries"),
+    ("pair-groupoid-reversors.mset", ("chains", 0, 2), {}, "chain maps"),
+    # a map pair written as a string used to map its first character to its second
+    ("pair-groupoid-reversors.mset", ("chains", 0, 2, 0, 0), "pq", "chain map pair"),
+])
+def test_parse_rejects_non_array_containers(name, path, value, field):
+    with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    *outer, last = path
+    container = doc
+    for key in outer:
+        container = container[key]
+    container[last] = value
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == f"{field} must be an array"
+
+
 @pytest.mark.parametrize("build", [
     lambda: mc.MultipleSet(0, 0),
     lambda: fx.point(),
@@ -202,10 +235,49 @@ def test_parse_rejects_repeated_record(name, table):
     lambda: mc.free_weak(fx.parallel_edges(), stages=2).stretching,
     lambda: mc.free_weak(fx.point(1, 1), m=0, stages=2).stretching,
     lambda: mc.free_weak(fx.point(1, 1), m=0, stages=2).stretching.cat_reversors,
+    # long runs whose names recur across faces, comp, pi and stage_of
+    lambda: mc.free_weak(fx.path2(), stages=3).stretching,
+    lambda: mc.free_weak(fx.square(), stages=2).stretching,
+    lambda: mc.free_weak(fx.parallel_edges(), stages=3).stretching,
+    # 3,102 face records: longer than one batch of the writer
+    lambda: mc.free_weak(fx.square(), stages=3).stretching,
 ], ids=["empty", "point", "free-reflexive", "free-strict", "free-weak-path2",
-        "free-weak-parallel-edges", "free-weak-point-m0", "reversors-of-free-weak"])
+        "free-weak-parallel-edges", "free-weak-point-m0", "reversors-of-free-weak",
+        "free-weak-path2-stages3", "free-weak-square-stages2", "free-weak-parallel-edges-stages3",
+        "free-weak-square-stages3"])
 def test_writer_matches_json_dumps_on_built_structures(build):
     obj = build()
+    assert serialize(obj) == json_dumps(obj)
+
+
+def _equal_scalars():
+    """Hand-built structures whose tables hold 1, True, 1.0, None and "1":
+    True == 1 == 1.0 hash alike, so a memo keyed by value alone would render
+    one of them as another.  Each faces table is longer than one batch of
+    the writer, where the writer reads its memo."""
+    values = [1, True, 1.0, None, "1"]
+    cells = [f"e{i}" for i in range(1100)]
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = ["p"]
+    ms.cells[(1,)] = cells
+    # one column holds every value, and the next column holds them shifted
+    for tab, shift in ((ms.src, 0), (ms.tgt, 2)):
+        tab[((1,), 1)] = {x: values[(i + shift) % len(values)] for i, x in enumerate(cells)}
+    refl = mc.ReflexiveStructure(base=ms, refl={((), 1): {"p": 1}})
+    # across tables: refl holds 1, comp holds True and 1.0
+    comp = {((1,), 1): {("e0", "e1"): True, ("e1", "e0"): 1.0}}
+    m = mc.MagmaStructure(base=ms, refl=refl, comp=comp)
+    # only 1, "1" and None: equal only to themselves, so the memo takes them
+    plain = mc.MultipleSet(1, 1)
+    plain.cells[()] = ["p"]
+    plain.cells[(1,)] = cells
+    plain.src[((1,), 1)] = {x: [1, "1", None][i % 3] for i, x in enumerate(cells)}
+    plain.tgt[((1,), 1)] = {x: ["1", "p", 1][i % 3] for i, x in enumerate(cells)}
+    return [ms, refl, m, plain]
+
+
+@pytest.mark.parametrize("obj", _equal_scalars(), ids=["faces", "refl", "magma", "plain"])
+def test_writer_keeps_equal_scalars_of_different_types_apart(obj):
     assert serialize(obj) == json_dumps(obj)
 
 
