@@ -11,10 +11,11 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 
 from .core import SOURCE, TARGET, MultipleSet, validate_multiple_set
 from .errors import MulticatError, ParseError
-from .magma import MagmaStructure, composable_pairs, validate_magma, validate_reflexive_magma
+from .magma import MagmaStructure, validate_magma, validate_reflexive_magma
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
 from .reversors import ReversorStructure, validate_reversors
 from .serialize import dump, from_document, loads, to_document
@@ -127,11 +128,12 @@ def cmd_stats(args) -> int:
     }
     for c in base.colors():
         for d in c:
-            # composable_pairs reads both faces of every cell at c
+            # (a, b) composes when s_d(a) == t_d(b); counted where every cell has both faces
             stab, ttab = base.table(SOURCE, c, d), base.table(TARGET, c, d)
-            if all(x in stab and x in ttab for x in base.cells_at(c)):
-                pairs = composable_pairs(base, c, d)
-                stats["composable_pairs"][f"{list(c)}/{d}"] = len(pairs)
+            xs = base.cells_at(c)
+            if all(x in stab and x in ttab for x in xs):
+                targets = Counter(map(ttab.__getitem__, xs))
+                stats["composable_pairs"][f"{list(c)}/{d}"] = sum(targets[stab[x]] for x in xs)
     if isinstance(obj, Stretching):
         for (c, r), tab in sorted(obj.brackets.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
             stats["brackets"][f"{list(c)}+{r}"] = len(tab)
@@ -194,6 +196,13 @@ def cmd_diff(args) -> int:
     return 0 if not diffs else 1
 
 
+def _natural(text: str) -> int:
+    """An option value that must be an integer >= 0, as in the documents."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multicat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_free.add_argument("path")
     p_free.add_argument("--dim", type=int, default=None, help="dimension bound N")
     p_free.add_argument("--size", type=int, default=10, help="term size bound")
-    p_free.add_argument("--stages", type=int, default=1)
-    p_free.add_argument("--m", type=int, default=None, help="reversibility cutoff")
+    p_free.add_argument("--stages", type=_natural, default=1)
+    p_free.add_argument("--m", type=_natural, default=None, help="reversibility cutoff")
     p_free.add_argument("--budget", type=int, default=None)
     p_free.add_argument("--out", default=None, help="write the result document here")
     p_free.set_defaults(func=cmd_free)

@@ -1,17 +1,19 @@
 """Reflexive structures (degeneracies) and the free reflexive multiple set.
 
 A reflexive structure adds, for every cell and every insertable direction,
-a degenerate cell one dimension up.  The free construction represents the
-degenerate cells as (generator, added-entry-set) pairs: keeping the added
-entries as a set builds the degeneracy-exchange law into the representation,
-so equality is structural.
+a degenerate cell one dimension up.  The free construction interns the
+generators and their degeneracies in a term graph, ``ReflexiveTerms``, which
+the weak completion extends.  Stacked degeneracies are kept in one entry
+order, so the degeneracy-exchange law holds structurally and each cell has
+one term.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
-from .colors import Color, add, addable_entries, colors_within, k_colors, minus
+from .colors import Color, add, addable_entries, colors_within, minus
 from .core import (
     _MISSING,
     SOURCE,
@@ -20,12 +22,11 @@ from .core import (
     MsMorphism,
     MultipleSet,
     cell_sets,
-    face,
     validate_multiple_set,
 )
 from .errors import BoundMismatch, InvalidBase
 from .report import ValidationReport
-from .terms import Budget, as_budget
+from .terms import Budget, TermGraph, as_budget
 
 PHASE = "free reflexive"
 
@@ -120,10 +121,77 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                 report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
 
 
-def _free_cell_id(x: CellId, added: frozenset[int]) -> CellId:
-    if not added:
-        return x
-    return "1[" + ",".join(str(l) for l in sorted(added)) + "]" + x
+class _Sealed(Exception):
+    """A sealed term graph was asked for a term it never built."""
+
+
+class ReflexiveTerms(TermGraph):
+    """The generators, interned when the graph is made, and their degeneracies
+    below ``dim_bound``.  ``refl`` keeps stacked degeneracies in increasing
+    entry order from the inside out, so the exchange law holds structurally
+    and each cell has one term, named ``1[l,...,k]x`` after its generator x
+    and its added entries.  Names are rendered in batches, by ``cells_by_color``."""
+
+    def __init__(self, generators: MultipleSet, dim_bound: int, budget: Budget, phase: str):
+        super().__init__(generators, budget, phase)
+        self.dim_bound = dim_bound
+        self.name: list[CellId] = []
+        self.sealed = False
+        for c in generators.colors():
+            for x in generators.cells_at(c):
+                self.gen(c, x)
+
+    def refl(self, l: int, t: int) -> int:
+        node = self.nodes[t]
+        if node[0] == "refl" and node[1] > l:
+            return super().refl(node[1], self.refl(l, node[2]))
+        return super().refl(l, t)
+
+    def _name(self, node: tuple) -> CellId:
+        if node[0] == "gen":
+            return node[2]
+        inner = self.name[node[2]]
+        if self.nodes[node[2]][0] == "refl":  # the largest entry ends the prefix
+            return inner.replace("]", f",{node[1]}]", 1)
+        return f"1[{node[1]}]{inner}"
+
+    def addable(self, c: Color) -> list[int]:
+        """The entries a cell at ``c`` takes degeneracies in, below ``dim_bound``."""
+        return addable_entries(c, self.generators.universe_bound) if len(c) < self.dim_bound else []
+
+    def cells_by_color(self) -> dict[Color, list[int]]:
+        """Each color's node ids, once the nodes made since the last call are named."""
+        name, render = self.name, self._name
+        for node in self.nodes[len(name):]:
+            name.append(render(node))
+        out: dict[Color, list[int]] = {}
+        for t, c in enumerate(self.color):
+            out.setdefault(c, []).append(t)
+        return out
+
+    def tabulate(self) -> tuple[ReflexiveStructure, dict[Color, list[int]]]:
+        """The cells, faces and built degeneracies, and each color's node ids.
+        The graph is sealed first: a subclass that stops short of the closure
+        (the weak completion) then raises ``_Sealed`` for a new term, so a
+        degeneracy that would need one is left out of its table."""
+        self.sealed = True
+        groups = self.cells_by_color()
+        name, faces, refl = self.name, self.faces, self.refl
+        base = MultipleSet(self.generators.universe_bound, self.dim_bound)
+        out = ReflexiveStructure(base=base)
+        for c, ids in groups.items():
+            base.cells[c] = sorted(name[t] for t in ids)
+            for d in c:
+                base.src[(c, d)] = {name[t]: name[faces[(t, d, SOURCE)]] for t in ids}
+                base.tgt[(c, d)] = {name[t]: name[faces[(t, d, TARGET)]] for t in ids}
+            for l in self.addable(c):
+                tab = {}
+                for t in ids:
+                    with suppress(_Sealed):
+                        tab[name[t]] = name[refl(l, t)]
+                if tab:
+                    out.refl[(c, l)] = tab
+        return out, groups
 
 
 @dataclass
@@ -147,57 +215,32 @@ def free_reflexive(
 ) -> FreeReflexive:
     """Left adjoint to forgetting degeneracies, truncated at ``dim_bound``.
 
-    Cells at color c are pairs (generator x at a subcolor c0, added set
-    c \\ c0); faces follow the reflexivity axioms, with the section law for
-    faces in added directions.  Each cell spends one unit of ``budget`` (an
-    int, a ``Budget`` shared with other phases, or ``None`` for
-    ``MULTICAT_BUDGET``), paid before its color's cells are built.
+    The cells are the generators and their stacked degeneracies, interned in
+    ``ReflexiveTerms``: a cell at color c is a generator x at a subcolor c0
+    with the entries c \\ c0 added.  Each cell spends one unit of ``budget``
+    (an int, a ``Budget`` shared with other phases, or ``None`` for
+    ``MULTICAT_BUDGET``) when it is interned.
     """
     if dim_bound < ms.dim_bound:
         raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("base multiple set does not validate")
 
-    budget = as_budget(budget)
-    D = ms.universe_bound
-    base = MultipleSet(D, dim_bound)
-    out = FreeReflexive(base=base, generators=ms)
-
-    for c in colors_within(D, dim_bound):
-        ids = []
-        subcolors = sorted({sub for n in range(len(c) + 1) for sub in k_colors(c, n)})
-        budget.spend(sum(len(ms.cells_at(c0)) for c0 in subcolors), PHASE)
-        for c0 in subcolors:
-            added = frozenset(set(c) - set(c0))
-            for x in ms.cells_at(c0):
-                cid = _free_cell_id(x, added)
-                ids.append(cid)
-                out.origin[(c, cid)] = (c0, x, added)
-                out.cell_of[(c0, x, added)] = (c, cid)
-        if ids:
-            base.cells[c] = sorted(ids)
-
-    def face_of(c: Color, cid: CellId, d: int, pol: str) -> CellId:
-        c0, x, added = out.origin[(c, cid)]
-        if d in added:
-            return _free_cell_id(x, added - {d})
-        return _free_cell_id(face(ms, c0, x, d, pol), added)
-
-    for c in base.colors():
-        for d in c:
-            base.src[(c, d)] = {x: face_of(c, x, d, SOURCE) for x in base.cells_at(c)}
-            base.tgt[(c, d)] = {x: face_of(c, x, d, TARGET) for x in base.cells_at(c)}
-
-    for c, l in admissible_refl_keys(base):
-        tab = {}
-        for cid in base.cells_at(c):
-            c0, x, added = out.origin[(c, cid)]
-            tab[cid] = _free_cell_id(x, added | {l})
-        out.refl[(c, l)] = tab
-
-    out.unit = MsMorphism(
-        ms, base, {c: {x: x for x in ms.cells_at(c)} for c in ms.colors()}
-    )
+    g = ReflexiveTerms(ms, dim_bound, as_budget(budget), PHASE)
+    # the list grows as degeneracies are made, and each new one is closed too
+    for t, c in enumerate(g.color):
+        for l in g.addable(c):
+            g.refl(l, t)
+    refl, _ = g.tabulate()
+    out = FreeReflexive(base=refl.base, refl=refl.refl, generators=ms)
+    for t, c in enumerate(g.color):
+        added, node = set(), g.nodes[t]
+        while node[0] == "refl":
+            added.add(node[1])
+            node = g.nodes[node[2]]
+        out.origin[(c, g.name[t])] = key = (node[1], node[2], frozenset(added))
+        out.cell_of[key] = (c, g.name[t])
+    out.unit = MsMorphism(ms, refl.base, {c: {x: x for x in ms.cells_at(c)} for c in ms.colors()})
     return out
 
 

@@ -32,11 +32,11 @@ from .core import (
 )
 from .errors import BoundsTooSmall
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
-from .reflexive import ReflexiveStructure, admissible_refl_keys
+from .reflexive import ReflexiveTerms, _Sealed, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import ReversorStructure, _structures
 from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
-from .terms import Budget, TermGraph, as_budget
+from .terms import Budget, as_budget
 
 
 @dataclass
@@ -280,47 +280,38 @@ def validate_stretching_morphism(
 # -- free weak completion ----------------------------------------------------
 
 
-class _Sealed(Exception):
-    """A sealed completion was asked for a cell it never built."""
-
-
-class _Completion(TermGraph):
+class _Completion(ReflexiveTerms):
     """The free magma M of the weak completion, as canonical interned terms.
 
-    Every node is a cell of M.  Beyond the shared generator, degeneracy and
-    composite nodes there are brackets ("br", r, a, b), one dimension up in
-    entry r with faces a and b there, and formal reversor cells
-    ("rev", e, t), whose e-faces swap t's.  ``refl`` pushes a degeneracy
-    through composites and keeps stacked degeneracies in increasing entry
-    order from the inside out, so the exchange and distribution laws hold
-    structurally and each cell has one term.  Each cell's name, projection
-    and stage are worked out once, when it is made.
+    Every node is a cell of M.  Beyond the generators and their stacked
+    degeneracies (``ReflexiveTerms``) there are composite nodes, brackets
+    ("br", r, a, b), one dimension up in entry r with faces a and b there,
+    and formal reversor cells ("rev", e, t), whose e-faces swap t's.
+    ``refl`` also pushes a degeneracy through composites, so the
+    distribution laws hold structurally too.  Each cell's projection and
+    stage are worked out once, when it is made.
     """
 
     def __init__(self, X: MultipleSet, cat: StrictCategory, umap, dim_bound, m,
                  cat_reversors: ReversorStructure | None, budget: Budget):
-        super().__init__(X, budget, "weak completion")
         self.cat = cat
         self.umap = umap  # (color, gen) -> strict class cell
-        self.N = dim_bound
-        self.D = X.universe_bound
         self.m = m
         # (color, entry) -> swap map in C
         self.rev_cat = {} if cat_reversors is None else _swap_tables(cat_reversors)
-        self.name: list[CellId] = []
         self.pi: list[CellId] = []
         self.stage_of: list[int] = []
         self.stage = 0
-        self.sealed = False
+        super().__init__(X, dim_bound, budget, "weak completion")
 
     def _new(self, node: tuple, color: Color, size: int) -> int:
         if self.sealed:
             raise _Sealed
-        if len(color) > self.N:
-            raise BoundsTooSmall(f"term at color {list(color)} exceeds dim bound {self.N}")
-        name, px = self._name(node), self._project(node)
+        if len(color) > self.dim_bound:
+            raise BoundsTooSmall(
+                f"term at color {list(color)} exceeds dim bound {self.dim_bound}")
+        px = self._project(node)
         nid = super()._new(node, color, size)
-        self.name.append(name)
         self.pi.append(px)
         self.stage_of.append(self.stage)
         return nid
@@ -329,8 +320,6 @@ class _Completion(TermGraph):
         node = self.nodes[t]
         if node[0] == "comp":
             return self.comp(node[1], self.refl(l, node[2]), self.refl(l, node[3]))
-        if node[0] == "refl" and node[1] > l:
-            return super().refl(node[1], self.refl(l, node[2]))
         return super().refl(l, t)
 
     def br(self, r: int, a: int, b: int) -> int:
@@ -347,30 +336,15 @@ class _Completion(TermGraph):
                              self.faces[(t, e, TARGET)], self.faces[(t, e, SOURCE)], self.rev)
         return nid
 
-    def built_refl(self, l: int, t: int) -> int | None:
-        """The degeneracy of ``t`` in entry ``l`` if it was built; call once sealed."""
-        try:
-            return self.refl(l, t)
-        except _Sealed:
-            return None
-
     def _name(self, node: tuple) -> CellId:
         kind, name = node[0], self.name
-        if kind == "gen":
-            return node[2]
         if kind == "comp":
             return f"({name[node[2]]} *{node[1]} {name[node[3]]})"
         if kind == "br":
             return f"[{name[node[2]]};{name[node[3]]}]^{node[1]}"
         if kind == "rev":
             return f"j{node[1]}({name[node[2]]})"
-        # stacked degeneracies render as one prefix over the innermost cell
-        added = []
-        while node[0] == "refl":
-            added.append(node[1])
-            inner = node[2]
-            node = self.nodes[inner]
-        return "1[" + ",".join(str(l) for l in reversed(added)) + "]" + name[inner]
+        return super()._name(node)
 
     def _project(self, node: tuple) -> CellId:
         kind, pi, color = node[0], self.pi, self.color
@@ -398,12 +372,6 @@ class _Completion(TermGraph):
             raise BoundsTooSmall(f"strict layer lacks degeneracy added={node[1]}")
         return got
 
-    def cells_by_color(self) -> dict[Color, list[int]]:
-        out: dict[Color, list[int]] = {}
-        for t, c in enumerate(self.color):
-            out.setdefault(c, []).append(t)
-        return out
-
     def run_stage(self, stage: int) -> dict:
         self.stage = stage
         prev = self.cells_by_color()
@@ -417,11 +385,11 @@ class _Completion(TermGraph):
 
         for c in sorted(prev, key=lambda c: (len(c), c)):
             items = sorted(prev[c], key=self.name.__getitem__)
+            entries = self.addable(c)
             # degeneracies
-            if len(c) + 1 <= self.N:
-                for l in addable_entries(c, self.D):
-                    for t in items:
-                        adjoin("degeneracies", self.refl, l, t)
+            for l in entries:
+                for t in items:
+                    adjoin("degeneracies", self.refl, l, t)
             # composites, pairing each cell with those whose d-target is its d-source
             for d in c:
                 by_target: dict[int, list[int]] = {}
@@ -436,14 +404,14 @@ class _Completion(TermGraph):
                     for t in items:
                         adjoin("reversors", self.rev, e, t)
             # brackets over projection-equal pairs
-            if len(c) + 1 <= self.N:
+            if entries:
                 by_image: dict[CellId, list[int]] = {}
                 for t in items:
                     by_image.setdefault(self.pi[t], []).append(t)
                 for group in by_image.values():
                     for a in group:
                         for b in group:
-                            for r in addable_entries(c, self.D):
+                            for r in entries:
                                 adjoin("brackets", self.br, r, a, b)
         return counts
 
@@ -467,8 +435,12 @@ def free_weak(
 
     ``free_strict`` validates ``X`` and raises InvalidBase when it fails.
     The strict closure, the reversor search and the completion spend one
-    shared ``budget``; the completion spends one unit per cell.
+    shared ``budget``; the completion spends one unit per cell.  A negative
+    ``m`` or ``stages`` is a ValueError.
     """
+    for arg, value in (("m", m), ("stages", stages)):
+        if value is not None and value < 0:
+            raise ValueError(f"{arg} must be an integer >= 0, got {value}")
     budget = as_budget(budget)
     N = dim_bound if dim_bound is not None else X.dim_bound
     pres = free_strict(X, N, size_bound, budget=budget)
@@ -484,30 +456,12 @@ def free_weak(
             raise BoundsTooSmall("strict layer admits no reversor structure")
 
     g = _Completion(X, cat, umap, N, m, cat_reversors, budget)
-    for c in X.colors():
-        for x in X.cells_at(c):
-            g.gen(c, x)
     log = [g.run_stage(k) for k in range(1, stages + 1)]
-    g.sealed = True
-
-    name, faces = g.name, g.faces
-    base_M = MultipleSet(X.universe_bound, N)
-    refl = ReflexiveStructure(base=base_M)
-    pi: dict[Color, dict[CellId, CellId]] = {}
-    stage_of: dict[tuple[Color, CellId], int] = {}
-    for c, ids in g.cells_by_color().items():
-        base_M.cells[c] = sorted(name[t] for t in ids)
-        pi[c] = {name[t]: g.pi[t] for t in ids}
-        stage_of.update(((c, name[t]), g.stage_of[t]) for t in ids)
-        for d in c:
-            base_M.src[(c, d)] = {name[t]: name[faces[(t, d, SOURCE)]] for t in ids}
-            base_M.tgt[(c, d)] = {name[t]: name[faces[(t, d, TARGET)]] for t in ids}
-        for l in addable_entries(c, X.universe_bound) if len(c) < N else ():
-            images = {name[t]: g.built_refl(l, t) for t in ids}
-            tab = {x: name[u] for x, u in images.items() if u is not None}
-            if tab:
-                refl.refl[(c, l)] = tab
-    magma = MagmaStructure(base=base_M, refl=refl)
+    refl, groups = g.tabulate()
+    name = g.name
+    pi = {c: {name[t]: g.pi[t] for t in ids} for c, ids in groups.items()}
+    stage_of = {(c, name[t]): g.stage_of[t] for c, ids in groups.items() for t in ids}
+    magma = MagmaStructure(base=refl.base, refl=refl)
     brackets: dict[tuple[Color, int], dict] = {}
     m_rev_tables: dict[tuple[Color, int], dict] = {}
     for t, (kind, entry, *ops) in enumerate(g.nodes):
@@ -517,19 +471,10 @@ def free_weak(
             brackets.setdefault((g.color[ops[0]], entry), {})[(name[ops[0]], name[ops[1]])] = name[t]
         elif kind == "rev":
             m_rev_tables.setdefault((g.color[t], entry), {})[name[ops[0]]] = name[t]
-    e = Stretching(
-        magma=magma,
-        cat=cat,
-        pi=pi,
-        brackets=brackets,
-        m=m,
-        cat_reversors=cat_reversors,
-        m_rev_tables=m_rev_tables or None,
-        stage_of=stage_of,
-        stage=stages,
-        stage_log=log,
-    )
-    unit = MsMorphism(X, base_M, {c: {x: x for x in X.cells_at(c)} for c in X.colors()})
+    e = Stretching(magma=magma, cat=cat, pi=pi, brackets=brackets, m=m,
+                   cat_reversors=cat_reversors, m_rev_tables=m_rev_tables or None,
+                   stage_of=stage_of, stage=stages, stage_log=log)
+    unit = MsMorphism(X, refl.base, {c: {x: x for x in X.cells_at(c)} for c in X.colors()})
     return FreeWeakResult(stretching=e, unit=unit, stage_log=log)
 
 

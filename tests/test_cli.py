@@ -1,9 +1,11 @@
 import argparse
 import json
 import os
+import tracemalloc
 
 import pytest
 
+import multicat as mc
 from multicat import fixtures as fx
 from multicat.cli import _parser, build_parser, main
 from multicat.reversors import search_reversors
@@ -177,6 +179,40 @@ def test_stats_skips_pairs_where_a_face_is_missing(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["composable_pairs"] == {"[2]/2": 0, "[1, 2]/1": 0, "[1, 2]/2": 0}
     assert payload["cells"]["[1]"] == 2
+
+
+def test_stats_counts_pairs_without_listing_them(tmp_path, capsys):
+    # 2,000 loops on one vertex: 4,000,000 composable pairs, whose list alone
+    # would take about 250 MB
+    loops = [f"a{i}" for i in range(2000)]
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = ["v"]
+    ms.cells[(1,)] = loops
+    ms.src[((1,), 1)] = dict.fromkeys(loops, "v")
+    ms.tgt[((1,), 1)] = dict.fromkeys(loops, "v")
+    p = tmp_path / "loops.mset"
+    p.write_text(serialize(ms))
+    tracemalloc.start()
+    try:
+        assert main(["stats", str(p)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "pairs [1]/1 count=4000000" in capsys.readouterr().out.splitlines()
+    assert peak < 20_000_000
+
+
+@pytest.mark.parametrize("flag", ["--m", "--stages"])
+def test_free_weak_rejects_negative_flags(flag, tmp_path, capsys):
+    out_path = tmp_path / "out.mset"
+    with pytest.raises(SystemExit) as exc:
+        main(["free", "weak", fpath("point.mset"), flag, "-1", "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out_path.exists()
+    # zero is a valid value, and its document validates
+    assert main(["free", "weak", fpath("point.mset"), flag, "0", "--out", str(out_path)]) == 0
+    assert main(["validate", str(out_path)]) == 0
 
 
 @pytest.mark.parametrize("field, value", [("stage_log", "abc"), ("stage_log", [1]), ("m", "x")])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat.cli import main
 from multicat.serialize import from_document, parse, serialize, to_document
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -76,7 +77,7 @@ def test_parse_rejects_missing_fields():
         parse('{"format_version": 99, "kind": "multiple-set"}')
 
 
-def test_parse_rejects_malformed_body():
+def test_parse_rejects_malformed_body(tmp_path, capsys):
     doc = {
         "format_version": 1,
         "kind": "multiple-set",
@@ -87,6 +88,27 @@ def test_parse_rejects_malformed_body():
     }
     with pytest.raises(mc.ParseError):
         from_document(doc)
+    # in every table: a record that is not an array, one too short, one too long
+    for name, field in [
+        ("square.mset", "faces"), ("point-free-reflexive.mset", "refl"),
+        ("path2-free-strict.mset", "comp"), ("parallel-edges-free-weak.mset", "pi"),
+        ("parallel-edges-free-weak.mset", "brackets"),
+        ("parallel-edges-free-weak.mset", "stage_of"),
+        ("pair-groupoid-reversors.mset", "chains"),
+    ]:
+        with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
+            text = fh.read()
+        record = json.loads(text)[field][0]
+        for bad in (5, record[:-1], record + [record[-1]]):
+            doc = json.loads(text)
+            doc[field][0] = bad
+            with pytest.raises(mc.ParseError):
+                from_document(doc)
+    # the last case, a chain one item too long, through the CLI
+    p = tmp_path / "long-record.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "malformed reversor chains" in capsys.readouterr().err
 
 
 def test_parsed_structures_validate_like_originals():

@@ -77,6 +77,17 @@ def test_free_weak_with_cutoff_on_point():
         for x, jx in tab.items():
             assert M.src[(c, ev)][jx] == M.tgt[(c, ev)][x]
             assert M.tgt[(c, ev)][jx] == M.src[(c, ev)][x]
+    # a reversor entry whose image is no M-cell breaks the projection law there
+    e.m_rev_tables[((1,), 1)]["1[1]p"] = "not-a-cell"
+    assert mc.validate_stretching(e).violations == [
+        mc.Violation("PI", (1,), ("1[1]p",), "reversor entry=1")
+    ]
+
+
+@pytest.mark.parametrize("kwargs", [dict(m=-1), dict(stages=-1), dict(m=-2, stages=2)])
+def test_free_weak_rejects_negative_m_and_stages(kwargs):
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        mc.free_weak(fx.point(1, 1), **kwargs)
 
 
 def test_free_weak_cutoff_rejects_irreversible_input():
