@@ -10,6 +10,7 @@ one term.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -136,6 +137,8 @@ class ReflexiveTerms(TermGraph):
         super().__init__(generators, budget, phase)
         self.dim_bound = dim_bound
         self.name: list[CellId] = []
+        # color -> the names its cells have so far
+        self.taken: defaultdict[Color, set[CellId]] = defaultdict(set)
         self.sealed = False
         for c in generators.colors():
             for x in generators.cells_at(c):
@@ -160,10 +163,18 @@ class ReflexiveTerms(TermGraph):
         return addable_entries(c, self.generators.universe_bound) if len(c) < self.dim_bound else []
 
     def cells_by_color(self) -> dict[Color, list[int]]:
-        """Each color's node ids, once the nodes made since the last call are named."""
-        name, render = self.name, self._name
-        for node in self.nodes[len(name):]:
-            name.append(render(node))
+        """Each color's node ids, once the nodes made since the last call are
+        named.  A name that an earlier cell of its color has -- a generator
+        named like a built term, as the cells of a free reflexive structure
+        are when it generates the next one -- takes a prime until it is free."""
+        name, render, taken, color = self.name, self._name, self.taken, self.color
+        for t in range(len(name), len(self.nodes)):
+            x = render(self.nodes[t])
+            here = taken[color[t]]
+            while x in here:
+                x += "'"
+            here.add(x)
+            name.append(x)
         out: dict[Color, list[int]] = {}
         for t, c in enumerate(self.color):
             out.setdefault(c, []).append(t)
@@ -176,6 +187,7 @@ class ReflexiveTerms(TermGraph):
         degeneracy that would need one is left out of its table."""
         self.sealed = True
         groups = self.cells_by_color()
+        self.taken.clear()  # sealed: no cell is named after this
         name, faces, refl = self.name, self.faces, self.refl
         base = MultipleSet(self.generators.universe_bound, self.dim_bound)
         out = ReflexiveStructure(base=base)

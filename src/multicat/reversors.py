@@ -259,10 +259,12 @@ def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
     """The structures of ``search_reversors``, in its order, one at a time.
 
     Every candidate chain is built (and paid for) before the first
-    structure; each combination is paid for when it is reached.  A slot's
-    chains all carry its (color, key), so distinct combinations give
-    distinct structures, and ordering a combination's chains by slot sorts
-    them by (color, entries).
+    structure; each combination is paid for when it is reached, and each
+    structure is made by one positional constructor call.  A slot's chains
+    all carry its (color, key), so distinct combinations give distinct
+    structures, and ordering a combination's chains by slot sorts them by
+    (color, entries); when the slots already come in that order, a
+    combination's chains are listed as they come.
     """
     slots = required_slots(ms, m, kind)
     slot_options: list[list[Chain]] = []
@@ -276,6 +278,8 @@ def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
             return
         slot_options.append(options)
     order = sorted(range(len(slots)), key=slots.__getitem__)
+    in_order = order == list(range(len(slots)))
+    spend = b.spend
     for combo in itertools.product(*slot_options):
-        b.spend(1, PHASE)
-        yield ReversorStructure(base=ms, m=m, kind=kind, chains=[combo[i] for i in order])
+        spend(1, PHASE)
+        yield ReversorStructure(ms, m, kind, list(combo) if in_order else [combo[i] for i in order])

@@ -14,10 +14,16 @@ e-nodes -- a term node with class roots as children -- and the e-nodes that
 use it as a child.  Unions go on a worklist, and a rebuild re-keys only the
 users of merged classes (signature congruence) and unions the faces of
 merged classes (face congruence).  UNIT, ASSOC, MFI, DIST and EXCH match over canonical e-nodes
-and are not matched again until an e-node is added or two classes merge.
-``StrictPresentation.unions`` counts the successful unions of each rule.
-Materialization composes class representatives that fit the size bound and
-whose faces meet, found by sorting them by size and bucketing them by face.
+and are not matched again until an e-node is added or two classes merge.  A
+match returns only the instances whose two classes differ: classes only
+merge, so the others could never merge anything.
+``StrictPresentation.matched`` counts the instances of each rule a match
+returned, and ``StrictPresentation.unions`` the successful unions of each
+rule.  Materialization composes class representatives that fit the size
+bound and whose faces meet, found by sorting them by size and bucketing them
+by face.  Each round asks only for what no earlier round made: degeneracies
+of new representatives, and pairs with at least one operand that is new or
+whose face class in its role has changed since the last round.
 
 Nodes are made only while the classes are closed under congruence: the
 generators before any union, everything else after ``saturate``.  So a new
@@ -148,6 +154,11 @@ class StrictPresentation(TermGraph):
         self.names: dict[int, str] = {}
         # successful unions per rule; they sum to len(nodes) minus the classes
         self.unions: dict[str, int] = dict.fromkeys(RULES, 0)
+        # the instances of each axiom rule that ``_match`` returned
+        self.matched: dict[str, int] = dict.fromkeys(RULES[2:], 0)
+        # each representative of the last materialization round -> its face
+        # class roots then, (source, target) per direction of its color
+        self.rep_faces: dict[int, tuple[int, ...]] = {}
         # the rebuild worklist: classes absorbed, and the roots that took over
         # some absorbed class's uses and so must re-key them
         self.absorbed: list[int] = []
@@ -293,7 +304,9 @@ class StrictPresentation(TermGraph):
             self.enodes[root] = list(ens)
 
     def _match(self) -> list[tuple[str, int, int]]:
-        """Every rule instance over the canonical e-nodes, as unions to make."""
+        """Every rule instance over the canonical e-nodes whose two classes
+        differ, as unions to make.  Classes only merge, so an instance left
+        out would merge nothing later in the batch either."""
         find = self.uf.find
         get = self.hashcons.get
         enodes = self.enodes
@@ -304,12 +317,14 @@ class StrictPresentation(TermGraph):
                 if node[0] == "comp":
                     _, d, a, b = node
                     # UNIT: a * 1(s(a)) == a and 1(t(b)) * b == b
-                    unit = get(("refl", d, find(faces[(a, d, SOURCE)])))
-                    if unit is not None and find(unit) == b:
-                        out.append(("UNIT", root, a))
-                    unit = get(("refl", d, find(faces[(b, d, TARGET)])))
-                    if unit is not None and find(unit) == a:
-                        out.append(("UNIT", root, b))
+                    if a != root:
+                        unit = get(("refl", d, find(faces[(a, d, SOURCE)])))
+                        if unit is not None and find(unit) == b:
+                            out.append(("UNIT", root, a))
+                    if b != root:
+                        unit = get(("refl", d, find(faces[(b, d, TARGET)])))
+                        if unit is not None and find(unit) == a:
+                            out.append(("UNIT", root, b))
                     for left in enodes[a]:
                         if left[0] != "comp":
                             continue
@@ -319,7 +334,7 @@ class StrictPresentation(TermGraph):
                             if inner is None:
                                 continue
                             outer = get(("comp", d, left[2], find(inner)))
-                            if outer is not None:
+                            if outer is not None and find(outer) != root:
                                 out.append(("ASSOC", root, outer))
                             continue
                         # MFI: node = (x *_j y) *_d (p *_j q)
@@ -332,7 +347,7 @@ class StrictPresentation(TermGraph):
                             if xp is None or yq is None:
                                 continue
                             rhs = get(("comp", j, find(xp), find(yq)))
-                            if rhs is not None:
+                            if rhs is not None and find(rhs) != root:
                                 out.append(("MFI", root, rhs))
                 elif node[0] == "refl":
                     _, l, ch = node
@@ -344,7 +359,7 @@ class StrictPresentation(TermGraph):
                             if rx is None or ry is None:
                                 continue
                             other = get(("comp", inner[1], find(rx), find(ry)))
-                            if other is not None:
+                            if other is not None and find(other) != root:
                                 out.append(("DIST", root, other))
                         elif inner[0] == "refl":
                             # EXCH: 1_l(1_k(x)) ~ 1_k(1_l(x))
@@ -352,42 +367,68 @@ class StrictPresentation(TermGraph):
                             if lx is None:
                                 continue
                             other = get(("refl", inner[1], find(lx)))
-                            if other is not None:
+                            if other is not None and find(other) != root:
                                 out.append(("EXCH", root, other))
         return out
 
     def saturate(self):
         """Close the classes under the congruence the axioms generate."""
         self._rebuild()
+        matched = self.matched
         while not self.closed:
             self.closed = True
             for rule, a, b in self._match():
+                matched[rule] += 1
                 self.union(a, b, rule)
             self._rebuild()
 
     def _materialize_round(self) -> bool:
-        """Degeneracies and composites of representatives within the bounds."""
+        """Degeneracies and composites of representatives within the bounds.
+
+        What an earlier round made is not asked for again.  A representative
+        of the last round already has its degeneracies.  It is *old* as a
+        left operand in a direction when its source class there is the same
+        as then, and as a right operand when its target class is: a pair of
+        two old operands was composed then, so each old left operand walks
+        only the new right operands of its bucket.  The nodes made, and
+        their order, are those of composing every fitting pair."""
         before = len(self.nodes)
         by_color: dict[Color, list[int]] = {}
         for rep in self.representatives().values():
             by_color.setdefault(self.color[rep], []).append(rep)
 
+        then, now = self.rep_faces, {}
+        self.rep_faces = now
+        find, faces, size = self.uf.find, self.faces, self.size
         D = self.generators.universe_bound
         for c, rep_list in sorted(by_color.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            for rep in rep_list:
-                if len(c) + 1 <= self.dim_bound and self.size[rep] + 1 <= self.size_bound:
-                    for l in addable_entries(c, D):
-                        self.refl(l, rep)
+            if len(c) + 1 <= self.dim_bound:
+                entries = addable_entries(c, D)
+                for rep in rep_list:
+                    if rep not in then and size[rep] + 1 <= self.size_bound:
+                        for l in entries:
+                            self.refl(l, rep)
             # only pairs within the size bound whose faces meet are composed
-            ranked = sorted(rep_list, key=self.size.__getitem__)
-            for d in c:
+            ranked = sorted(rep_list, key=size.__getitem__)
+            for rep in ranked:
+                now[rep] = tuple([find(faces[(rep, d, pol)]) for d in c for pol in (SOURCE, TARGET)])
+            for i, d in enumerate(c):
+                s, t = 2 * i, 2 * i + 1
                 by_target: dict[int, list[int]] = {}
+                new_by_target: dict[int, list[int]] = {}
                 for b in ranked:
-                    by_target.setdefault(self.class_face(b, d, TARGET), []).append(b)
+                    key = now[b][t]
+                    by_target.setdefault(key, []).append(b)
+                    old = then.get(b)
+                    if old is None or old[t] != key:
+                        new_by_target.setdefault(key, []).append(b)
                 for a in ranked:
-                    room = self.size_bound - self.size[a] - 1
-                    for b in by_target.get(self.class_face(a, d, SOURCE), ()):
-                        if self.size[b] > room:
+                    key = now[a][s]
+                    old = then.get(a)
+                    bucket = by_target if old is None or old[s] != key else new_by_target
+                    room = self.size_bound - size[a] - 1
+                    for b in bucket.get(key, ()):
+                        if size[b] > room:
                             break
                         self.comp(d, a, b)
         return len(self.nodes) > before
@@ -460,7 +501,8 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     """Tabulate the classes as a strict category.
 
     Raises BoundsTooSmall when a composable class pair has no materialized
-    composite or a degeneracy was never built.
+    composite or a degeneracy was never built, and InvalidBase when two
+    classes of a color have one name.
     """
     reps = p.representatives()
     names = {root: p._render(rep) for root, rep in reps.items()}
@@ -470,9 +512,15 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
     for root, rep in reps.items():
         by_color.setdefault(p.color[rep], []).append(root)
     for c, roots in by_color.items():
-        base.cells[c] = sorted(names[r] for r in roots)
+        ids = sorted(names[r] for r in roots)
+        if len(set(ids)) < len(ids):
+            repeated = next(x for x, y in zip(ids, ids[1:]) if x == y)
+            raise InvalidBase(f"cell id {repeated!r} repeated at color {list(c)}:"
+                              " a generator is named like a composite or a degeneracy")
+        base.cells[c] = ids
 
-    root_of_name = {names[r]: r for r in reps}
+    # ids are unique only within a color
+    root_of_name = {c: {names[r]: r for r in roots} for c, roots in by_color.items()}
     for c, roots in by_color.items():
         for d in c:
             stab, ttab = {}, {}
@@ -485,9 +533,9 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
 
     refl = ReflexiveStructure(base=base)
     for c, l in admissible_refl_keys(base):
-        tab = {}
+        tab, root_of = {}, root_of_name[c]
         for name in base.cells_at(c):
-            got = p.hashcons.get(("refl", l, root_of_name[name]))
+            got = p.hashcons.get(("refl", l, root_of[name]))
             if got is None:
                 raise BoundsTooSmall(
                     f"degeneracy 1[{l}] of {name!r} at {list(c)} not materialized"
@@ -497,11 +545,12 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
 
     cat = MagmaStructure(base=base, refl=refl)
     for c in base.colors():
+        root_of = root_of_name[c]
         for d in c:
             tab = {}
             # walked lazily: the first missing composite ends the quotient
             for a, b in _pullback(base, c, d):
-                got = p.hashcons.get(("comp", d, root_of_name[a], root_of_name[b]))
+                got = p.hashcons.get(("comp", d, root_of[a], root_of[b]))
                 if got is None:
                     raise BoundsTooSmall(
                         f"composite of ({a!r}, {b!r}) in direction {d} at {list(c)}"

@@ -144,3 +144,20 @@ def test_free_reflexive_spends_one_budget_unit_per_cell():
     budget = Budget(4)
     fr = mc.free_reflexive(fx.point(2, 2), 2, budget=budget)
     assert budget.used == sum(len(ids) for ids in fr.base.cells.values()) == 4
+
+
+def test_free_reflexive_primes_a_degeneracy_named_like_a_generator():
+    # a generator may have the name of a degeneracy, as the cells of a free
+    # reflexive structure have when it generates the next one
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = ["p"]
+    ms.cells[(1,)] = ["1[1]p"]
+    ms.src[((1,), 1)] = {"1[1]p": "p"}
+    ms.tgt[((1,), 1)] = {"1[1]p": "p"}
+    free = mc.free_reflexive(ms, 1)
+    assert free.base.cells_at((1,)) == ["1[1]p", "1[1]p'"]
+    assert free.refl[((), 1)] == {"p": "1[1]p'"}
+    assert free.origin[((1,), "1[1]p'")] == ((), "p", frozenset({1}))
+    assert mc.validate_reflexive(free).ok
+    text = mc.serialize(free)
+    assert mc.serialize(mc.parse(text)) == text

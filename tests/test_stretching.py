@@ -289,3 +289,10 @@ def test_free_weak_takes_the_first_reversor_structure_lazily(monkeypatch):
     monkeypatch.setattr(stretching, "_structures", twice)
     mc.free_weak(fx.point(1, 1), m=0, stages=2)
     assert len(drawn) == 1
+
+
+def test_free_weak_rejects_a_generator_named_like_a_composite():
+    from test_strictcat import path2_with_named_composite
+
+    with pytest.raises(mc.InvalidBase, match=r"'\(x \*1 y\)' repeated at color \[1\]"):
+        mc.free_weak(path2_with_named_composite(), stages=1)

@@ -358,3 +358,88 @@ def test_every_materialization_round_keeps_the_egraph_closed(ms, dim, size):
             break
     assert rounds > 2
     assert p.unions == mc.free_strict(ms, dim, size).unions
+
+
+def _edge_between(a, b, edge):
+    """Vertices ``a`` and ``b`` and one edge ``edge``: a -> b."""
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = [a, b]
+    ms.cells[(1,)] = [edge]
+    ms.src[((1,), 1)] = {edge: a}
+    ms.tgt[((1,), 1)] = {edge: b}
+    return ms
+
+
+@pytest.mark.parametrize("edge", ["a", "e"])
+def test_quotient_keys_names_by_color(edge):
+    # ids are unique only within a color: an edge may share a vertex's id
+    ms = _edge_between("a", "b", edge)
+    for size in (5, 8):
+        cat = mc.quotient_to_category(mc.free_strict(ms, 1, size))
+        assert len(cat.base.cells_at((1,))) == 3
+        assert mc.validate_strict(cat).ok
+    assert mc.validate_stretching(mc.free_weak(ms, stages=1).stretching).ok
+
+
+def path2_with_named_composite():
+    """path2 and a third edge v0 -> v2 named like the composite of x and y."""
+    ms = fx.path2()
+    ms.cells[(1,)].append("(x *1 y)")
+    ms.src[((1,), 1)]["(x *1 y)"] = "v0"
+    ms.tgt[((1,), 1)]["(x *1 y)"] = "v2"
+    return ms
+
+
+def test_quotient_rejects_a_generator_named_like_a_composite():
+    p = mc.free_strict(path2_with_named_composite(), 1, 8)
+    with pytest.raises(mc.InvalidBase, match=r"'\(x \*1 y\)' repeated at color \[1\]"):
+        mc.quotient_to_category(p)
+
+
+def _glued(seed, d, sizes):
+    return mc.random_multiple_set(d, d, sizes=sizes, seed=seed, glue_prob=0.5)
+
+
+@pytest.mark.parametrize("ms, dim, size", [
+    (loops(2), 1, 11), (fx.grid2x2(), 2, 12),
+    (_glued(3, 1, 2), 1, 8), (_glued(4, 2, 1), 2, 6), (_glued(7, 2, 1), 2, 5),
+])
+def test_saturation_and_rounds_leave_no_work_undone(ms, dim, size):
+    # the matcher leaves out the instances whose classes already agree, and
+    # a round skips what earlier rounds made; neither may leave work undone
+    p = mc.StrictPresentation(ms, dim, size, Budget(100_000))
+    for c in ms.colors():
+        for x in ms.cells_at(c):
+            p.gen(c, x)
+    D = ms.universe_bound
+    while True:
+        p.saturate()
+        assert p._match() == []
+        reps = list(p.representatives().values())
+        grew = p._materialize_round()
+        for a in reps:
+            c = p.color[a]
+            if len(c) < dim and p.size[a] < size:
+                assert all(("refl", l, a) in p.memo for l in mc.addable_entries(c, D))
+            for b in reps:
+                for d in c if p.color[b] == c else ():
+                    if (p.size[a] + p.size[b] < size
+                            and p.class_face(a, d, SOURCE) == p.class_face(b, d, TARGET)):
+                        assert ("comp", d, a, b) in p.memo
+        if not grew:
+            break
+    assert p.unions == mc.free_strict(ms, dim, size).unions
+
+
+@pytest.mark.parametrize("ms, dim, size, matched, unions", [
+    (loops(2), 1, 15, {"UNIT": 254, "ASSOC": 6104, "MFI": 0, "DIST": 0, "EXCH": 0},
+     _unions(signature=5024, UNIT=133, ASSOC=2688)),
+    (fx.grid2x2(), 2, 12, {"UNIT": 216, "ASSOC": 0, "MFI": 38, "DIST": 60, "EXCH": 18},
+     _unions(UNIT=90, MFI=19, DIST=60, EXCH=9)),
+])
+def test_matched_counts_the_instances_tried(ms, dim, size, matched, unions):
+    # unions[rule] / matched[rule] is the share of the matched instances
+    # that merged two classes
+    p = mc.free_strict(ms, dim, size)
+    assert p.matched == matched
+    assert p.unions == unions
