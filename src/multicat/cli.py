@@ -1,8 +1,8 @@
 """Command-line surface: validate, free, stats, diff.
 
 Exit codes: 0 success, 1 axiom violations or bound/budget failures,
-2 I/O or parse errors.  ``MULTICAT_BUDGET`` caps search and saturation
-work for the free constructions.
+2 I/O, parse or usage errors.  ``MULTICAT_BUDGET`` caps search and
+saturation work for the free constructions; it must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .reversors import ReversorStructure, validate_reversors
 from .serialize import dump, from_document, loads, to_document
 from .strictcat import free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
+from .terms import as_budget
 
 
 def _read_document(path: str) -> dict:
@@ -73,6 +74,11 @@ def _print_counts(counts: dict, label: str):
 
 
 def cmd_free(args) -> int:
+    try:
+        budget = as_budget(args.budget)
+    except ValueError as exc:  # a MULTICAT_BUDGET that is not a count
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     obj, doc = _load(args.path)
     if not isinstance(obj, MultipleSet):
         if isinstance(obj, (MagmaStructure, ReflexiveStructure)):
@@ -82,12 +88,12 @@ def cmd_free(args) -> int:
     dim = args.dim if args.dim is not None else obj.dim_bound
 
     if args.mode == "reflexive":
-        result = free_reflexive(obj, dim, budget=args.budget)
+        result = free_reflexive(obj, dim, budget=budget)
         counts = {c: len(result.base.cells_at(c)) for c in result.base.colors()}
         _print_counts(counts, "cells")
         out_obj, out_kind = result, "reflexive"
     elif args.mode == "strict":
-        pres = free_strict(obj, dim, args.size, budget=args.budget)
+        pres = free_strict(obj, dim, args.size, budget=budget)
         _print_counts(pres.class_counts(), "classes")
         out_obj, out_kind = quotient_to_category(pres), "strict"
     else:
@@ -97,7 +103,7 @@ def cmd_free(args) -> int:
             dim_bound=dim,
             size_bound=args.size,
             stages=args.stages,
-            budget=args.budget,
+            budget=budget,
         )
         base = fw.stretching.magma.base
         counts = {c: len(base.cells_at(c)) for c in base.colors()}
@@ -217,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_free = sub.add_parser("free", help="run a free construction")
     p_free.add_argument("mode", choices=("reflexive", "strict", "weak"))
     p_free.add_argument("path")
-    p_free.add_argument("--dim", type=int, default=None, help="dimension bound N")
-    p_free.add_argument("--size", type=int, default=10, help="term size bound")
+    p_free.add_argument("--dim", type=_natural, default=None, help="dimension bound N")
+    p_free.add_argument("--size", type=_natural, default=10, help="term size bound")
     p_free.add_argument("--stages", type=_natural, default=1)
     p_free.add_argument("--m", type=_natural, default=None, help="reversibility cutoff")
-    p_free.add_argument("--budget", type=int, default=None)
+    p_free.add_argument("--budget", type=_natural, default=None)
     p_free.add_argument("--out", default=None, help="write the result document here")
     p_free.set_defaults(func=cmd_free)
 

@@ -139,6 +139,8 @@ class ReflexiveTerms(TermGraph):
         self.name: list[CellId] = []
         # color -> the names its cells have so far
         self.taken: defaultdict[Color, set[CellId]] = defaultdict(set)
+        # color -> the ids of its named nodes, in id order
+        self.groups: dict[Color, list[int]] = {}
         self.sealed = False
         for c in generators.colors():
             for x in generators.cells_at(c):
@@ -164,21 +166,26 @@ class ReflexiveTerms(TermGraph):
 
     def cells_by_color(self) -> dict[Color, list[int]]:
         """Each color's node ids, once the nodes made since the last call are
-        named.  A name that an earlier cell of its color has -- a generator
-        named like a built term, as the cells of a free reflexive structure
-        are when it generates the next one -- takes a prime until it is free."""
-        name, render, taken, color = self.name, self._name, self.taken, self.color
-        for t in range(len(name), len(self.nodes)):
-            x = render(self.nodes[t])
-            here = taken[color[t]]
+        named and indexed; later calls extend the same index.  A name that an
+        earlier cell of its color has -- a generator named like a built term,
+        as the cells of a free reflexive structure are when it generates the
+        next one -- takes a prime until it is free."""
+        name, render, taken, groups = self.name, self._name, self.taken, self.groups
+        nodes, color = self.nodes, self.color
+        for t in range(len(name), len(nodes)):
+            c = color[t]
+            x = render(nodes[t])
+            here = taken[c]
             while x in here:
                 x += "'"
             here.add(x)
             name.append(x)
-        out: dict[Color, list[int]] = {}
-        for t, c in enumerate(self.color):
-            out.setdefault(c, []).append(t)
-        return out
+            ids = groups.get(c)
+            if ids is None:
+                groups[c] = [t]
+            else:
+                ids.append(t)
+        return groups
 
     def tabulate(self) -> tuple[ReflexiveStructure, dict[Color, list[int]]]:
         """The cells, faces and built degeneracies, and each color's node ids.
@@ -188,14 +195,15 @@ class ReflexiveTerms(TermGraph):
         self.sealed = True
         groups = self.cells_by_color()
         self.taken.clear()  # sealed: no cell is named after this
-        name, faces, refl = self.name, self.faces, self.refl
+        name, refl = self.name, self.refl
         base = MultipleSet(self.generators.universe_bound, self.dim_bound)
         out = ReflexiveStructure(base=base)
         for c, ids in groups.items():
             base.cells[c] = sorted(name[t] for t in ids)
             for d in c:
-                base.src[(c, d)] = {name[t]: name[faces[(t, d, SOURCE)]] for t in ids}
-                base.tgt[(c, d)] = {name[t]: name[faces[(t, d, TARGET)]] for t in ids}
+                S, T = self.src[d], self.tgt[d]
+                base.src[(c, d)] = {name[t]: name[S[t]] for t in ids}
+                base.tgt[(c, d)] = {name[t]: name[T[t]] for t in ids}
             for l in self.addable(c):
                 tab = {}
                 for t in ids:

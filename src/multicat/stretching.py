@@ -11,7 +11,11 @@ M-cells are canonical terms in a term graph (``multicat.terms``):
 degeneracies are pushed inside composites and stacked in one order, so the
 exchange and distribution laws hold structurally.  No strictness law is
 applied to M; distinct formal composites with equal projections are
-exactly what brackets connect.
+exactly what brackets connect.  The graph's one constructor makes each cell
+and its faces; the completion's one hook on it checks the cell against the
+bounds and records its projection and stage.  Each stage names and indexes
+only the cells made since the last, pairs cells through the face columns,
+and logs what each loop added once per loop.
 """
 
 from __future__ import annotations
@@ -286,10 +290,11 @@ class _Completion(ReflexiveTerms):
     Every node is a cell of M.  Beyond the generators and their stacked
     degeneracies (``ReflexiveTerms``) there are composite nodes, brackets
     ("br", r, a, b), one dimension up in entry r with faces a and b there,
-    and formal reversor cells ("rev", e, t), whose e-faces swap t's.
-    ``refl`` also pushes a degeneracy through composites, so the
-    distribution laws hold structurally too.  Each cell's projection and
-    stage are worked out once, when it is made.
+    and formal reversor cells ("rev", e, t), whose e-faces swap t's; their
+    face rules are the term graph's.  ``refl`` also pushes a degeneracy
+    through composites, so the distribution laws hold structurally too.
+    Each cell's projection and stage are worked out once, in ``_admit``,
+    when it is made.
     """
 
     def __init__(self, X: MultipleSet, cat: StrictCategory, umap, dim_bound, m,
@@ -304,37 +309,45 @@ class _Completion(ReflexiveTerms):
         self.stage = 0
         super().__init__(X, dim_bound, budget, "weak completion")
 
-    def _new(self, node: tuple, color: Color, size: int) -> int:
+    def _admit(self, node: tuple, color: Color, size: int, nid: int):
+        """A new cell's checks, then its projection and stage.  A degeneracy
+        projects to the degeneracy of its cell's projection, and a bracket
+        to that of its endpoints' common projection."""
         if self.sealed:
             raise _Sealed
         if len(color) > self.dim_bound:
             raise BoundsTooSmall(
                 f"term at color {list(color)} exceeds dim bound {self.dim_bound}")
-        px = self._project(node)
-        nid = super()._new(node, color, size)
-        self.pi.append(px)
+        kind, pi = node[0], self.pi
+        if kind == "comp":
+            _, d, a, b = node
+            px = self.cat.comp.get((color, d), {}).get((pi[a], pi[b]))
+            if px is None:
+                raise BoundsTooSmall(
+                    f"strict layer lacks composite of ({pi[a]!r}, {pi[b]!r}) in direction {d}"
+                )
+        elif kind == "gen":
+            px = self.umap[(node[1], node[2])]
+        elif kind == "rev":
+            below = self.color[node[2]]
+            tab = self.rev_cat.get((below, node[1]))
+            if tab is None:
+                raise BoundsTooSmall(f"strict layer lacks reversor at {list(below)}")
+            px = tab[pi[node[2]]]
+        else:
+            px = self.cat.refl.refl.get((self.color[node[2]], node[1]), {}).get(pi[node[2]])
+            if px is None:
+                if kind == "br":
+                    raise BoundsTooSmall("strict layer lacks degeneracy for bracket projection")
+                raise BoundsTooSmall(f"strict layer lacks degeneracy added={node[1]}")
+        pi.append(px)
         self.stage_of.append(self.stage)
-        return nid
 
     def refl(self, l: int, t: int) -> int:
         node = self.nodes[t]
         if node[0] == "comp":
             return self.comp(node[1], self.refl(l, node[2]), self.refl(l, node[3]))
         return super().refl(l, t)
-
-    def br(self, r: int, a: int, b: int) -> int:
-        nid = self.memo.get(("br", r, a, b))
-        if nid is None:
-            nid = self._made(("br", r, a, b), add(self.color[a], r),
-                             self.size[a] + self.size[b] + 1, a, b, self.br)
-        return nid
-
-    def rev(self, e: int, t: int) -> int:
-        nid = self.memo.get(("rev", e, t))
-        if nid is None:
-            nid = self._made(("rev", e, t), self.color[t], self.size[t] + 1,
-                             self.faces[(t, e, TARGET)], self.faces[(t, e, SOURCE)], self.rev)
-        return nid
 
     def _name(self, node: tuple) -> CellId:
         kind, name = node[0], self.name
@@ -346,73 +359,56 @@ class _Completion(ReflexiveTerms):
             return f"j{node[1]}({name[node[2]]})"
         return super()._name(node)
 
-    def _project(self, node: tuple) -> CellId:
-        kind, pi, color = node[0], self.pi, self.color
-        if kind == "gen":
-            return self.umap[(node[1], node[2])]
-        if kind == "comp":
-            _, d, a, b = node
-            got = self.cat.comp.get((color[a], d), {}).get((pi[a], pi[b]))
-            if got is None:
-                raise BoundsTooSmall(
-                    f"strict layer lacks composite of ({pi[a]!r}, {pi[b]!r}) in direction {d}"
-                )
-            return got
-        if kind == "rev":
-            tab = self.rev_cat.get((color[node[2]], node[1]))
-            if tab is None:
-                raise BoundsTooSmall(f"strict layer lacks reversor at {list(color[node[2]])}")
-            return tab[pi[node[2]]]
-        # a degeneracy projects to the degeneracy of its cell's projection, and
-        # a bracket to that of its endpoints' common projection
-        got = self.cat.refl.refl.get((color[node[2]], node[1]), {}).get(pi[node[2]])
-        if got is None:
-            if kind == "br":
-                raise BoundsTooSmall("strict layer lacks degeneracy for bracket projection")
-            raise BoundsTooSmall(f"strict layer lacks degeneracy added={node[1]}")
-        return got
-
     def run_stage(self, stage: int) -> dict:
+        """Adjoin one stage to the cells of the earlier ones, and log the
+        cells each kind of loop added, faces included, so that the log sums
+        to the cells built."""
         self.stage = stage
         prev = self.cells_by_color()
+        nodes, pi = self.nodes, self.pi
         counts = {"composites": 0, "degeneracies": 0, "reversors": 0, "brackets": 0}
+        last = len(nodes)
 
-        def adjoin(kind: str, make, *args):
-            # log every cell added, faces included, so the log sums to the cells built
-            before = len(self.nodes)
-            make(*args)
-            counts[kind] += len(self.nodes) - before
+        def tally(kind: str):
+            nonlocal last
+            counts[kind] += len(nodes) - last
+            last = len(nodes)
 
+        refl, comp, rev, br = self.refl, self.comp, self.rev, self.br
         for c in sorted(prev, key=lambda c: (len(c), c)):
             items = sorted(prev[c], key=self.name.__getitem__)
             entries = self.addable(c)
-            # degeneracies
             for l in entries:
                 for t in items:
-                    adjoin("degeneracies", self.refl, l, t)
+                    refl(l, t)
+            tally("degeneracies")
             # composites, pairing each cell with those whose d-target is its d-source
             for d in c:
+                S, T = self.src[d], self.tgt[d]
                 by_target: dict[int, list[int]] = {}
                 for b in items:
-                    by_target.setdefault(self.faces[(b, d, TARGET)], []).append(b)
+                    by_target.setdefault(T[b], []).append(b)
                 for a in items:
-                    for b in by_target.get(self.faces[(a, d, SOURCE)], ()):
-                        adjoin("composites", self.comp, d, a, b)
+                    for b in by_target.get(S[a], ()):
+                        comp(d, a, b)
+            tally("composites")
             # formal reversor cells, above the cutoff only
             if self.m is not None and len(c) > self.m:
                 for e in c:
                     for t in items:
-                        adjoin("reversors", self.rev, e, t)
+                        rev(e, t)
+                tally("reversors")
             # brackets over projection-equal pairs
             if entries:
                 by_image: dict[CellId, list[int]] = {}
                 for t in items:
-                    by_image.setdefault(self.pi[t], []).append(t)
+                    by_image.setdefault(pi[t], []).append(t)
                 for group in by_image.values():
                     for a in group:
                         for b in group:
                             for r in entries:
-                                adjoin("brackets", self.br, r, a, b)
+                                br(r, a, b)
+                tally("brackets")
         return counts
 
 
@@ -464,13 +460,15 @@ def free_weak(
     magma = MagmaStructure(base=refl.base, refl=refl)
     brackets: dict[tuple[Color, int], dict] = {}
     m_rev_tables: dict[tuple[Color, int], dict] = {}
-    for t, (kind, entry, *ops) in enumerate(g.nodes):
+    comp, color = magma.comp, g.color
+    for t, node in enumerate(g.nodes):
+        kind = node[0]
         if kind == "comp":
-            magma.comp.setdefault((g.color[t], entry), {})[(name[ops[0]], name[ops[1]])] = name[t]
+            comp.setdefault((color[t], node[1]), {})[(name[node[2]], name[node[3]])] = name[t]
         elif kind == "br":
-            brackets.setdefault((g.color[ops[0]], entry), {})[(name[ops[0]], name[ops[1]])] = name[t]
+            brackets.setdefault((color[node[2]], node[1]), {})[(name[node[2]], name[node[3]])] = name[t]
         elif kind == "rev":
-            m_rev_tables.setdefault((g.color[t], entry), {})[name[ops[0]]] = name[t]
+            m_rev_tables.setdefault((color[t], node[1]), {})[name[node[2]]] = name[t]
     e = Stretching(magma=magma, cat=cat, pi=pi, brackets=brackets, m=m,
                    cat_reversors=cat_reversors, m_rev_tables=m_rev_tables or None,
                    stage_of=stage_of, stage=stages, stage_log=log)

@@ -7,8 +7,11 @@ degeneracies, composites) modulo the congruence the axioms generate.
 Equality is decided by congruence closure over all terms materialized
 within a node-count bound; completeness is relative to that bound.
 
-Terms live in the term graph of ``multicat.terms``, which spends one unit
-of the work budget per node.  The closure is an e-graph in the style of egg
+Terms live in the term graph of ``multicat.terms``: one constructor per new
+node spends its budget unit and writes its faces into per-direction
+columns, and the presentation's one hook on it, ``_admit``, puts the node
+in its class.  The matcher, the rebuild and the materialization read the
+face columns directly.  The closure is an e-graph in the style of egg
 (Willsey et al., POPL 2021): each class keeps its deduplicated canonical
 e-nodes -- a term node with class roots as children -- and the e-nodes that
 use it as a child.  Unions go on a worklist, and a rebuild re-keys only the
@@ -27,9 +30,9 @@ whose face class in its role has changed since the last round.
 
 Nodes are made only while the classes are closed under congruence: the
 generators before any union, everything else after ``saturate``.  So a new
-node congruent to an e-node joins that e-node's class in place (a signature
-union that allocates nothing and queues no rebuild): its faces already lie
-in the classes of the e-node's faces.  A term's name depends only on its
+node congruent to an e-node joins that e-node's class in place, in the hook
+(a signature union that allocates nothing and queues no rebuild): its faces
+already lie in the classes of the e-node's faces.  A term's name depends only on its
 node, so each name is rendered once, into one cache on the presentation
 that representatives, ``unit_map`` and ``quotient_to_category`` share.
 """
@@ -167,28 +170,50 @@ class StrictPresentation(TermGraph):
         # e-node was added and no two classes that own e-nodes merged
         self.closed = False
 
-    def _new(self, node: tuple, color: Color, size: int) -> int:
-        nid = super()._new(node, color, size)
-        key = self._canon(node)
-        member = self.hashcons.get(key)
-        if member is not None:
-            # congruent to an e-node: it joins the class in place, its faces
-            # already lying in the classes of that e-node's faces
-            root = self.uf.find(member)
-            self.uf.parent.append(root)
+    def _admit(self, node: tuple, color: Color, size: int, nid: int):
+        """The class of a new node: it joins the class of an e-node it is
+        congruent to, in place, its faces already lying in the classes of
+        that e-node's faces; else it is an e-node and a class of its own.
+        The roots are found inline, by path halving as in ``find``."""
+        parent = self.uf.parent
+        kind = node[0]
+        if kind == "gen":
+            key = node
+        else:
+            a = node[2]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            if len(node) == 3:
+                key = (kind, node[1], a)
+            else:
+                b = node[3]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                key = (kind, node[1], a, b)
+        root = self.hashcons.get(key)
+        if root is not None:
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            parent.append(root)
             self.unions["signature"] += 1
-            self._keep_smallest(root, [nid])
-            return nid
-        self.uf.parent.append(nid)
+            have = self.smallest[root]
+            least = self.size[have[0]]
+            if size < least:
+                self.smallest[root] = [nid]
+            elif size == least:
+                have.append(nid)
+            return
+        parent.append(nid)
         self.hashcons[key] = nid
         self.enodes[nid] = [key]
         self.uses[nid] = []
         self.smallest[nid] = [nid]
         self.closed = False
-        if key[0] != "gen":
-            for child in set(key[2:]):
-                self.uses[child].append((key, nid))
-        return nid
+        if kind != "gen":
+            use = (key, nid)
+            self.uses[a].append(use)
+            if len(key) == 4 and b != a:
+                self.uses[b].append(use)
 
     # -- classes -----------------------------------------------------------
 
@@ -257,13 +282,13 @@ class StrictPresentation(TermGraph):
         return reps
 
     def class_face(self, nid: int, d: int, pol: str) -> int:
-        return self.uf.find(self.faces[(nid, d, pol)])
+        return self.uf.find(self.face(nid, d, pol))
 
     # -- saturation --------------------------------------------------------
 
     def _rebuild(self):
         """Close the pending unions under face and signature congruence."""
-        find = self.uf.find
+        find, union, S, T = self.uf.find, self.union, self.src, self.tgt
         rekeyed: set[int] = set()
         while self.absorbed:
             absorbed, self.absorbed = self.absorbed, []
@@ -271,8 +296,8 @@ class StrictPresentation(TermGraph):
                 # face congruence: equal cells have equal faces
                 ra = find(rb)
                 for d in self.color[rb]:
-                    for pol in (SOURCE, TARGET):
-                        self.union(self.faces[(rb, d, pol)], self.faces[(ra, d, pol)], "face")
+                    union(S[d][rb], S[d][ra], "face")
+                    union(T[d][rb], T[d][ra], "face")
             # signature congruence: e-nodes that use a merged class and now
             # have the same children are equal; they are merged once every
             # repair of this batch is done, so the roots stay roots meanwhile
@@ -310,7 +335,7 @@ class StrictPresentation(TermGraph):
         find = self.uf.find
         get = self.hashcons.get
         enodes = self.enodes
-        faces = self.faces
+        S, T = self.src, self.tgt
         out = []
         for root, ens in enodes.items():
             for node in ens:
@@ -318,11 +343,11 @@ class StrictPresentation(TermGraph):
                     _, d, a, b = node
                     # UNIT: a * 1(s(a)) == a and 1(t(b)) * b == b
                     if a != root:
-                        unit = get(("refl", d, find(faces[(a, d, SOURCE)])))
+                        unit = get(("refl", d, find(S[d][a])))
                         if unit is not None and find(unit) == b:
                             out.append(("UNIT", root, a))
                     if b != root:
-                        unit = get(("refl", d, find(faces[(b, d, TARGET)])))
+                        unit = get(("refl", d, find(T[d][b])))
                         if unit is not None and find(unit) == a:
                             out.append(("UNIT", root, b))
                     for left in enodes[a]:
@@ -399,7 +424,7 @@ class StrictPresentation(TermGraph):
 
         then, now = self.rep_faces, {}
         self.rep_faces = now
-        find, faces, size = self.uf.find, self.faces, self.size
+        find, size, S, T = self.uf.find, self.size, self.src, self.tgt
         D = self.generators.universe_bound
         for c, rep_list in sorted(by_color.items(), key=lambda kv: (len(kv[0]), kv[0])):
             if len(c) + 1 <= self.dim_bound:
@@ -411,7 +436,7 @@ class StrictPresentation(TermGraph):
             # only pairs within the size bound whose faces meet are composed
             ranked = sorted(rep_list, key=size.__getitem__)
             for rep in ranked:
-                now[rep] = tuple([find(faces[(rep, d, pol)]) for d in c for pol in (SOURCE, TARGET)])
+                now[rep] = tuple([find(col[d][rep]) for d in c for col in (S, T)])
             for i, d in enumerate(c):
                 s, t = 2 * i, 2 * i + 1
                 by_target: dict[int, list[int]] = {}
@@ -521,15 +546,12 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
 
     # ids are unique only within a color
     root_of_name = {c: {names[r]: r for r in roots} for c, roots in by_color.items()}
+    find = p.uf.find
     for c, roots in by_color.items():
         for d in c:
-            stab, ttab = {}, {}
-            for r in roots:
-                rep = reps[r]
-                stab[names[r]] = names[p.class_face(rep, d, SOURCE)]
-                ttab[names[r]] = names[p.class_face(rep, d, TARGET)]
-            base.src[(c, d)] = stab
-            base.tgt[(c, d)] = ttab
+            S, T = p.src[d], p.tgt[d]
+            base.src[(c, d)] = {names[r]: names[find(S[reps[r]])] for r in roots}
+            base.tgt[(c, d)] = {names[r]: names[find(T[reps[r]])] for r in roots}
 
     refl = ReflexiveStructure(base=base)
     for c, l in admissible_refl_keys(base):

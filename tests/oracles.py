@@ -564,3 +564,75 @@ def stagewise_bracket_counts(stretching) -> dict:
                             key = (born, c, r)
                             out[key] = out.get(key, 0) + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# term graphs: each kind's face rule, applied to explicit term trees
+
+
+def term_trees(nodes) -> list:
+    """Each node of a term graph as a nested tuple: ("gen", color, id), or
+    (kind, entry, *child trees); children are made before their parents."""
+    trees: list = []
+    for node in nodes:
+        trees.append(node if node[0] == "gen" else node[:2] + tuple(trees[ch] for ch in node[2:]))
+    return trees
+
+
+def term_faces(nodes, ms: MultipleSet, stacked: bool = False, pushed: bool = False) -> list[dict]:
+    """Per node, {(d, polarity): face tree} for each direction d of its color,
+    recomputed from the node tuples and the face tables of ``ms``, the
+    generators, alone.
+
+    ``stacked``: the graph keeps stacked degeneracies in increasing entry
+    order from the inside out; ``pushed``: it pushes a degeneracy inside a
+    composite.  Each face is normalized by the same laws.
+    """
+
+    def norm(t):
+        if t[0] != "refl":
+            return t
+        l, u = t[1], t[2]
+        if pushed and u[0] == "comp":
+            return ("comp", u[1], norm(("refl", l, u[2])), norm(("refl", l, u[3])))
+        if stacked and u[0] == "refl" and u[1] > l:
+            return ("refl", u[1], norm(("refl", l, u[2])))
+        return t
+
+    def color_of(t):
+        if t[0] == "gen":
+            return t[1]
+        if t[0] in ("refl", "br"):
+            return add(color_of(t[2]), t[1])
+        return color_of(t[2])
+
+    def face_of(t, d, pol):
+        kind = t[0]
+        if kind == "gen":
+            # a generator's face is the generator its face table names
+            return ("gen", minus(t[1], d), face(ms, t[1], t[2], d, pol))
+        entry = t[1]
+        if kind == "refl":
+            # a degeneracy's faces in its added entry are its cell
+            if d == entry:
+                return t[2]
+            return norm(("refl", entry, face_of(t[2], d, pol)))
+        if kind == "comp":
+            # a *_e b runs from b's e-source to a's e-target
+            if d == entry:
+                return face_of(t[3], d, SOURCE) if pol == SOURCE else face_of(t[2], d, TARGET)
+            return ("comp", entry, face_of(t[2], d, pol), face_of(t[3], d, pol))
+        if kind == "br":
+            # a bracket [a; b]^r runs from a to b in entry r
+            if d == entry:
+                return t[2] if pol == SOURCE else t[3]
+            return ("br", entry, face_of(t[2], d, pol), face_of(t[3], d, pol))
+        if kind == "rev":
+            # a reversor cell j_e(x) swaps x's e-faces
+            if d == entry:
+                return face_of(t[2], d, TARGET if pol == SOURCE else SOURCE)
+            return ("rev", entry, face_of(t[2], d, pol))
+        raise ValueError(f"unknown term kind {kind!r}")
+
+    return [{(d, pol): face_of(t, d, pol) for d in color_of(t) for pol in (SOURCE, TARGET)}
+            for t in term_trees(nodes)]

@@ -215,6 +215,32 @@ def test_free_weak_rejects_negative_flags(flag, tmp_path, capsys):
     assert main(["validate", str(out_path)]) == 0
 
 
+@pytest.mark.parametrize("mode, flag, value", [
+    ("weak", "--size", "-1"), ("weak", "--dim", "-1"), ("weak", "--budget", "-5"),
+    ("strict", "--size", "-1"), ("strict", "--budget", "-5"), ("reflexive", "--dim", "-2"),
+])
+def test_free_rejects_negative_bounds(mode, flag, value, tmp_path, capsys):
+    out_path = tmp_path / "out.mset"
+    with pytest.raises(SystemExit) as exc:
+        main(["free", mode, fpath("point.mset"), flag, value, "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 0, got {value}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_free_rejects_a_bad_budget_variable(raw, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MULTICAT_BUDGET", raw)
+    out_path = tmp_path / "out.mset"
+    for mode in ("reflexive", "strict", "weak"):
+        assert main(["free", mode, fpath("point.mset"), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: MULTICAT_BUDGET must be an integer >= 0, got {raw!r}\n"
+        assert not out_path.exists()
+    # a --budget flag is the budget: the variable is not read
+    assert main(["free", "strict", fpath("point.mset"), "--budget", "100"]) == 0
+
+
 @pytest.mark.parametrize("field, value", [("stage_log", "abc"), ("stage_log", [1]), ("m", "x")])
 def test_malformed_stretching_field_is_parse_error(field, value, tmp_path, capsys):
     with open(fpath("parallel-edges-free-weak.mset"), encoding="utf-8") as fh:

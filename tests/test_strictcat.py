@@ -268,10 +268,13 @@ def _naive_congruence(p, merged):
                 changed |= join(nid, seen[key])
             else:
                 seen[key] = nid
-        for (nid, d, pol), f in p.faces.items():
-            for other in range(len(p.nodes)):
-                if find(other) == find(nid) and (other, d, pol) in p.faces:
-                    changed |= join(f, p.faces[(other, d, pol)])
+        for nid in range(len(p.nodes)):
+            for d in p.color[nid]:
+                for pol in (mc.SOURCE, mc.TARGET):
+                    f = p.face(nid, d, pol)
+                    for other in range(len(p.nodes)):
+                        if find(other) == find(nid) and d in p.color[other]:
+                            changed |= join(f, p.face(other, d, pol))
     return {frozenset(n for n in range(len(p.nodes)) if find(n) == find(r)) for r in range(len(p.nodes))}
 
 
