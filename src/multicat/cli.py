@@ -19,7 +19,7 @@ from .magma import MagmaStructure, validate_magma, validate_reflexive_magma
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
 from .reversors import ReversorStructure, validate_reversors
 from .serialize import dump, from_document, loads, to_document
-from .strictcat import free_strict, quotient_to_category, validate_strict
+from .strictcat import StrictCategory, free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
 from .terms import as_budget
 
@@ -34,8 +34,7 @@ def _read_document(path: str) -> dict:
 
 
 def _load(path: str):
-    doc = _read_document(path)
-    return from_document(doc), doc
+    return from_document(_read_document(path))
 
 
 def _validate_any(obj, strict: bool):
@@ -44,7 +43,7 @@ def _validate_any(obj, strict: bool):
     if isinstance(obj, ReversorStructure):
         return validate_reversors(obj)
     if isinstance(obj, MagmaStructure):
-        if strict:
+        if strict or isinstance(obj, StrictCategory):
             return validate_strict(obj)
         if obj.refl is not None:
             return validate_reflexive_magma(obj)
@@ -57,8 +56,7 @@ def _validate_any(obj, strict: bool):
 
 
 def cmd_validate(args) -> int:
-    obj, doc = _load(args.path)
-    report = _validate_any(obj, args.strict or doc["kind"] == "strict")
+    report = _validate_any(_load(args.path), args.strict)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     elif report.ok:
@@ -79,7 +77,7 @@ def cmd_free(args) -> int:
     except ValueError as exc:  # a MULTICAT_BUDGET that is not a count
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    obj, doc = _load(args.path)
+    obj = _load(args.path)
     if not isinstance(obj, MultipleSet):
         if isinstance(obj, (MagmaStructure, ReflexiveStructure)):
             obj = obj.base
@@ -88,14 +86,13 @@ def cmd_free(args) -> int:
     dim = args.dim if args.dim is not None else obj.dim_bound
 
     if args.mode == "reflexive":
-        result = free_reflexive(obj, dim, budget=budget)
-        counts = {c: len(result.base.cells_at(c)) for c in result.base.colors()}
+        out_obj = free_reflexive(obj, dim, budget=budget)
+        counts = {c: len(out_obj.base.cells_at(c)) for c in out_obj.base.colors()}
         _print_counts(counts, "cells")
-        out_obj, out_kind = result, "reflexive"
     elif args.mode == "strict":
         pres = free_strict(obj, dim, args.size, budget=budget)
         _print_counts(pres.class_counts(), "classes")
-        out_obj, out_kind = quotient_to_category(pres), "strict"
+        out_obj = quotient_to_category(pres)
     else:
         fw = free_weak(
             obj,
@@ -115,15 +112,15 @@ def cmd_free(args) -> int:
         _print_counts(brackets, "brackets")
         for i, entry in enumerate(fw.stage_log, start=1):
             print(f"stage {i}: " + " ".join(f"{k}={v}" for k, v in sorted(entry.items())))
-        out_obj, out_kind = fw.stretching, "stretching"
+        out_obj = fw.stretching
 
     if args.out:
-        dump(out_obj, args.out, out_kind)
+        dump(out_obj, args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    obj, doc = _load(args.path)
+    obj = _load(args.path)
     base = obj.base if hasattr(obj, "base") else obj
     if isinstance(obj, Stretching):
         base = obj.magma.base
@@ -173,11 +170,8 @@ def _flatten(doc, prefix=""):
 
 
 def cmd_diff(args) -> int:
-    obj_a, doc_a = _load(args.path_a)
-    obj_b, doc_b = _load(args.path_b)
-    # each document keeps its own kind: a strict document parses to a plain magma
-    flat_a = _flatten(to_document(obj_a, doc_a["kind"]))
-    flat_b = _flatten(to_document(obj_b, doc_b["kind"]))
+    flat_a = _flatten(to_document(_load(args.path_a)))
+    flat_b = _flatten(to_document(_load(args.path_b)))
     diffs = []
     for key in sorted(set(flat_a) | set(flat_b)):
         va, vb = flat_a.get(key), flat_b.get(key)

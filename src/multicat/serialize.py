@@ -5,14 +5,15 @@ field dispatches.  Colors render as sorted integer arrays, tables as
 sorted record lists, and the byte rendering is canonical: sorted keys,
 two-space indent, trailing newline, the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``.
-``serialize(parse(text))`` is the identity on canonical documents.
+``serialize(parse(text))`` is the identity on canonical documents, whose
+kind a parsed structure carries in its type (``StrictCategory`` for strict).
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import c_make_encoder, encode_basestring
 
 from .colors import Color, make_color
@@ -21,6 +22,7 @@ from .errors import NonPositiveEntry, NotStrictlyIncreasing, ParseError
 from .magma import MagmaStructure
 from .reflexive import ReflexiveStructure
 from .reversors import KINDS as REVERSOR_KINDS, ReversorStructure, make_chain
+from .strictcat import StrictCategory
 from .stretching import Stretching
 
 FORMAT_VERSION = 1
@@ -60,27 +62,21 @@ def _cell_records(tabs: dict) -> list:
     return out
 
 
-def _refl_records(refl: ReflexiveStructure) -> list:
+def _keyed_records(tabs: dict) -> list:
+    """The records ``(c, e, *key, value)`` of tables keyed by (color, entry),
+    in canonical order; a table's key is a cell or a pair of cells."""
     out = []
-    for (c, l) in sorted(refl.refl, key=lambda k: (_color_key(k[0]), k[1])):
-        for x, dx in sorted(refl.refl[(c, l)].items()):
-            out.append((c, l, x, dx))
-    return out
-
-
-def _comp_records(m: MagmaStructure) -> list:
-    out = []
-    for (c, d) in sorted(m.comp, key=lambda k: (_color_key(k[0]), k[1])):
-        for (a, b), r in sorted(m.comp[(c, d)].items()):
-            out.append((c, d, a, b, r))
+    for c, e in sorted(tabs, key=lambda k: (_color_key(k[0]), k[1])):
+        for k, v in sorted(tabs[(c, e)].items()):
+            out.append((c, e, *k, v) if type(k) is tuple else (c, e, k, v))
     return out
 
 
 def _magma_body(m: MagmaStructure) -> dict:
     body = _ms_body(m.base)
-    body["comp"] = _comp_records(m)
+    body["comp"] = _keyed_records(m.comp)
     if m.refl is not None:
-        body["refl"] = _refl_records(m.refl)
+        body["refl"] = _keyed_records(m.refl.refl)
     return body
 
 
@@ -97,9 +93,9 @@ def to_document(obj, kind: str | None = None) -> dict:
     elif isinstance(obj, ReflexiveStructure):
         kind = kind or "reflexive"
         body = _ms_body(obj.base)
-        body["refl"] = _refl_records(obj)
+        body["refl"] = _keyed_records(obj.refl)
     elif isinstance(obj, MagmaStructure):
-        kind = kind or "magma"
+        kind = kind or ("strict" if isinstance(obj, StrictCategory) else "magma")
         body = _magma_body(obj)
     elif isinstance(obj, ReversorStructure):
         kind = kind or "reversors"
@@ -120,11 +116,7 @@ def to_document(obj, kind: str | None = None) -> dict:
             "magma": _magma_body(obj.magma),
             "cat": _magma_body(obj.cat),
             "pi": _cell_records(obj.pi),
-            "brackets": [
-                (c, r, a, b, cell)
-                for (c, r) in sorted(obj.brackets, key=lambda k: (_color_key(k[0]), k[1]))
-                for (a, b), cell in sorted(obj.brackets[(c, r)].items())
-            ],
+            "brackets": _keyed_records(obj.brackets),
         }
         if obj.m is not None:
             body["m"] = obj.m
@@ -150,12 +142,6 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _MEMO_TYPES = frozenset((str, int, type(None)))
 # the encoders' fallback for a value json cannot render: it raises TypeError
 _DEFAULT = json.JSONEncoder().default
-# Tables are laid out this many records at a time, and filled once this many
-# records wait.  A fill that long joins each record into a string of its own:
-# a long document's text joined from one list of all its pieces, or from a few
-# long strings, leaves that memory in the allocator under the text (the
-# benchmark's weak-build peak resident memory rose from 99 to 112 MB).
-_BATCH = 1024
 
 
 @functools.cache
@@ -186,92 +172,50 @@ class _Writer:
     indent whose item separator carries that indent.
 
     A list whose first item is a tuple is a table: each item is a record, a
-    color tuple and then at least one scalar.  No encoder is called per
-    record.  Each run of records of one width is laid out by slice
-    assignment at a stride: the color column's cached heads, the separators,
-    and a slot for each scalar at every second place.  The slots are filled
-    once ``_BATCH`` records wait, or the document ends.  A full fill reads
-    one memo per document that maps each distinct scalar to its JSON text,
-    encoded once: a cell name recurs in faces, comp, pi and stage_of.  The
-    memo is used only when every scalar of the fill is a ``str``, an ``int``
-    or ``None``; a fill holding any other type, and a short fill, encode
-    their scalars in one encoder call.  The text goes into the places the
-    layout kept: one string per record for a full fill, one per run for a
-    short one.
+    color tuple and then at least one scalar.  Each run of records of one
+    width is written in one pass, one string per record: the color's cached
+    head, then each scalar's text from one memo per document, which encodes
+    each distinct scalar once (a cell name recurs in faces, comp, pi and
+    stage_of).  A run holding a scalar that is not a ``str``, an ``int`` or
+    ``None`` bypasses the memo and is encoded in one encoder call.
+
+    One string per record, not one per table or document: a long document's
+    text joined from one list of all its pieces, or from a few long strings,
+    leaves that memory in the allocator under the text (the benchmark's
+    weak-build peak resident memory rose from 99 to 112 MB).
     """
 
     def __init__(self):
         self._heads: dict = {}
         self._memo: dict = {}
-        # runs laid out but not filled: (place in the output, records,
-        # pieces per record, pieces, scalars), and how many records they hold
-        self._pending: list = []
-        self._waiting = 0
-
-    def render(self, doc) -> str:
-        """The document's text, with its trailing newline."""
-        out: list[str] = []
-        self._write(doc, 0, out)
-        self._fill(out)
-        out.append("\n")
-        return "".join(out)
-
-    def _fill(self, out: list[str]):
-        """Fill the slots of the pending runs and join their text into the
-        places kept for it in ``out``."""
-        if not self._pending:
-            return
-        # a full fill, within a long table, reads the memo and joins each record
-        # into a string of its own; a short fill, of a small document or of a
-        # long table's tail, encodes its scalars in one call and joins each run,
-        # which renders small documents 3-8 % faster than joins per record
-        full = self._waiting >= _BATCH
-        pending, self._pending, self._waiting = self._pending, [], 0
-        values = list(chain.from_iterable(run[4] for run in pending))
-        if full and set(map(type, values)) <= _MEMO_TYPES:
-            memo = self._memo
-            new = list(set(values).difference(memo))
-            if new:
-                memo.update(zip(new, _each(new)))
-            texts = map(memo.__getitem__, values)
-        else:
-            texts = iter(_each(values))
-        for at, n, k, pieces, scalars in pending:
-            pieces[1::2] = islice(texts, len(scalars))
-            if full:
-                out[at:at + n] = map("".join, zip(*[iter(pieces)] * k))
-            else:
-                out[at] = "".join(pieces)
 
     def _table(self, records, level: int, out: list[str]):
-        """Lay out a non-empty table at indent ``level``, a place for each record."""
+        """Lay out a non-empty table at indent ``level``, one string per record."""
         inner = "\n" + "  " * (level + 1)
         mid = ",\n" + "  " * (level + 2)
         between = inner + "]," + inner
         heads = self._heads.setdefault(level, {})
-        top = len(out)
-        for start in range(0, len(records), _BATCH):
-            for width, run in groupby(records[start:start + _BATCH], len):
-                scalars = list(chain.from_iterable(run))
-                colors = scalars[::width]
-                del scalars[::width]
-                for c in set(colors).difference(heads):
-                    color: list[str] = []
-                    self._write(c, level + 2, color)
-                    heads[c] = f"{between}[{mid[1:]}{''.join(color)}{mid}"
-                # a record's pieces: its head, then its scalars with a mid
-                # between each two, so the scalars sit two apart
-                n, k = len(colors), 2 * width - 2
-                pieces = [mid] * (n * k)
-                pieces[::k] = map(heads.__getitem__, colors)
-                if len(out) == top:
-                    # the first record opens the table instead of closing the one before
-                    pieces[0] = "[" + inner + pieces[0][len(between):]
-                self._pending.append((len(out), n, k, pieces, scalars))
-                out += repeat("", n)
-                self._waiting += n
-            if self._waiting >= _BATCH:
-                self._fill(out)
+        memo = self._memo
+        first = len(out)
+        for width, run in groupby(records, len):
+            scalars = list(chain.from_iterable(run))
+            colors = scalars[::width]
+            del scalars[::width]
+            for c in set(colors).difference(heads):
+                color: list[str] = []
+                self._write(c, level + 2, color)
+                heads[c] = f"{between}[{mid[1:]}{''.join(color)}"
+            if set(map(type, scalars)) <= _MEMO_TYPES:
+                new = list(set(scalars).difference(memo))
+                if new:
+                    memo.update(zip(new, _each(new)))
+                texts = map(memo.__getitem__, scalars)
+            else:
+                texts = iter(_each(scalars))
+            # one shared iterator hands each record its width - 1 texts
+            out += map(mid.join, zip(map(heads.__getitem__, colors), *[texts] * (width - 1)))
+        # the first record opens the table instead of closing the one before
+        out[first] = "[" + inner + out[first][len(between):]
         out.append(inner + "]\n" + "  " * level + "]")
 
     def _write(self, v, level: int, out: list[str]):
@@ -310,7 +254,12 @@ class _Writer:
 
 
 def serialize(obj, kind: str | None = None) -> str:
-    return _Writer().render(to_document(obj, kind))
+    out: list[str] = []
+    # the text is joined once the writer and the document are gone, so that
+    # neither is held under it
+    _Writer()._write(to_document(obj, kind), 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _colors():
@@ -475,6 +424,11 @@ def _parse_magma(doc: dict, color) -> MagmaStructure:
     return m
 
 
+def _parse_strict(doc: dict, color) -> StrictCategory:
+    m = _parse_magma(doc, color)
+    return StrictCategory(base=m.base, comp=m.comp, refl=m.refl)
+
+
 def from_document(doc: dict):
     """Rebuild the structure named by the document's ``kind``."""
     version = _require(doc, "format_version")
@@ -488,8 +442,10 @@ def from_document(doc: dict):
         return _parse_ms(doc, color)
     if kind == "reflexive":
         return _parse_refl(doc, _parse_ms(doc, color), color)
-    if kind in ("magma", "strict"):
+    if kind == "magma":
         return _parse_magma(doc, color)
+    if kind == "strict":
+        return _parse_strict(doc, color)
     if kind == "reversors":
         base = _parse_ms(doc, color)
         try:
@@ -514,7 +470,7 @@ def from_document(doc: dict):
     # stretching
     try:
         magma = _parse_magma(_require(doc, "magma"), color)
-        cat = _parse_magma(_require(doc, "cat"), color)
+        cat = _parse_strict(_require(doc, "cat"), color)
         pi: dict = {}
         records = _array(_require(doc, "pi"), "pi")
         for color_raw, x, px in records:
@@ -569,5 +525,7 @@ def load(path: str):
 
 
 def dump(obj, path: str, kind: str | None = None):
+    # rendered first: a structure that cannot be written leaves the file as it was
+    text = serialize(obj, kind)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(obj, kind))
+        fh.write(text)

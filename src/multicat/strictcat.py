@@ -47,9 +47,10 @@ from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .terms import Budget, TermGraph, as_budget
 
-# a strict category is a magma over a reflexive structure whose tables
-# satisfy associativity, units and interchange; there is no separate class
-StrictCategory = MagmaStructure
+class StrictCategory(MagmaStructure):
+    """A magma over a reflexive structure that is meant to satisfy
+    associativity, units and interchange: ``validate_strict`` checks them.
+    It adds no fields; the type carries the document kind ``strict``."""
 
 
 def validate_strict(m: StrictCategory) -> ValidationReport:
@@ -565,7 +566,7 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
             tab[name] = names[p.uf.find(got)]
         refl.refl[(c, l)] = tab
 
-    cat = MagmaStructure(base=base, refl=refl)
+    cat = StrictCategory(base=base, refl=refl)
     for c in base.colors():
         root_of = root_of_name[c]
         for d in c:
