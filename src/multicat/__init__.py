@@ -45,6 +45,7 @@ from .reflexive import (
 from .report import ValidationReport, Violation
 from .reversors import (
     Chain,
+    ReversorSpace,
     ReversorStructure,
     make_chain,
     search_reversors,

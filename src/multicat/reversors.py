@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .colors import Color, colors_within, k_colors, minus
@@ -154,7 +155,8 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
 def validate_reversor_morphism(
     f: MsMorphism, r: ReversorStructure, rp: ReversorStructure
 ) -> ValidationReport:
-    """f intertwines every corresponding chain map: f(j(x)) == j'(f(x)).
+    """f intertwines every corresponding chain map: f(j(x)) is defined and
+    equals j'(f(x)).
 
     A pair of chains either of which has a ``_chain_fault`` is one COVER
     violation and is not scanned.
@@ -176,7 +178,9 @@ def validate_reversor_morphism(
             tab, tab2 = ch.map_at(rr), other.map_at(rr)
             fmap = f.maps.get(level_color, {})
             for x, jx in tab.items():
-                if fmap.get(jx) != tab2.get(fmap.get(x)):
+                # where f is undefined on j(x), f(j(x)) agrees with nothing
+                fjx = fmap.get(jx)
+                if fjx is None or fjx != tab2.get(fmap.get(x)):
                     report.add(
                         "EQUIVAR", level_color, (x,),
                         f"entries={ch.entries} level={rr}",
@@ -200,28 +204,69 @@ def _face_buckets(ms: MultipleSet, color: Color, e: int):
     return pairs, buckets
 
 
-def _map_candidates(cells: list[CellId], images: list[list[CellId]], budget: Budget) -> list[tuple]:
-    """Every map sending ``cells[i]`` into ``images[i]``, as tuples of
-    (cell, image) pairs sorted by cell; the maps share one pair per cell and
-    image.  The product is paid for before it is built."""
-    budget.spend(max(1, math.prod(map(len, images))), PHASE)
-    maps = list(itertools.product(*[[(x, y) for y in ys] for x, ys in zip(cells, images)]))
-    # parsed documents may list a color's cells out of order
-    return maps if cells == sorted(cells) else [tuple(sorted(m)) for m in maps]
+class _Maps:
+    """Every map sending ``cells[i]`` into ``images[i]``, made when asked for.
 
-
-def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: Budget) -> list[Chain]:
-    """Every chain at ``color`` along ``entries``, built from the terminal map up.
-
-    The terminal map swaps each cell's faces; each map above it sends the
-    faces of a cell's image to the next map's images of the cell's faces.
+    Maps come in product order over ``cells`` as listed, the last cell
+    fastest, each a tuple of (cell, image) pairs sorted by cell; the maps
+    share one pair per cell and image.  ``count`` is paid for before any
+    map is made.
     """
-    levels = [color]
-    for e in entries[:-1]:
-        levels.append(minus(levels[-1], e))
+
+    def __init__(self, cells: list[CellId], images: list[list[CellId]], budget: Budget):
+        self.count = math.prod(map(len, images))
+        budget.spend(max(1, self.count), PHASE)
+        self.pairs = [[(x, y) for y in ys] for x, ys in zip(cells, images)]
+        # parsed documents may list a color's cells out of order
+        self.order = None if cells == sorted(cells) else sorted(range(len(cells)), key=cells.__getitem__)
+
+    def _sorted(self, picked) -> tuple:
+        return tuple(picked) if self.order is None else tuple([picked[k] for k in self.order])
+
+    def __iter__(self):
+        maps = itertools.product(*self.pairs)
+        return maps if self.order is None else map(self._sorted, maps)
+
+    def __getitem__(self, i: int) -> tuple:
+        """The ``i``-th map, for ``0 <= i < count``, by mixed-radix decoding."""
+        picked = []
+        for pairs in reversed(self.pairs):
+            i, r = divmod(i, len(pairs))
+            picked.append(pairs[r])
+        picked.reverse()
+        return self._sorted(picked)
+
+
+class _SingleMapChains:
+    """The single-map chains at ``color`` along one entry, one per map of
+    ``maps``, each made when asked for."""
+
+    def __init__(self, color: Color, entries: tuple[int, ...], maps: _Maps):
+        self.color, self.entries, self.maps = color, entries, maps
+
+    def __iter__(self):
+        color, entries = self.color, self.entries
+        return (Chain(color, entries, (mp,)) for mp in self.maps)
+
+    def __getitem__(self, i: int) -> Chain:
+        return Chain(self.color, self.entries, (self.maps[i],))
+
+
+def _chain_options(ms: MultipleSet, color: Color, entries: tuple[int, ...], budget: Budget):
+    """The chains at ``color`` along ``entries`` and their count.
+
+    The terminal map swaps each cell's faces.  A single-map chain is one
+    image list per cell, its chains made when reached.  A longer chain is
+    built from the terminal map up: each map above it sends the faces of a
+    cell's image to the next map's images of the cell's faces, so its
+    images depend on that map.
+    """
+    levels = list(itertools.accumulate(entries[:-1], minus, initial=color))
     pairs, buckets = _face_buckets(ms, levels[-1], entries[-1])
-    images = [buckets.get((t, s), []) for s, t in pairs]
-    suffixes = [(m,) for m in _map_candidates(ms.cells_at(levels[-1]), images, budget)]
+    terminal = _Maps(ms.cells_at(levels[-1]), [buckets.get((t, s), []) for s, t in pairs], budget)
+    if len(entries) == 1:
+        return terminal.count, _SingleMapChains(color, entries, terminal)
+    suffixes = [(mp,) for mp in terminal]
     for lc, e in zip(levels[-2::-1], entries[-2::-1]):
         if not suffixes:
             break
@@ -230,10 +275,96 @@ def _chain_candidates(ms: MultipleSet, color: Color, entries, budget: Budget) ->
         for suffix in suffixes:
             nxt = dict(suffix[0])
             images = [buckets.get((nxt.get(s), nxt.get(t)), []) for s, t in pairs]
-            out.extend((m,) + suffix for m in _map_candidates(ms.cells_at(lc), images, budget))
+            out.extend((mp,) + suffix for mp in _Maps(ms.cells_at(lc), images, budget))
         suffixes = out
-    entries = tuple(entries)
-    return [Chain(color, entries, maps) for maps in suffixes]
+    return len(suffixes), [Chain(color, entries, maps) for maps in suffixes]
+
+
+class ReversorSpace:
+    """The reversor structures on ``base``: the product, over its coverage
+    slots, of each slot's chains, in ``itertools.product`` order (the last
+    slot fastest).
+
+    ``len`` is a product of sums, ``[i]`` decodes ``i`` digit by digit and
+    makes one structure, and iteration makes each structure when it is
+    reached; only chains of two or more maps are built with the space.  Each
+    structure is one positional constructor call with its chains in
+    (color, entries) order.  A space equals a list or space with equal
+    structures in the same order.
+    """
+
+    def __init__(self, ms: MultipleSet, m: int, kind: str, budget: Budget):
+        """Every slot's candidate maps are paid for, slot by slot, before
+        any is made; the first slot without a chain leaves the space empty
+        and later slots unpaid for."""
+        self.base, self.m, self.kind = ms, m, kind
+        slots = required_slots(ms, m, kind)
+        # per slot: its chain count and its (count, chains) options
+        self._slots: list[tuple[int, list[tuple[int, object]]]] = []
+        for c, key in slots:
+            subs = [key]
+            if kind == "general":
+                subs = [sub for q in range(1, _q_max(len(c), m) + 1)
+                        for sub in sorted(k_colors(c, q)) if sub[0] == key[0]]
+            options = [_chain_options(ms, c, tuple(sub), budget) for sub in subs]
+            total = sum(n for n, _ in options)
+            if not total:
+                self._slots, self.count = [], 0
+                return
+            self._slots.append((total, options))
+        self.count = math.prod(total for total, _ in self._slots)
+        # a slot's chains all carry its (color, key), so ordering a
+        # combination's chains by slot sorts them by (color, entries)
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        self._order = None if order == list(range(len(slots))) else order
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def _make(self, combo: list[Chain]) -> ReversorStructure:
+        chains = combo if self._order is None else [combo[k] for k in self._order]
+        return ReversorStructure(self.base, self.m, self.kind, chains)
+
+    def __getitem__(self, i: int) -> ReversorStructure:
+        i = operator.index(i)
+        if i < 0:
+            i += self.count
+        if not 0 <= i < self.count:
+            raise IndexError("reversor structure index out of range")
+        combo = []
+        for total, options in reversed(self._slots):
+            i, r = divmod(i, total)
+            for n, chains in options:
+                if r < n:
+                    combo.append(chains[r])
+                    break
+                r -= n
+        combo.reverse()
+        return self._make(combo)
+
+    def __iter__(self):
+        if self.count:
+            yield from self._from(0, [])
+
+    def _from(self, k: int, combo: list[Chain]):
+        """The structures that extend ``combo``, a chain for each slot
+        before ``k``, in order."""
+        if k == len(self._slots):
+            yield self._make(combo)
+            return
+        for _, chains in self._slots[k][1]:
+            for chain in chains:
+                yield from self._from(k + 1, combo + [chain])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, ReversorSpace)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 def search_reversors(
@@ -241,45 +372,29 @@ def search_reversors(
     m: int,
     kind: str = "minimal",
     budget: int | Budget | None = None,
-) -> list[ReversorStructure]:
-    """Exhaustive backtracking search for all reversor structures.
+) -> ReversorSpace:
+    """Every reversor structure, as a ``ReversorSpace``.
 
-    Uniqueness on strict fixtures is a claim to test, not assume: every
-    satisfying assignment is returned.  Each candidate map and each
-    combination spends one unit of ``budget`` (an int, a ``Budget`` shared
-    with other phases, or ``None`` for ``MULTICAT_BUDGET``).
+    Uniqueness on strict fixtures is a claim to test, not assume: the space
+    holds every satisfying assignment.  ``budget`` (an int, a ``Budget``
+    shared with other phases, or ``None`` for ``MULTICAT_BUDGET``) pays one
+    unit per candidate map, each map level before it is made, and one unit
+    per structure, charged as ``len`` before the space is returned.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
-    return list(_structures(ms, m, kind, as_budget(budget)))
+    b = as_budget(budget)
+    space = ReversorSpace(ms, m, kind, b)
+    b.spend(space.count, PHASE)
+    return space
 
 
 def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
-    """The structures of ``search_reversors``, in its order, one at a time.
-
-    Every candidate chain is built (and paid for) before the first
-    structure; each combination is paid for when it is reached, and each
-    structure is made by one positional constructor call.  A slot's chains
-    all carry its (color, key), so distinct combinations give distinct
-    structures, and ordering a combination's chains by slot sorts them by
-    (color, entries); when the slots already come in that order, a
-    combination's chains are listed as they come.
-    """
-    slots = required_slots(ms, m, kind)
-    slot_options: list[list[Chain]] = []
-    for c, key in slots:
-        subs = [key]
-        if kind == "general":
-            subs = [sub for q in range(1, _q_max(len(c), m) + 1)
-                    for sub in sorted(k_colors(c, q)) if sub[0] == key[0]]
-        options = [ch for sub in subs for ch in _chain_candidates(ms, c, sub, b)]
-        if not options:
-            return
-        slot_options.append(options)
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    in_order = order == list(range(len(slots)))
+    """The structures of ``search_reversors``, in its order, one at a time:
+    the candidate maps are paid for on the first draw, and each structure
+    when it is drawn."""
     spend = b.spend
-    for combo in itertools.product(*slot_options):
+    for r in ReversorSpace(ms, m, kind, b):
         spend(1, PHASE)
-        yield ReversorStructure(ms, m, kind, list(combo) if in_order else [combo[i] for i in order])
+        yield r

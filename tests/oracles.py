@@ -7,7 +7,7 @@ the raw table accessors.  Tests compare package output against these.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from multicat.colors import add, addable_entries, colors_within, minus
 from multicat.core import SOURCE, TARGET, MultipleSet, face
@@ -443,6 +443,52 @@ def reversor_axiom_ids(rev, ms: MultipleSet) -> set:
                         found.add("SERIAL")
             lc = minus(lc, e)
     return found
+
+
+def brute_force_reversors(ms: MultipleSet, m: int, kind: str) -> list[list[tuple]]:
+    """Every reversor structure on ``ms`` above ``m``, by trying every map.
+
+    A structure is its list of (color, entries, maps) chains, sorted by
+    (color, entries), each map a tuple of (cell, image) pairs sorted by cell.
+    Every map of a level (each cell to any cell of its color, in product
+    order over the cells as listed) is tried and kept when it passes
+    SWAP-END at the terminal level, or SERIAL against the kept map below it.
+    Within an entry sequence, chains come terminal map first; within a slot,
+    entry sequences come by length, then lexicographically; structures are
+    the product over the slots sorted by (dimension, color, key), the last
+    slot fastest.
+    """
+    def all_maps(c):
+        cells = ms.cells_at(c)
+        return [dict(zip(cells, images)) for images in product(cells, repeat=len(cells))]
+
+    def chains(c, entries):
+        levels = [c]
+        for e in entries[:-1]:
+            levels.append(minus(levels[-1], e))
+        last, e = levels[-1], entries[-1]
+        s, t = ms.src[(last, e)], ms.tgt[(last, e)]
+        kept = [[j] for j in all_maps(last)
+                if all(s[j[x]] == t[x] and t[j[x]] == s[x] for x in ms.cells_at(last))]
+        for lc, e in zip(levels[-2::-1], entries[-2::-1]):
+            s, t = ms.src[(lc, e)], ms.tgt[(lc, e)]
+            kept = [[j] + below for below in kept for j in all_maps(lc)
+                    if all(s[j[x]] == below[0][s[x]] and t[j[x]] == below[0][t[x]]
+                           for x in ms.cells_at(lc))]
+        return [(c, entries, tuple(tuple(sorted(j.items())) for j in maps)) for maps in kept]
+
+    slots = []
+    for c in sorted((c for c in ms.cells if ms.cells[c] and len(c) > m), key=lambda c: (len(c), c)):
+        q_max = max(1, len(c) - m - 1)
+        if kind == "minimal":
+            keyed = [[(e,)] for e in c]
+        elif kind == "maximal":
+            keyed = [[sub] for sub in combinations(c, min(q_max, len(c)))]
+        else:
+            keyed = [[sub for q in range(1, q_max + 1) for sub in combinations(c, q) if sub[0] == e]
+                     for e in c]
+        slots.extend([ch for entries in subs for ch in chains(c, entries)] for subs in keyed)
+    return [sorted(combo, key=lambda ch: ch[:2]) for combo in product(*slots)]
 
 
 def bracket_axiom_ids(e) -> set:

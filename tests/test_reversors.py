@@ -1,13 +1,15 @@
 import dataclasses
+import random
 import tracemalloc
 
 import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
-from multicat.reversors import required_slots
+from multicat import reversors
+from multicat.reversors import KINDS, required_slots
 from multicat.terms import Budget
-from oracles import reversor_axiom_ids
+from oracles import brute_force_reversors, reversor_axiom_ids
 
 
 def identity_maximal_reversors(ms, m=0):
@@ -132,13 +134,19 @@ def test_budget_limits_search():
         mc.search_reversors(ms, 0, "maximal", budget=2)
 
 
-def test_budget_is_spent_before_candidate_maps_are_built():
-    # 7 loops at one vertex: 7**7 candidate swap maps, far over the budget
+def loops(k):
+    """k loops at one vertex: every map of the loops is a swap map."""
     ms = mc.MultipleSet(1, 1)
     ms.cells[()] = ["v"]
-    ms.cells[(1,)] = [f"l{i}" for i in range(7)]
-    ms.src[((1,), 1)] = {f"l{i}": "v" for i in range(7)}
-    ms.tgt[((1,), 1)] = {f"l{i}": "v" for i in range(7)}
+    ms.cells[(1,)] = [f"l{i}" for i in range(k)]
+    ms.src[((1,), 1)] = {f"l{i}": "v" for i in range(k)}
+    ms.tgt[((1,), 1)] = {f"l{i}": "v" for i in range(k)}
+    return ms
+
+
+def test_budget_is_spent_before_candidate_maps_are_built():
+    # 7 loops at one vertex: 7**7 candidate swap maps, far over the budget
+    ms = loops(7)
     tracemalloc.start()
     try:
         with pytest.raises(mc.BudgetExceeded) as info:
@@ -193,3 +201,111 @@ def test_search_on_terminal_set_counts_and_chain_order(kind, count, used):
         order = [(ch.color, ch.entries) for ch in r.chains]
         assert order == sorted(order)
         assert mc.validate_reversors(r).ok
+
+
+def test_reversor_morphism_reports_cells_where_f_is_undefined():
+    pg = fx.pair_groupoid(2)
+    r = mc.search_reversors(pg, 0, "minimal")[0]
+    partial = mc.identity_morphism(pg.base)
+    for x in ("o0>o1", "o1>o0"):
+        del partial.maps[(1,)][x]
+    report = mc.validate_reversor_morphism(partial, r, r)
+    assert report.violations == [
+        mc.Violation("EQUIVAR", (1,), (x,), "entries=(1,) level=0") for x in ("o0>o1", "o1>o0")
+    ]
+
+
+def small_base(rng, dim):
+    """A seeded valid multiple set of dimension ``dim`` with at most 4 cells
+    per color: one vertex (up to two at dimension 1), one cell per color
+    below the top but for one color with two, and 1 to 5 - dim top cells.
+    A cell either takes random faces or swaps every face pair of the cell
+    before it, so swap partners are common; colors list their cells in a
+    shuffled order."""
+    ms = mc.MultipleSet(dim, dim)
+
+    def add(c, n):
+        names = [f"x{i}" for i in range(n)]
+        for i, x in enumerate(names):
+            for d in c:
+                lower = ms.cells[tuple(k for k in c if k != d)]
+                s, t = ms.src.setdefault((c, d), {}), ms.tgt.setdefault((c, d), {})
+                if i and rng.random() < 0.5:
+                    s[x], t[x] = t[names[i - 1]], s[names[i - 1]]
+                else:
+                    s[x], t[x] = rng.choice(lower), rng.choice(lower)
+        rng.shuffle(names)
+        ms.cells[c] = names
+
+    add((), rng.randint(1, 2) if dim == 1 else 1)
+    colors = mc.colors_within(dim, dim)[1:]
+    wide = rng.choice([c for c in colors if len(c) == dim - 1] or [None])
+    for c in colors:
+        add(c, rng.randint(1, 5 - dim) if len(c) == dim else 1 + (c == wide))
+    assert mc.validate_multiple_set(ms).ok
+    return ms
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_space_agrees_with_brute_force_enumeration(kind):
+    counts, longest = [], 0
+    for dim in (1, 2, 3):
+        for seed in range(6):
+            ms = small_base(random.Random(f"{dim}-{seed}"), dim)
+            for m in range(dim + 1):
+                space = mc.search_reversors(ms, m, kind, Budget(10**6))
+                want = brute_force_reversors(ms, m, kind)
+                listed = list(space)
+                assert len(space) == len(want) == len(listed)
+                assert [[(ch.color, ch.entries, ch.maps) for ch in r.chains] for r in listed] == want
+                for i in range(-len(listed), len(listed)):
+                    assert space[i] == listed[i]
+                for i in (len(listed), -len(listed) - 1):
+                    with pytest.raises(IndexError):
+                        space[i]
+                counts.append(len(space))
+                longest = max([longest] + [len(ch.entries) for r in listed for ch in r.chains])
+    # the inputs reach empty, unique and many structures, and longer chains
+    assert 0 in counts and 1 in counts and max(counts) > 1000
+    assert longest == (1 if kind == "minimal" else 2)
+
+
+def test_space_equals_lists_and_spaces_elementwise():
+    ms = loops(2)
+    space = mc.search_reversors(ms, 0, "minimal")
+    assert space == list(space) == mc.search_reversors(ms, 0, "minimal")
+    assert space != list(space)[::-1] and space != list(space)[:3]
+    assert mc.search_reversors(fx.pair_groupoid(2), 0, "minimal") != space
+    cat = mc.quotient_to_category(mc.free_strict(fx.single_edge(), 1, 6))
+    assert mc.search_reversors(cat, 0, "minimal") == [] and not mc.search_reversors(cat, 0, "minimal")
+
+
+def test_counting_structures_builds_none():
+    # 12**12 structures: counted, paid for and indexed without listing them
+    tracemalloc.start()
+    try:
+        space = mc.search_reversors(loops(12), 0, "minimal", Budget(2 * 12**12 + 1))
+        assert len(space) == 12**12
+        last = space[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the last structure sends every loop to the last-listed one
+    assert last.chains[0].maps == (tuple(sorted((f"l{i}", "l11") for i in range(12))),)
+
+
+def test_budget_for_candidates_but_not_structures_fails_before_building_any(monkeypatch):
+    made = []
+    original = reversors.ReversorStructure
+
+    def counted(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reversors, "ReversorStructure", counted)
+    b = Budget(27 + 10)
+    with pytest.raises(mc.BudgetExceeded) as info:
+        mc.search_reversors(loops(3), 0, "minimal", b)
+    assert (info.value.phase, info.value.used, info.value.requested) == ("reversor search", 27, 27)
+    assert b.used == 27 and made == []
