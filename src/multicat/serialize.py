@@ -272,6 +272,8 @@ def _colors():
     memo: dict = {}
 
     def color(raw) -> Color:
+        if type(raw) not in (list, tuple):  # to_document's documents hold tuples
+            raise ParseError(f"bad color {raw!r}: must be an array")
         key = tuple(raw)
         for e in key:
             if type(e) is not int:
@@ -307,13 +309,6 @@ def _stage_log(raw) -> list[dict]:
     return raw
 
 
-def _not_strings(table: str) -> ParseError:
-    """The error for a ``table`` record naming a cell by a non-string.  The
-    readers test ids inline, in the loop over records: a second pass over
-    each column (``set(map(type, ...))``) costs more on small documents."""
-    return ParseError(f"cells named in {table} records must be strings")
-
-
 def _array(value, field: str) -> list:
     """A field that must be a JSON array: iterating a string or an object
     would read its characters or its keys as entries."""
@@ -328,25 +323,107 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _reject_repeats(table: str, records, filled: int, width: int):
-    """Reject two records that share a key: the color and the next
-    ``width - 1`` fields.
+# table -> (direction field, key cells, value fields, value types).  Every
+# table follows one rule: a record is an array of the table's width, its
+# color is well formed, its direction an integer, its cells strings (a face
+# may be null), its stage an integer >= 0, and its key, the fields before its
+# values, is no earlier record's.
+_TABLES = {
+    "faces": ("face direction", 1, 2, {str, type(None)}),
+    "refl": ("degeneracy direction", 1, 1, {str}),
+    "comp": ("composition direction", 2, 1, {str}),
+    "pi": (None, 1, 1, {str}),
+    "brackets": ("bracket direction", 2, 1, {str}),
+    "stage_of": (None, 1, 1, {int}),
+}
 
-    ``filled`` is the number of entries the records left in their table;
-    keys are searched only when it falls short of the record count, that
-    is, when a record overwrote an earlier one.
+
+def _read_table(records, table: str, color) -> list[dict]:
+    """One dict per value field of a keyed table, ``{(color, direction) or
+    color: {cell or (cell, cell): value}}``.
+
+    Each field is type-checked a column at a time; a column that fails its
+    check is read again value by value, to name the first bad one.  The
+    records are then stored in one pass per value field, which reads each
+    color and direction once per run of records that share them.
     """
-    if filled == len(records):
-        return
+    direction, nkeys, nvalues, types = _TABLES[table]
+    first = 2 if direction else 1  # the field of the first key cell
+    width = first + nkeys + nvalues
+    records = _array(records, table)
+    try:
+        # strict: every record is as long as the first one
+        cols = list(zip(*records, strict=True)) or [()] * width
+    except (TypeError, ValueError):
+        cols = ()
+    if len(cols) != width:
+        raise ParseError(f"{table} records must be arrays of {width} fields")
+    try:
+        # runs compare by equality, and true == 1 == 1.0: check types first
+        ints = set(map(type, chain(chain.from_iterable(cols[0]), *cols[1:first])))
+    except TypeError:  # a color that is not an array
+        ints = {None}
+    if not ints <= {int}:
+        for raw in cols[0]:
+            color(raw)
+        for d in cols[1]:
+            _int(d, direction)
+    values = cols[first + nkeys:]
+    if int in types and not (set(map(type, values[0])) <= {int}
+                             and min(values[0], default=0) >= 0):
+        for s in values[0]:
+            _int(s, f"{table} value", 0)
+    if not (set(map(type, chain(*cols[first:first + nkeys]))) <= {str}
+            and set(map(type, chain(*values))) <= types):
+        raise ParseError(f"cells named in {table} records must be strings")
+    dirs = cols[1] if direction else repeat(None)
+    cells = cols[first] if nkeys == 1 else list(zip(*cols[first:first + nkeys]))
+    tabs = []
+    for col in values:
+        tab, raw, d = {}, None, None
+        for r, e, cell, value in zip(cols[0], dirs, cells, col):
+            if r != raw or e != d:
+                raw, d = r, e
+                dst = tab.setdefault((color(r), e) if direction else color(r), {})
+            dst[cell] = value
+        tabs.append(tab)
+    if sum(map(len, tabs[0].values())) != len(records):
+        _reject_repeats(table, records, first + nkeys)
+    return tabs
+
+
+def _reject_repeats(table: str, records, width: int):
+    """Reject the first record whose key, its color and the next ``width -
+    1`` fields, repeats an earlier record's; the reader calls it when a
+    record overwrote another."""
     seen = set()
     for rec in records:
         key = (tuple(rec[0]), *rec[1:width])
         if key in seen:
             break
         seen.add(key)
-    # the readers have checked every field's type: name the key as the document writes it
+    # the reader has checked every field's type: name the key as the document writes it
     shown = json.dumps([list(key[0]), *key[1:]], ensure_ascii=False)
     raise ParseError(f"repeated {table} record for {shown}")
+
+
+# the fields each kind of document reads; any other field is a parse error
+_MS_FIELDS = frozenset(("universe_bound", "dim_bound", "cells", "faces"))
+_MAGMA_FIELDS = _MS_FIELDS | {"refl", "comp"}
+_FIELDS = {kind: fields | {"format_version", "kind"} for kind, fields in (
+    ("multiple-set", _MS_FIELDS), ("reflexive", _MS_FIELDS | {"refl"}),
+    ("magma", _MAGMA_FIELDS), ("strict", _MAGMA_FIELDS),
+    ("reversors", _MS_FIELDS | {"m", "reversor_kind", "chains"}),
+    ("stretching", {"magma", "cat", "pi", "brackets", "m", "stage", "stage_of", "stage_log"}))}
+
+
+def _fields(doc, fields, where: str) -> dict:
+    """``doc`` as an object that holds no field outside ``fields``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be an object")
+    if not fields.issuperset(doc):
+        raise ParseError(f"unknown field {min(doc.keys() - fields)!r} in {where}")
+    return doc
 
 
 def _parse_ms(doc: dict, color) -> MultipleSet:
@@ -355,6 +432,7 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
             _int(_require(doc, "universe_bound"), "universe_bound"),
             _int(_require(doc, "dim_bound"), "dim_bound"),
         )
+        ids_at: dict = {}
         for entry in _array(_require(doc, "cells"), "cells"):
             color_raw, ids = entry
             c = color(color_raw)
@@ -370,63 +448,35 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
             ms.cells[c] = list(_array(ids, f"cell ids at color {list(c)}"))
             if not set(map(type, ms.cells[c])) <= {str}:
                 raise ParseError(f"cell ids at color {list(c)} must be strings")
-            if len(set(ms.cells[c])) != len(ms.cells[c]):
+            ids_at[c] = set(ms.cells[c])
+            if len(ids_at[c]) != len(ms.cells[c]):
                 raise ParseError(f"cell id repeated at color {list(c)}")
-        faces = _array(_require(doc, "faces"), "faces")
-        for color_raw, d, x, s, t in faces:
-            if (type(x) is not str or (type(s) is not str and s is not None)
-                    or (type(t) is not str and t is not None)):
-                raise _not_strings("faces")
-            key = (color(color_raw), _int(d, "face direction"))
-            ms.src.setdefault(key, {})[x] = s
-            ms.tgt.setdefault(key, {})[x] = t
-        _reject_repeats("faces", faces, sum(map(len, ms.src.values())), 3)
-        # the writer renders an undefined face as null: read it back as undefined
-        for tabs in (ms.src, ms.tgt):
-            for key, tab in tabs.items():
-                if None in tab.values():
-                    tabs[key] = {x: y for x, y in tab.items() if y is not None}
-        return ms
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc
+    ms.src, ms.tgt = _read_table(_require(doc, "faces"), "faces", color)
+    # a record the model cannot hold would be lost on the next write
+    for (c, d), tab in ms.src.items():
+        if d not in c:
+            raise ParseError(f"faces record at color {list(c)} has direction {d},"
+                             " which is not an entry of the color")
+        ids = ids_at.get(c, set())
+        if not tab.keys() <= ids:
+            raise ParseError(f"faces record names {min(tab.keys() - ids)!r},"
+                             f" which is not a cell at color {list(c)}")
+    # read a null face back as undefined
+    for tabs in (ms.src, ms.tgt):
+        for key, tab in tabs.items():
+            if None in tab.values():
+                tabs[key] = {x: y for x, y in tab.items() if y is not None}
+    return ms
 
 
-def _parse_refl(doc: dict, base: MultipleSet, color) -> ReflexiveStructure:
-    refl = ReflexiveStructure(base=base)
-    try:
-        records = _array(doc.get("refl", []), "refl")
-        for color_raw, l, x, dx in records:
-            if not type(x) is type(dx) is str:
-                raise _not_strings("refl")
-            key = (color(color_raw), _int(l, "degeneracy direction"))
-            refl.refl.setdefault(key, {})[x] = dx
-        _reject_repeats("refl", records, sum(map(len, refl.refl.values())), 3)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed reflexive table: {exc}") from exc
-    return refl
-
-
-def _parse_magma(doc: dict, color) -> MagmaStructure:
+def _parse_magma(doc: dict, color, cls=MagmaStructure) -> MagmaStructure:
     base = _parse_ms(doc, color)
-    m = MagmaStructure(base=base)
+    refl = None
     if "refl" in doc:
-        m.refl = _parse_refl(doc, base, color)
-    try:
-        records = _array(doc.get("comp", []), "comp")
-        for color_raw, d, a, b, r in records:
-            if not type(a) is type(b) is type(r) is str:
-                raise _not_strings("comp")
-            key = (color(color_raw), _int(d, "composition direction"))
-            m.comp.setdefault(key, {})[(a, b)] = r
-        _reject_repeats("comp", records, sum(map(len, m.comp.values())), 4)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed composition table: {exc}") from exc
-    return m
-
-
-def _parse_strict(doc: dict, color) -> StrictCategory:
-    m = _parse_magma(doc, color)
-    return StrictCategory(base=m.base, comp=m.comp, refl=m.refl)
+        refl = ReflexiveStructure(base, _read_table(doc["refl"], "refl", color)[0])
+    return cls(base=base, comp=_read_table(doc.get("comp", []), "comp", color)[0], refl=refl)
 
 
 def from_document(doc: dict):
@@ -437,26 +487,27 @@ def from_document(doc: dict):
     kind = _require(doc, "kind")
     if kind not in KINDS:
         raise ParseError(f"unknown document kind {kind!r}")
+    _fields(doc, _FIELDS[kind], f"a {kind} document")
     color = _colors()
     if kind == "multiple-set":
         return _parse_ms(doc, color)
     if kind == "reflexive":
-        return _parse_refl(doc, _parse_ms(doc, color), color)
-    if kind == "magma":
-        return _parse_magma(doc, color)
-    if kind == "strict":
-        return _parse_strict(doc, color)
+        base = _parse_ms(doc, color)
+        return ReflexiveStructure(base, _read_table(doc.get("refl", []), "refl", color)[0])
+    if kind in ("magma", "strict"):
+        return _parse_magma(doc, color, StrictCategory if kind == "strict" else MagmaStructure)
     if kind == "reversors":
         base = _parse_ms(doc, color)
         try:
             chains = []
             for color_raw, entries, levels in _array(doc.get("chains", []), "chains"):
-                maps = [
-                    dict(_array(pair, "chain map pair") for pair in _array(level, "chain map"))
-                    for level in _array(levels, "chain maps")
-                ]
+                levels = [[_array(pair, "chain map pair") for pair in _array(level, "chain map")]
+                          for level in _array(levels, "chain maps")]
+                maps = [dict(level) for level in levels]
+                if any(len(m) != len(level) for m, level in zip(maps, levels)):
+                    raise ParseError("a chain map sends one cell twice")
                 if any(not type(x) is type(y) is str for lv in maps for x, y in lv.items()):
-                    raise _not_strings("chains")
+                    raise ParseError("cells named in chains records must be strings")
                 entries = [_int(e, "chain entry") for e in _array(entries, "chain entries")]
                 chains.append(make_chain(color(color_raw), entries, maps))
             rev_kind = _require(doc, "reversor_kind")
@@ -469,31 +520,16 @@ def from_document(doc: dict):
             raise ParseError(f"malformed reversor chains: {exc}") from exc
     # stretching
     try:
-        magma = _parse_magma(_require(doc, "magma"), color)
-        cat = _parse_strict(_require(doc, "cat"), color)
-        pi: dict = {}
-        records = _array(_require(doc, "pi"), "pi")
-        for color_raw, x, px in records:
-            if not type(x) is type(px) is str:
-                raise _not_strings("pi")
-            pi.setdefault(color(color_raw), {})[x] = px
-        _reject_repeats("pi", records, sum(map(len, pi.values())), 2)
-        brackets: dict = {}
-        records = _array(doc.get("brackets", []), "brackets")
-        for color_raw, r, a, b, cell in records:
-            if not type(a) is type(b) is type(cell) is str:
-                raise _not_strings("brackets")
-            key = (color(color_raw), _int(r, "bracket direction"))
-            brackets.setdefault(key, {})[(a, b)] = cell
-        _reject_repeats("brackets", records, sum(map(len, brackets.values())), 4)
+        magma = _parse_magma(_fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"),
+                             color)
+        cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), color,
+                           StrictCategory)
+        pi = _read_table(_require(doc, "pi"), "pi", color)[0]
+        brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
         stage_of = None
         if "stage_of" in doc:
-            stage_of = {}
-            for color_raw, x, s in _array(doc["stage_of"], "stage_of"):
-                if type(x) is not str:
-                    raise _not_strings("stage_of")
-                stage_of[(color(color_raw), x)] = _int(s, "stage_of value", 0)
-            _reject_repeats("stage_of", doc["stage_of"], len(stage_of), 2)
+            stages = _read_table(doc["stage_of"], "stage_of", color)[0]
+            stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
         return Stretching(
             magma=magma, cat=cat, pi=pi, brackets=brackets,
             m=_int(doc["m"], "m", 0) if "m" in doc else None,

@@ -311,6 +311,22 @@ def test_validate_json_reports_non_cell_key(tmp_path, capsys):
     assert payload["violations"][0]["cells"] == ["ghost", "o0>o1"]
 
 
+@pytest.mark.parametrize("record", [
+    [[1], 2, "o0>o1", "o0", "o1"],
+    [[1], 1, "ghost", "o0", "o1"],
+])
+def test_validate_rejects_a_face_record_the_model_cannot_hold(record, tmp_path, capsys):
+    with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["faces"].append(record)
+    p = tmp_path / "bad-face.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: faces record")
+
+
 def test_validate_malformed_color_is_parse_error(tmp_path, capsys):
     with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
         doc = json.load(fh)

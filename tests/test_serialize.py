@@ -219,6 +219,83 @@ def test_parse_rejects_repeated_record(name, table):
     assert str(info.value) == f"repeated {table} record for {REPEATED_KEYS[table]}"
 
 
+def _fixture_doc(name):
+    with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name, body, record, message", [
+    # a face in a direction its color lacks, or of a cell its color lacks,
+    # used to be dropped: validate printed ok, and a write lost the record
+    ("pair-groupoid.mset", (), [[1], 2, "o0>o1", "o0", "o1"],
+     "faces record at color [1] has direction 2, which is not an entry of the color"),
+    ("pair-groupoid.mset", (), [[1], 1, "ghost", "o0", "o1"],
+     "faces record names 'ghost', which is not a cell at color [1]"),
+    ("pair-groupoid.mset", (), [[2], 2, "o0>o1", "o0", "o1"],
+     "faces record names 'o0>o1', which is not a cell at color [2]"),
+    ("parallel-edges-free-weak.mset", ("cat",), [[1], 2, "a", "x", "y"],
+     "faces record at color [1] has direction 2, which is not an entry of the color"),
+    ("parallel-edges-free-weak.mset", ("magma",), [[1], 1, "ghost", None, None],
+     "faces record names 'ghost', which is not a cell at color [1]"),
+])
+def test_parse_rejects_a_face_the_model_cannot_hold(name, body, record, message):
+    doc = _fixture_doc(name)
+    (doc[body[0]] if body else doc)["faces"].append(record)
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == message
+
+
+def test_parse_rejects_a_cell_mapped_twice_in_a_chain():
+    doc = _fixture_doc("pair-groupoid-reversors.mset")
+    level = doc["chains"][0][2][0]
+    assert ["o0>o1", "o1>o0"] in level
+    # dict() kept the last pair: the contradictory one ahead of it was lost
+    level.insert(0, ["o0>o1", "o0>o1"])
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == "a chain map sends one cell twice"
+    # and so is a pair written twice
+    level[0] = ["o0>o1", "o1>o0"]
+    with pytest.raises(mc.ParseError, match="twice"):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    # a multiple-set document validated ok and lost its refl table on a write
+    ("point-free-reflexive.mset", ("kind",), "multiple-set",
+     "unknown field 'refl' in a multiple-set document"),
+    # a misspelt brackets field read as a stretching without brackets
+    ("parallel-edges-free-weak.mset", ("brackts",), [],
+     "unknown field 'brackts' in a stretching document"),
+    ("parallel-edges-free-weak.mset", ("magma", "pi"), [], "unknown field 'pi' in the magma body"),
+    ("parallel-edges-free-weak.mset", ("cat", "kind"), "strict",
+     "unknown field 'kind' in the cat body"),
+    ("pair-groupoid-reversors.mset", ("comp",), [], "unknown field 'comp' in a reversors document"),
+    ("pair-groupoid.mset", ("stage_of",), [], "unknown field 'stage_of' in a strict document"),
+    ("square.mset", ("chains",), [], "unknown field 'chains' in a multiple-set document"),
+])
+def test_parse_rejects_a_field_the_kind_does_not_read(name, path, value, message):
+    doc = _fixture_doc(name)
+    *outer, last = path
+    container = doc
+    for key in outer:
+        container = container[key]
+    container[last] = value
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("body", ["magma", "cat"])
+def test_parse_rejects_a_body_that_is_not_an_object(body):
+    doc = _fixture_doc("parallel-edges-free-weak.mset")
+    doc[body] = [doc[body]]
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == f"the {body} body must be an object"
+
+
 @pytest.mark.parametrize("name, path, value, field", [
     # a cell-id list written as a string used to parse as its characters,
     # and one written as an object as its keys
@@ -431,6 +508,11 @@ def test_writer_matches_json_dumps_on_odd_names(m):
     ("parallel-edges-free-weak.mset", ("brackets", 0, 3), 0.5),
     ("parallel-edges-free-weak.mset", ("brackets", 0, 4), 7),
     ("parallel-edges-free-weak.mset", ("stage_of", 0, 1), 7),
+    # [true] == [1] and true == 1 == 1.0: a record inside a run of one color
+    # and direction must not pass as the run's first record
+    ("square.mset", ("faces", 1, 0, 0), True),
+    ("square.mset", ("faces", 1, 1), True),
+    ("square.mset", ("faces", 1, 1), 1.0),
 ])
 def test_parse_reads_integers_strictly(name, path, value):
     with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as fh:

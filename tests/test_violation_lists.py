@@ -29,6 +29,7 @@ TABLES = {
     "comp": (1, (2, 3), (4,)),
     "pi": (None, (1,), (2,)),
     "brackets": (1, (2, 3), (4,)),
+    "stage_of": (None, (1,), (2,)),
 }
 PER_TABLE = 6
 
