@@ -459,16 +459,20 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
         if d not in c:
             raise ParseError(f"faces record at color {list(c)} has direction {d},"
                              " which is not an entry of the color")
-        ids = ids_at.get(c, set())
-        if not tab.keys() <= ids:
-            raise ParseError(f"faces record names {min(tab.keys() - ids)!r},"
-                             f" which is not a cell at color {list(c)}")
+        _only_cells(tab, ids_at.get(c, set()), "faces", c)
     # read a null face back as undefined
     for tabs in (ms.src, ms.tgt):
         for key, tab in tabs.items():
             if None in tab.values():
                 tabs[key] = {x: y for x, y in tab.items() if y is not None}
     return ms
+
+
+def _only_cells(tab: dict, ids: set, table: str, c):
+    """Reject a record of ``table`` at color ``c`` keyed by a cell not in ``ids``."""
+    if not tab.keys() <= ids:
+        raise ParseError(f"{table} record names {min(tab.keys() - ids)!r},"
+                         f" which is not a cell at color {list(c)}")
 
 
 def _parse_magma(doc: dict, color, cls=MagmaStructure) -> MagmaStructure:
@@ -529,6 +533,8 @@ def from_document(doc: dict):
         stage_of = None
         if "stage_of" in doc:
             stages = _read_table(doc["stage_of"], "stage_of", color)[0]
+            for c, tab in stages.items():
+                _only_cells(tab, set(magma.base.cells.get(c, ())), "stage_of", c)
             stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
         return Stretching(
             magma=magma, cat=cat, pi=pi, brackets=brackets,

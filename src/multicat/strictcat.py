@@ -14,12 +14,15 @@ in its class.  The matcher, the rebuild and the materialization read the
 face columns directly.  The closure is an e-graph in the style of egg
 (Willsey et al., POPL 2021): each class keeps its deduplicated canonical
 e-nodes -- a term node with class roots as children -- and the e-nodes that
-use it as a child.  Unions go on a worklist, and a rebuild re-keys only the
-users of merged classes (signature congruence) and unions the faces of
-merged classes (face congruence).  UNIT, ASSOC, MFI, DIST and EXCH match over canonical e-nodes
-and are not matched again until an e-node is added or two classes merge.  A
-match returns only the instances whose two classes differ: classes only
-merge, so the others could never merge anything.
+use it as a child.  The hash-cons maps every e-node to its class root at all
+times: a union points the absorbed class's e-nodes at the surviving root as
+it moves them, so a lookup needs no ``find`` on its result.  Unions go on a
+worklist, and a rebuild re-keys only the users of merged classes (signature
+congruence) and unions the faces of merged classes (face congruence).  UNIT,
+ASSOC, MFI, DIST and EXCH match over canonical e-nodes and are not matched
+again until an e-node is added or two classes merge.  A match returns only
+the instances whose two classes differ: classes only merge, so the others
+could never merge anything.
 ``StrictPresentation.matched`` counts the instances of each rule a match
 returned, and ``StrictPresentation.unions`` the successful unions of each
 rule.  Materialization composes class representatives that fit the size
@@ -138,10 +141,11 @@ class StrictPresentation(TermGraph):
     """The term graph of a free strict category and the e-graph over its classes.
 
     An e-node is a node tuple whose children are class roots.  After a
-    rebuild the keys of ``hashcons`` are exactly the e-nodes, each mapped to a
-    member of its class.  Per class root: its e-nodes, the (e-node, class)
-    pairs that use it as a child, and its members of least size.  New nodes
-    may be made only while no union waits for a rebuild.
+    rebuild the keys of ``hashcons`` are exactly the e-nodes.  Every key is
+    mapped to its class root, also between rebuilds.  Per class root: its
+    e-nodes, the (e-node, class) pairs that use it as a child, and its
+    members of least size.  New nodes may be made only while no union waits
+    for a rebuild.
     """
 
     def __init__(self, generators: MultipleSet, dim_bound: int, size_bound: int,
@@ -175,7 +179,8 @@ class StrictPresentation(TermGraph):
         """The class of a new node: it joins the class of an e-node it is
         congruent to, in place, its faces already lying in the classes of
         that e-node's faces; else it is an e-node and a class of its own.
-        The roots are found inline, by path halving as in ``find``."""
+        The children's roots are found inline, by path halving as in
+        ``find``; the hash-cons gives the e-node's root itself."""
         parent = self.uf.parent
         kind = node[0]
         if kind == "gen":
@@ -193,8 +198,6 @@ class StrictPresentation(TermGraph):
                 key = (kind, node[1], a, b)
         root = self.hashcons.get(key)
         if root is not None:
-            while parent[root] != root:
-                parent[root] = root = parent[parent[root]]
             parent.append(root)
             self.unions["signature"] += 1
             have = self.smallest[root]
@@ -237,6 +240,10 @@ class StrictPresentation(TermGraph):
         keep, gone = self.enodes[ra], self.enodes.pop(rb)
         if keep and gone:
             self.closed = False
+        # the hash-cons maps every e-node to its class root
+        hashcons = self.hashcons
+        for key in gone:
+            hashcons[key] = ra
         if len(keep) < len(gone):
             keep, gone = gone, keep
             self.enodes[ra] = keep
@@ -332,7 +339,8 @@ class StrictPresentation(TermGraph):
     def _match(self) -> list[tuple[str, int, int]]:
         """Every rule instance over the canonical e-nodes whose two classes
         differ, as unions to make.  Classes only merge, so an instance left
-        out would merge nothing later in the batch either."""
+        out would merge nothing later in the batch either.  A hash-cons
+        lookup gives a class root, which is compared and combined as it is."""
         find = self.uf.find
         get = self.hashcons.get
         enodes = self.enodes
@@ -343,14 +351,10 @@ class StrictPresentation(TermGraph):
                 if node[0] == "comp":
                     _, d, a, b = node
                     # UNIT: a * 1(s(a)) == a and 1(t(b)) * b == b
-                    if a != root:
-                        unit = get(("refl", d, find(S[d][a])))
-                        if unit is not None and find(unit) == b:
-                            out.append(("UNIT", root, a))
-                    if b != root:
-                        unit = get(("refl", d, find(T[d][b])))
-                        if unit is not None and find(unit) == a:
-                            out.append(("UNIT", root, b))
+                    if a != root and get(("refl", d, find(S[d][a]))) == b:
+                        out.append(("UNIT", root, a))
+                    if b != root and get(("refl", d, find(T[d][b]))) == a:
+                        out.append(("UNIT", root, b))
                     for left in enodes[a]:
                         if left[0] != "comp":
                             continue
@@ -359,8 +363,8 @@ class StrictPresentation(TermGraph):
                             inner = get(("comp", d, left[3], b))
                             if inner is None:
                                 continue
-                            outer = get(("comp", d, left[2], find(inner)))
-                            if outer is not None and find(outer) != root:
+                            outer = get(("comp", d, left[2], inner))
+                            if outer is not None and outer != root:
                                 out.append(("ASSOC", root, outer))
                             continue
                         # MFI: node = (x *_j y) *_d (p *_j q)
@@ -372,8 +376,8 @@ class StrictPresentation(TermGraph):
                             yq = get(("comp", d, y, right[3]))
                             if xp is None or yq is None:
                                 continue
-                            rhs = get(("comp", j, find(xp), find(yq)))
-                            if rhs is not None and find(rhs) != root:
+                            rhs = get(("comp", j, xp, yq))
+                            if rhs is not None and rhs != root:
                                 out.append(("MFI", root, rhs))
                 elif node[0] == "refl":
                     _, l, ch = node
@@ -384,16 +388,16 @@ class StrictPresentation(TermGraph):
                             ry = get(("refl", l, inner[3]))
                             if rx is None or ry is None:
                                 continue
-                            other = get(("comp", inner[1], find(rx), find(ry)))
-                            if other is not None and find(other) != root:
+                            other = get(("comp", inner[1], rx, ry))
+                            if other is not None and other != root:
                                 out.append(("DIST", root, other))
                         elif inner[0] == "refl":
                             # EXCH: 1_l(1_k(x)) ~ 1_k(1_l(x))
                             lx = get(("refl", l, inner[2]))
                             if lx is None:
                                 continue
-                            other = get(("refl", inner[1], find(lx)))
-                            if other is not None and find(other) != root:
+                            other = get(("refl", inner[1], lx))
+                            if other is not None and other != root:
                                 out.append(("EXCH", root, other))
         return out
 
@@ -473,7 +477,7 @@ class StrictPresentation(TermGraph):
         got = self.hashcons.get(key)
         if got is None:
             raise TermNotMaterialized(f"term {term!r} not materialized")
-        return self.uf.find(got)
+        return got
 
     def class_counts(self) -> dict[Color, int]:
         out: dict[Color, int] = {}
@@ -519,7 +523,7 @@ def unit_map(p: StrictPresentation) -> dict[tuple[Color, CellId], str]:
     out = {}
     for c in p.generators.colors():
         for x in p.generators.cells_at(c):
-            out[(c, x)] = p._render(reps[p.uf.find(p.memo[("gen", c, x)])])
+            out[(c, x)] = p._render(reps[p.hashcons[("gen", c, x)]])
     return out
 
 
@@ -563,7 +567,7 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
                 raise BoundsTooSmall(
                     f"degeneracy 1[{l}] of {name!r} at {list(c)} not materialized"
                 )
-            tab[name] = names[p.uf.find(got)]
+            tab[name] = names[got]
         refl.refl[(c, l)] = tab
 
     cat = StrictCategory(base=base, refl=refl)
@@ -579,6 +583,6 @@ def quotient_to_category(p: StrictPresentation) -> StrictCategory:
                         f"composite of ({a!r}, {b!r}) in direction {d} at {list(c)}"
                         " not materialized; raise the size bound"
                     )
-                tab[(a, b)] = names[p.uf.find(got)]
+                tab[(a, b)] = names[got]
             cat.comp[(c, d)] = tab
     return cat

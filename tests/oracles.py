@@ -682,3 +682,75 @@ def term_faces(nodes, ms: MultipleSet, stacked: bool = False, pushed: bool = Fal
 
     return [{(d, pol): face_of(t, d, pol) for d in color_of(t) for pol in (SOURCE, TARGET)}
             for t in term_trees(nodes)]
+
+
+# ---------------------------------------------------------------------------
+# strict closure: the matcher with a class lookup after every hash-cons hit
+
+
+def reference_match(p) -> list[tuple[str, int, int]]:
+    """The rule instances ``StrictPresentation._match`` must return, in its
+    order, over a presentation whose rebuild is done.  Every hash-cons hit
+    goes through the union-find, so this matcher holds whether or not the
+    hash-cons values are class roots."""
+    find, get, enodes = p.uf.find, p.hashcons.get, p.enodes
+
+    def cls(key):
+        got = get(key)
+        return None if got is None else find(got)
+
+    out = []
+    for root, ens in enodes.items():
+        for node in ens:
+            if node[0] == "comp":
+                _, d, a, b = node
+                # UNIT: a * 1(s(a)) == a and 1(t(b)) * b == b
+                if a != root and cls(("refl", d, find(p.src[d][a]))) == b:
+                    out.append(("UNIT", root, a))
+                if b != root and cls(("refl", d, find(p.tgt[d][b]))) == a:
+                    out.append(("UNIT", root, b))
+                for left in enodes[a]:
+                    if left[0] != "comp":
+                        continue
+                    if left[1] == d:
+                        # ASSOC: a ~ (x *_d y)  =>  (a*b) ~ x*(y*b)
+                        inner = cls(("comp", d, left[3], b))
+                        if inner is None:
+                            continue
+                        outer = cls(("comp", d, left[2], inner))
+                        if outer is not None and outer != root:
+                            out.append(("ASSOC", root, outer))
+                        continue
+                    # MFI: node = (x *_j y) *_d (p *_j q)
+                    _, j, x, y = left
+                    for right in enodes[b]:
+                        if right[0] != "comp" or right[1] != j:
+                            continue
+                        xp = cls(("comp", d, x, right[2]))
+                        yq = cls(("comp", d, y, right[3]))
+                        if xp is None or yq is None:
+                            continue
+                        rhs = cls(("comp", j, xp, yq))
+                        if rhs is not None and rhs != root:
+                            out.append(("MFI", root, rhs))
+            elif node[0] == "refl":
+                _, l, ch = node
+                for inner in enodes[ch]:
+                    if inner[0] == "comp":
+                        # DIST: 1_l(x *_d y) ~ 1_l(x) *_d 1_l(y)
+                        rx = cls(("refl", l, inner[2]))
+                        ry = cls(("refl", l, inner[3]))
+                        if rx is None or ry is None:
+                            continue
+                        other = cls(("comp", inner[1], rx, ry))
+                        if other is not None and other != root:
+                            out.append(("DIST", root, other))
+                    elif inner[0] == "refl":
+                        # EXCH: 1_l(1_k(x)) ~ 1_k(1_l(x))
+                        lx = cls(("refl", l, inner[2]))
+                        if lx is None:
+                            continue
+                        other = cls(("refl", inner[1], lx))
+                        if other is not None and other != root:
+                            out.append(("EXCH", root, other))
+    return out

@@ -327,6 +327,19 @@ def test_validate_rejects_a_face_record_the_model_cannot_hold(record, tmp_path, 
     assert out.err.startswith("error: faces record")
 
 
+def test_validate_rejects_a_stage_of_record_of_no_cell(tmp_path, capsys):
+    # the staged scans read stages by cell: a stage of no cell was ignored
+    doc = mc.to_document(free_weak(fx.square(), stages=2).stretching)
+    doc["stage_of"].append([[1], "ghost", 7])
+    p = tmp_path / "ghost-stage.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: stage_of record names 'ghost', which is not a cell"
+                       " at color [1]\n")
+
+
 def test_validate_malformed_color_is_parse_error(tmp_path, capsys):
     with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -6,7 +6,7 @@ import multicat as mc
 from multicat import fixtures as fx
 from multicat.core import SOURCE, TARGET
 from multicat.terms import Budget
-from oracles import NaiveFreeStrict, strict_axiom_ids
+from oracles import NaiveFreeStrict, reference_match, strict_axiom_ids
 
 
 def gen(c, x):
@@ -321,9 +321,9 @@ def test_closure_is_pinned_rule_by_rule(ms, dim, size, nodes, unions, classes):
 
 
 def _assert_closed_egraph(p):
-    """The rebuild left nothing pending, the e-nodes are canonical and listed
-    once, every node is congruent to an e-node of its class, and every node
-    has the faces of its class's e-node members."""
+    """The rebuild left nothing pending, the e-nodes are canonical, listed
+    once and mapped to their class root, every node is congruent to an e-node
+    of its class, and every node has the faces of its class root."""
     find = p.uf.find
     assert p.absorbed == [] and p.repair == []
     assert all(p._canon(key) == key for key in p.hashcons)
@@ -332,15 +332,14 @@ def _assert_closed_egraph(p):
     assert set(listed) == set(p.hashcons)
     for root, ens in p.enodes.items():
         assert find(root) == root
-        assert all(find(p.hashcons[key]) == root for key in ens)
+        # the hash-cons maps each e-node to its class root itself
+        assert all(p.hashcons[key] == root for key in ens)
     for nid, node in enumerate(p.nodes):
         root = find(nid)
-        assert find(p.hashcons[p._canon(node)]) == root
-        for key in p.enodes[root]:
-            member = p.hashcons[key]
-            for d in p.color[nid]:
-                for pol in (SOURCE, TARGET):
-                    assert p.class_face(nid, d, pol) == p.class_face(member, d, pol)
+        assert p.hashcons[p._canon(node)] == root
+        for d in p.color[nid]:
+            for pol in (SOURCE, TARGET):
+                assert p.class_face(nid, d, pol) == p.class_face(root, d, pol)
 
 
 @pytest.mark.parametrize("ms, dim, size", [(loops(2), 1, 11), (fx.grid2x2(), 2, 12)])
@@ -432,6 +431,39 @@ def test_saturation_and_rounds_leave_no_work_undone(ms, dim, size):
         if not grew:
             break
     assert p.unions == mc.free_strict(ms, dim, size).unions
+
+
+@pytest.mark.parametrize("ms, dim, size", [
+    *[(loops(2), 1, size) for size in range(7, 16)],
+    (fx.grid2x2(), 2, 12), (fx.square(), 2, 8), (fx.parallel_edges(), 2, 8),
+    (_glued(3, 1, 2), 1, 8), (_glued(4, 2, 1), 2, 6), (_glued(7, 2, 1), 2, 5),
+])
+def test_match_agrees_with_the_reference_matcher_at_every_step(ms, dim, size):
+    # the matcher reads class roots straight from the hash-cons; the
+    # reference looks up every hit's class, and the two agree in order
+    p = mc.StrictPresentation(ms, dim, size, Budget(100_000))
+    for c in ms.colors():
+        for x in ms.cells_at(c):
+            p.gen(c, x)
+    steps = 0
+    while True:
+        # StrictPresentation.saturate, step by step
+        p._rebuild()
+        while not p.closed:
+            p.closed = True
+            found = p._match()
+            assert found == reference_match(p)
+            steps += 1
+            for rule, a, b in found:
+                p.matched[rule] += 1
+                p.union(a, b, rule)
+            p._rebuild()
+        assert p._match() == reference_match(p) == []
+        if not p._materialize_round():
+            break
+    assert steps > 3
+    built = mc.free_strict(ms, dim, size)
+    assert (p.matched, p.unions, len(p.nodes)) == (built.matched, built.unions, len(built.nodes))
 
 
 @pytest.mark.parametrize("ms, dim, size, matched, unions", [
