@@ -120,13 +120,12 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
 
 
 def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
-    """Degeneracies distribute over composition (the DIST law)."""
-    if m.refl is None:
-        report = ValidationReport()
-        report.add("TOTAL", (), (), "no reflexive structure attached")
-        return report
+    """Degeneracies distribute over composition (the DIST law), on top of
+    the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
     _scan_reflexive_magma(m, report, report.ok, cell_sets(m.base))
+    if m.refl is None:
+        report.add("TOTAL", (), (), "no reflexive structure attached")
     return report.sorted()
 
 

@@ -205,17 +205,22 @@ def _face_buckets(ms: MultipleSet, color: Color, e: int):
 
 
 class _Maps:
-    """Every map sending ``cells[i]`` into ``images[i]``, made when asked for.
+    """The chains at ``color`` along ``entries`` whose maps after the first
+    are ``below``: one per first map sending the ``i``-th cell at ``color``
+    into ``images[i]``, each chain made when asked for.
 
-    Maps come in product order over ``cells`` as listed, the last cell
+    First maps come in product order over the cells as listed, the last cell
     fastest, each a tuple of (cell, image) pairs sorted by cell; the maps
     share one pair per cell and image.  ``count`` is paid for before any
-    map is made.
+    chain is made.
     """
 
-    def __init__(self, cells: list[CellId], images: list[list[CellId]], budget: Budget):
+    def __init__(self, ms: MultipleSet, color: Color, entries: tuple[int, ...], below: tuple,
+                 images: list[list[CellId]], budget: Budget):
         self.count = math.prod(map(len, images))
         budget.spend(max(1, self.count), PHASE)
+        self.color, self.entries, self.below = color, entries, below
+        cells = ms.cells_at(color)
         self.pairs = [[(x, y) for y in ys] for x, ys in zip(cells, images)]
         # parsed documents may list a color's cells out of order
         self.order = None if cells == sorted(cells) else sorted(range(len(cells)), key=cells.__getitem__)
@@ -224,60 +229,47 @@ class _Maps:
         return tuple(picked) if self.order is None else tuple([picked[k] for k in self.order])
 
     def __iter__(self):
+        color, entries, below = self.color, self.entries, self.below
         maps = itertools.product(*self.pairs)
-        return maps if self.order is None else map(self._sorted, maps)
+        if self.order is not None:
+            maps = map(self._sorted, maps)
+        return (Chain(color, entries, (mp,) + below) for mp in maps)
 
-    def __getitem__(self, i: int) -> tuple:
-        """The ``i``-th map, for ``0 <= i < count``, by mixed-radix decoding."""
+    def __getitem__(self, i: int) -> Chain:
+        """The ``i``-th chain, for ``0 <= i < count``, by mixed-radix decoding."""
         picked = []
         for pairs in reversed(self.pairs):
             i, r = divmod(i, len(pairs))
             picked.append(pairs[r])
         picked.reverse()
-        return self._sorted(picked)
+        return Chain(self.color, self.entries, (self._sorted(picked),) + self.below)
 
 
-class _SingleMapChains:
-    """The single-map chains at ``color`` along one entry, one per map of
-    ``maps``, each made when asked for."""
+def _chain_options(ms: MultipleSet, color: Color, entries: tuple[int, ...],
+                   budget: Budget) -> list[_Maps]:
+    """The chains at ``color`` along ``entries``, one ``_Maps`` per choice of
+    the maps below the top one.
 
-    def __init__(self, color: Color, entries: tuple[int, ...], maps: _Maps):
-        self.color, self.entries, self.maps = color, entries, maps
-
-    def __iter__(self):
-        color, entries = self.color, self.entries
-        return (Chain(color, entries, (mp,)) for mp in self.maps)
-
-    def __getitem__(self, i: int) -> Chain:
-        return Chain(self.color, self.entries, (self.maps[i],))
-
-
-def _chain_options(ms: MultipleSet, color: Color, entries: tuple[int, ...], budget: Budget):
-    """The chains at ``color`` along ``entries`` and their count.
-
-    The terminal map swaps each cell's faces.  A single-map chain is one
-    image list per cell, its chains made when reached.  A longer chain is
-    built from the terminal map up: each map above it sends the faces of a
-    cell's image to the next map's images of the cell's faces, so its
-    images depend on that map.
+    Chains are built from the terminal map up, each level's as the chains at
+    its own color along the entries from it on.  The terminal map swaps each
+    cell's faces; each map above it sends the faces of a cell's image to the
+    next map's images of the cell's faces, so its images depend on that map.
+    Each level below the top is made in full, because the level above reads
+    its maps; only the top level's chains wait until they are reached.
     """
     levels = list(itertools.accumulate(entries[:-1], minus, initial=color))
     pairs, buckets = _face_buckets(ms, levels[-1], entries[-1])
-    terminal = _Maps(ms.cells_at(levels[-1]), [buckets.get((t, s), []) for s, t in pairs], budget)
-    if len(entries) == 1:
-        return terminal.count, _SingleMapChains(color, entries, terminal)
-    suffixes = [(mp,) for mp in terminal]
-    for lc, e in zip(levels[-2::-1], entries[-2::-1]):
-        if not suffixes:
-            break
-        pairs, buckets = _face_buckets(ms, lc, e)
-        out = []
-        for suffix in suffixes:
-            nxt = dict(suffix[0])
+    tops = [_Maps(ms, levels[-1], entries[-1:], (),
+                  [buckets.get((t, s), []) for s, t in pairs], budget)]
+    for r in range(len(entries) - 2, -1, -1):
+        pairs, buckets = _face_buckets(ms, levels[r], entries[r])
+        above = []
+        for below in itertools.chain.from_iterable(tops):
+            nxt = dict(below.maps[0])
             images = [buckets.get((nxt.get(s), nxt.get(t)), []) for s, t in pairs]
-            out.extend((mp,) + suffix for mp in _Maps(ms.cells_at(lc), images, budget))
-        suffixes = out
-    return len(suffixes), [Chain(color, entries, maps) for maps in suffixes]
+            above.append(_Maps(ms, levels[r], entries[r:], below.maps, images, budget))
+        tops = above
+    return tops
 
 
 class ReversorSpace:
@@ -287,8 +279,8 @@ class ReversorSpace:
 
     ``len`` is a product of sums, ``[i]`` decodes ``i`` digit by digit and
     makes one structure, and iteration makes each structure when it is
-    reached; only chains of two or more maps are built with the space.  Each
-    structure is one positional constructor call with its chains in
+    reached; only the maps below a chain's top map are built with the space.
+    Each structure is one positional constructor call with its chains in
     (color, entries) order.  A space equals a list or space with equal
     structures in the same order.
     """
@@ -299,19 +291,19 @@ class ReversorSpace:
         and later slots unpaid for."""
         self.base, self.m, self.kind = ms, m, kind
         slots = required_slots(ms, m, kind)
-        # per slot: its chain count and its (count, chains) options
-        self._slots: list[tuple[int, list[tuple[int, object]]]] = []
+        # per slot: its chain count and its chains, one _Maps per choice of
+        # the maps below the top one
+        self._slots: list[tuple[int, list[_Maps]]] = []
         for c, key in slots:
             subs = [key]
             if kind == "general":
                 subs = [sub for q in range(1, _q_max(len(c), m) + 1)
                         for sub in sorted(k_colors(c, q)) if sub[0] == key[0]]
-            options = [_chain_options(ms, c, tuple(sub), budget) for sub in subs]
-            total = sum(n for n, _ in options)
+            tops = [top for sub in subs for top in _chain_options(ms, c, tuple(sub), budget)]
+            total = sum(top.count for top in tops)
+            self._slots.append((total, tops))
             if not total:
-                self._slots, self.count = [], 0
-                return
-            self._slots.append((total, options))
+                break
         self.count = math.prod(total for total, _ in self._slots)
         # a slot's chains all carry its (color, key), so ordering a
         # combination's chains by slot sorts them by (color, entries)
@@ -320,9 +312,6 @@ class ReversorSpace:
 
     def __len__(self) -> int:
         return self.count
-
-    def __bool__(self) -> bool:
-        return self.count > 0
 
     def _make(self, combo: list[Chain]) -> ReversorStructure:
         chains = combo if self._order is None else [combo[k] for k in self._order]
@@ -335,13 +324,13 @@ class ReversorSpace:
         if not 0 <= i < self.count:
             raise IndexError("reversor structure index out of range")
         combo = []
-        for total, options in reversed(self._slots):
+        for total, tops in reversed(self._slots):
             i, r = divmod(i, total)
-            for n, chains in options:
-                if r < n:
-                    combo.append(chains[r])
+            for top in tops:
+                if r < top.count:
+                    combo.append(top[r])
                     break
-                r -= n
+                r -= top.count
         combo.reverse()
         return self._make(combo)
 
@@ -355,16 +344,14 @@ class ReversorSpace:
         if k == len(self._slots):
             yield self._make(combo)
             return
-        for _, chains in self._slots[k][1]:
-            for chain in chains:
+        for top in self._slots[k][1]:
+            for chain in top:
                 yield from self._from(k + 1, combo + [chain])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, ReversorSpace)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
 
 def search_reversors(
@@ -379,22 +366,16 @@ def search_reversors(
     holds every satisfying assignment.  ``budget`` (an int, a ``Budget``
     shared with other phases, or ``None`` for ``MULTICAT_BUDGET``) pays one
     unit per candidate map, each map level before it is made, and one unit
-    per structure, charged as ``len`` before the space is returned.
+    per structure, charged as ``len`` before the space is returned.  A
+    negative ``m`` or an unknown ``kind`` is a ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m}")
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
     b = as_budget(budget)
     space = ReversorSpace(ms, m, kind, b)
     b.spend(space.count, PHASE)
     return space
 
-
-def _structures(ms: MultipleSet, m: int, kind: str, b: Budget):
-    """The structures of ``search_reversors``, in its order, one at a time:
-    the candidate maps are paid for on the first draw, and each structure
-    when it is drawn."""
-    spend = b.spend
-    for r in ReversorSpace(ms, m, kind, b):
-        spend(1, PHASE)
-        yield r

@@ -530,6 +530,9 @@ def from_document(doc: dict):
                            StrictCategory)
         pi = _read_table(_require(doc, "pi"), "pi", color)[0]
         brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
+        if ("stage" in doc) != ("stage_of" in doc):
+            given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
+            raise ParseError(f"stretching document has {given!r} without {missing!r}")
         stage_of = None
         if "stage_of" in doc:
             stages = _read_table(doc["stage_of"], "stage_of", color)[0]

@@ -38,7 +38,7 @@ from .errors import BoundsTooSmall
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveTerms, _Sealed, admissible_refl_keys
 from .report import ValidationReport
-from .reversors import ReversorStructure, _structures
+from .reversors import PHASE as REVERSOR_PHASE, ReversorSpace, ReversorStructure
 from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
 from .terms import Budget, as_budget
 
@@ -445,11 +445,13 @@ def free_weak(
 
     cat_reversors = None
     if m is not None:
-        # the first minimal structure above m on the strict layer; the search
-        # stops there
-        cat_reversors = next(_structures(cat.base, m, "minimal", budget), None)
-        if cat_reversors is None:
+        # the first minimal structure above m on the strict layer, paid for
+        # as the one structure taken
+        space = ReversorSpace(cat.base, m, "minimal", budget)
+        if not space:
             raise BoundsTooSmall("strict layer admits no reversor structure")
+        cat_reversors = space[0]
+        budget.spend(1, REVERSOR_PHASE)
 
     g = _Completion(X, cat, umap, N, m, cat_reversors, budget)
     log = [g.run_stage(k) for k in range(1, stages + 1)]

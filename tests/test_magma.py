@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import multicat as mc
@@ -106,3 +108,19 @@ def test_composite_keyed_by_bad_direction_is_total_violation():
     pg.comp[((), 1)] = {("o0", "o0"): "o0"}
     report = mc.validate_magma(pg)
     assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]
+
+
+def test_reflexive_magma_without_refl_still_checks_the_layers_below():
+    pg = fx.pair_groupoid(2)
+    del pg.base.src[((1,), 1)]["o0>o0"]
+    bare = dataclasses.replace(pg, refl=None)
+    lines = mc.validate_reflexive_magma(bare).render().splitlines()
+    assert lines == ["SHAPE color=[1] cells=o0>o0 src undefined for entry 1",
+                     "TOTAL color=[] cells= no reflexive structure attached"]
+    # on a valid base the magma scans run too, once
+    pg = fx.pair_groupoid(2)
+    del pg.comp[((1,), 1)][("o0>o1", "o1>o0")]
+    bare = dataclasses.replace(pg, refl=None)
+    lines = mc.validate_reflexive_magma(bare).render().splitlines()
+    assert sorted(lines) == sorted(mc.validate_magma(bare).render().splitlines() + [
+        "TOTAL color=[] cells= no reflexive structure attached"])

@@ -309,3 +309,69 @@ def test_budget_for_candidates_but_not_structures_fails_before_building_any(monk
         mc.search_reversors(loops(3), 0, "minimal", b)
     assert (info.value.phase, info.value.used, info.value.requested) == ("reversor search", 27, 27)
     assert b.used == 27 and made == []
+
+
+def test_search_rejects_a_negative_cutoff():
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 0, got -1$"):
+            mc.search_reversors(fx.pair_groupoid(2), -1, kind)
+
+
+def test_search_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'cubical'"):
+        mc.search_reversors(fx.pair_groupoid(2), 0, "cubical")
+
+
+def test_search_on_a_face_table_missing_a_cell_raises_unknown_cell():
+    ms = loops(3)
+    del ms.src[((1,), 1)]["l1"]
+    with pytest.raises(mc.UnknownCell) as info:
+        mc.search_reversors(ms, 0, "minimal")
+    assert (info.value.color, info.value.cell) == ((1,), "l1")
+
+
+def test_space_is_not_equal_to_other_types():
+    space = mc.search_reversors(loops(2), 0, "minimal")
+    assert (space == 3) is False and space != 3
+
+
+def test_validate_reversors_on_a_failing_base_returns_the_base_report():
+    pg = fx.pair_groupoid(2)
+    r = mc.search_reversors(pg, 0, "minimal")[0]
+    del r.base.src[((1,), 1)]["o0>o0"]
+    report = mc.validate_reversors(r)
+    assert not report.ok
+    assert report.violations == mc.validate_multiple_set(r.base).violations
+
+
+def test_reversor_morphism_reports_a_chain_the_target_lacks():
+    pg = fx.pair_groupoid(2)
+    r = mc.search_reversors(pg, 0, "minimal")[0]
+    empty = dataclasses.replace(r, chains=[])
+    report = mc.validate_reversor_morphism(mc.identity_morphism(pg.base), r, empty)
+    assert report.violations == [mc.Violation("COVER", (1,), (), "target lacks chain (1,)")]
+
+
+def test_maximal_space_builds_only_the_maps_below_each_top_map():
+    # six cells at the 3-color, every face the one cell below: the three
+    # maximal slots there take 6**6 top maps each, and their chains' lower
+    # maps are the identity
+    ms = mc.terminal_multiple_set(3, 3)
+    top = (1, 2, 3)
+    ms.cells[top] = [f"t{i}" for i in range(6)]
+    for d in top:
+        ms.src[(top, d)] = dict.fromkeys(ms.cells[top], "*")
+        ms.tgt[(top, d)] = dict.fromkeys(ms.cells[top], "*")
+    assert mc.validate_multiple_set(ms).ok
+    b = Budget(10**30)
+    tracemalloc.start()
+    try:
+        space = mc.search_reversors(ms, 0, "maximal", b)
+        assert len(space) == 6**18 == 101_559_956_668_416
+        last = space[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert b.used == 101_559_956_808_396
+    assert mc.validate_reversors(last).ok

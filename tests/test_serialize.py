@@ -524,3 +524,23 @@ def test_parse_reads_integers_strictly(name, path, value):
     field[last] = value
     with pytest.raises(mc.ParseError):
         from_document(doc)
+
+
+def test_stage_without_stage_of_is_a_parse_error():
+    # the next write would drop the stage
+    doc = to_document(mc.free_weak(fx.square(), stages=2).stretching)
+    del doc["stage_of"]
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == "stretching document has 'stage' without 'stage_of'"
+
+
+def test_stage_of_without_stage_is_a_parse_error():
+    # read as stage 0, the staged scans would demand no composite
+    doc = to_document(mc.free_weak(fx.square(), stages=2).stretching)
+    del doc["magma"]["comp"][0]
+    assert mc.validate_stretching(from_document(doc)).axioms() == {"POS2", "TOTAL"}
+    del doc["stage"]
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == "stretching document has 'stage_of' without 'stage'"

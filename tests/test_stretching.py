@@ -4,7 +4,7 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
-from multicat import stretching
+from multicat import reversors, stretching
 from multicat.terms import Budget
 from oracles import bracket_axiom_ids, expected_bracket_counts, stagewise_bracket_counts
 
@@ -273,22 +273,32 @@ def test_free_weak_takes_the_first_reversor_structure_lazily(monkeypatch):
     full = Budget(10**6)
     found = mc.search_reversors(loops, 0, "minimal", budget=full)
     assert len(found) == 27
+    want = found[0].chains
+    candidates = Budget(10**6)
+    reversors.ReversorSpace(loops, 0, "minimal", candidates)
+    made = []
+    original = reversors.ReversorStructure
+
+    def counted(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reversors, "ReversorStructure", counted)
+    # free_weak searches the loops in place of its strict layer: it pays for
+    # the candidates and the one structure it takes, the first
+    without = Budget(10**6)
+    mc.free_weak(fx.point(1, 1), stages=0, budget=without)
     first = Budget(10**6)
-    assert next(stretching._structures(loops, 0, "minimal", first)).chains == found[0].chains
-    assert first.used < full.used
-    # free_weak draws one structure: hand it every structure twice
-    drawn = []
-    original = stretching._structures
-
-    def twice(*args):
-        for s in original(*args):
-            for _ in range(2):
-                drawn.append(s)
-                yield s
-
-    monkeypatch.setattr(stretching, "_structures", twice)
+    with monkeypatch.context() as mp:
+        mp.setattr(stretching, "ReversorSpace",
+                   lambda base, *args: reversors.ReversorSpace(loops, *args))
+        e = mc.free_weak(fx.point(1, 1), m=0, stages=0, budget=first).stretching
+    assert e.cat_reversors.chains == want
+    assert first.used - without.used == candidates.used + 1 < full.used
+    assert len(made) == 1
+    # on its own strict layer, too, free_weak makes one structure
     mc.free_weak(fx.point(1, 1), m=0, stages=2)
-    assert len(drawn) == 1
+    assert len(made) == 2
 
 
 def test_free_weak_rejects_a_generator_named_like_a_composite():
