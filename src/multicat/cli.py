@@ -115,7 +115,13 @@ def cmd_free(args) -> int:
         out_obj = fw.stretching
 
     if args.out:
-        dump(out_obj, args.out)
+        try:
+            dump(out_obj, args.out)
+        except (OSError, UnicodeEncodeError) as exc:
+            # an OSError's strerror, or the encoder's message for a lone surrogate
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 2
     return 0
 
 

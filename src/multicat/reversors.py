@@ -30,7 +30,7 @@ from .core import (
     cell_sets,
     validate_multiple_set,
 )
-from .errors import UnknownCell
+from .errors import InvalidBase, UnknownCell
 from .magma import MagmaStructure
 from .report import ValidationReport
 from .terms import Budget, as_budget
@@ -367,13 +367,16 @@ def search_reversors(
     shared with other phases, or ``None`` for ``MULTICAT_BUDGET``) pays one
     unit per candidate map, each map level before it is made, and one unit
     per structure, charged as ``len`` before the space is returned.  A
-    negative ``m`` or an unknown ``kind`` is a ValueError.
+    negative ``m`` or an unknown ``kind`` is a ValueError, and a base that
+    does not validate is InvalidBase.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m}")
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
+    if not validate_multiple_set(ms).ok:
+        raise InvalidBase("base multiple set does not validate")
     b = as_budget(budget)
     space = ReversorSpace(ms, m, kind, b)
     b.spend(space.count, PHASE)

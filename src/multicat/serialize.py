@@ -11,9 +11,8 @@ kind a parsed structure carries in its type (``StrictCategory`` for strict).
 
 from __future__ import annotations
 
-import functools
 import json
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring
 
 from .colors import Color, make_color
@@ -34,66 +33,74 @@ def _color_key(c: Color):
     return (len(c), c)
 
 
+class _Columns(list):
+    """A table as one sequence per field: the color, the direction if the
+    table has one, the key cell or cells, then the values."""
+
+
+def _columns(table: str, runs) -> _Columns:
+    """``table`` as columns, from its runs ``(color, direction, keys, value
+    tables)`` in canonical order: the direction is ``None`` in a table
+    without one, and each value table is read with ``get``."""
+    direction, nkeys, nvalues, _ = _TABLES[table]
+    colors, dirs, keys = [], [], []
+    values = [[] for _ in range(nvalues)]
+    for c, d, ks, tabs in runs:
+        colors += [c] * len(ks)
+        if direction:
+            dirs += [d] * len(ks)
+        keys += ks
+        for col, tab in zip(values, tabs):
+            col += map(tab.get, ks)
+    if not keys:
+        return _Columns()
+    if nkeys == 2:
+        # any other key would be written as a record of another width
+        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
+            raise TypeError(f"{table} keys must be pairs of cells")
+        keys = zip(*keys)
+    else:
+        keys = [keys]
+    return _Columns([colors, *([dirs] if direction else []), *keys, *values])
+
+
+def _keyed(table: str, tabs: dict) -> _Columns:
+    """The columns of ``tabs``, ``{(color, direction) or color: {key: value}}``."""
+    if _TABLES[table][0]:
+        heads = sorted(tabs, key=lambda k: (_color_key(k[0]), k[1]))
+        return _columns(table, [(c, d, sorted(tabs[c, d]), (tabs[c, d],)) for c, d in heads])
+    return _columns(table, [(c, None, sorted(tabs[c]), (tabs[c],))
+                            for c in sorted(tabs, key=_color_key)])
+
+
 def _ms_body(ms: MultipleSet) -> dict:
-    cells, faces = [], []
-    for c in sorted(ms.cells, key=_color_key):
-        xs = sorted(ms.cells[c])
-        if xs:
-            cells.append([list(c), xs])
-        for d in c:
-            stab = ms.src.get((c, d), {})
-            ttab = ms.tgt.get((c, d), {})
-            faces += zip(repeat(c), repeat(d), xs, map(stab.get, xs), map(ttab.get, xs))
+    order = [(c, sorted(ms.cells[c])) for c in sorted(ms.cells, key=_color_key)]
     return {
         "universe_bound": ms.universe_bound,
         "dim_bound": ms.dim_bound,
-        "cells": cells,
-        "faces": faces,
+        "cells": [[list(c), xs] for c, xs in order if xs],
+        "faces": _columns("faces", [(c, d, xs, (ms.src.get((c, d), {}), ms.tgt.get((c, d), {})))
+                                    for c, xs in order for d in c]),
     }
-
-
-def _cell_records(tabs: dict) -> list:
-    """The records ``(c, x, tabs[c][x])`` of per-color tables, in canonical order."""
-    out = []
-    for c in sorted(tabs, key=_color_key):
-        tab = tabs[c]
-        xs = sorted(tab)
-        out += zip(repeat(c), xs, map(tab.__getitem__, xs))
-    return out
-
-
-def _keyed_records(tabs: dict) -> list:
-    """The records ``(c, e, *key, value)`` of tables keyed by (color, entry),
-    in canonical order; a table's key is a cell or a pair of cells."""
-    out = []
-    for c, e in sorted(tabs, key=lambda k: (_color_key(k[0]), k[1])):
-        for k, v in sorted(tabs[(c, e)].items()):
-            out.append((c, e, *k, v) if type(k) is tuple else (c, e, k, v))
-    return out
 
 
 def _magma_body(m: MagmaStructure) -> dict:
     body = _ms_body(m.base)
-    body["comp"] = _keyed_records(m.comp)
+    body["comp"] = _keyed("comp", m.comp)
     if m.refl is not None:
-        body["refl"] = _keyed_records(m.refl.refl)
+        body["refl"] = _keyed("refl", m.refl.refl)
     return body
 
 
-def to_document(obj, kind: str | None = None) -> dict:
-    """Build the plain-dict document for any supported structure.
-
-    Each table record (``faces``, ``refl``, ``comp``, ``pi``, ``brackets``,
-    ``stage_of``) is a tuple headed by its color tuple; json renders tuples
-    as arrays.
-    """
+def _document(obj, kind: str | None) -> dict:
+    """The document of ``obj`` with each table as ``_Columns``."""
     if isinstance(obj, MultipleSet):
         kind = kind or "multiple-set"
         body = _ms_body(obj)
     elif isinstance(obj, ReflexiveStructure):
         kind = kind or "reflexive"
         body = _ms_body(obj.base)
-        body["refl"] = _keyed_records(obj.refl)
+        body["refl"] = _keyed("refl", obj.refl)
     elif isinstance(obj, MagmaStructure):
         kind = kind or ("strict" if isinstance(obj, StrictCategory) else "magma")
         body = _magma_body(obj)
@@ -115,8 +122,8 @@ def to_document(obj, kind: str | None = None) -> dict:
         body = {
             "magma": _magma_body(obj.magma),
             "cat": _magma_body(obj.cat),
-            "pi": _cell_records(obj.pi),
-            "brackets": _keyed_records(obj.brackets),
+            "pi": _keyed("pi", obj.pi),
+            "brackets": _keyed("brackets", obj.brackets),
         }
         if obj.m is not None:
             body["m"] = obj.m
@@ -127,7 +134,7 @@ def to_document(obj, kind: str | None = None) -> dict:
             stages: dict = {}
             for (c, x), s in obj.stage_of.items():
                 stages.setdefault(c, {})[x] = s
-            body["stage_of"] = _cell_records(stages)
+            body["stage_of"] = _keyed("stage_of", stages)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if kind not in KINDS:
@@ -135,49 +142,59 @@ def to_document(obj, kind: str | None = None) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
+def _records(doc: dict) -> dict:
+    return {k: list(zip(*v)) if type(v) is _Columns else _records(v) if type(v) is dict else v
+            for k, v in doc.items()}
+
+
+def to_document(obj, kind: str | None = None) -> dict:
+    """Build the plain-dict document for any supported structure.
+
+    Each table record (``faces``, ``refl``, ``comp``, ``pi``, ``brackets``,
+    ``stage_of``) is a tuple headed by its color tuple; json renders tuples
+    as arrays.
+    """
+    return _records(_document(obj, kind))
+
+
 # The types json renders as scalars.  Equal values of different types can
 # render apart (True == 1 == 1.0 hash alike but render as true, 1 and 1.0),
 # so a memo keyed by value takes only types whose equal values render alike.
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _MEMO_TYPES = frozenset((str, int, type(None)))
-# the encoders' fallback for a value json cannot render: it raises TypeError
-_DEFAULT = json.JSONEncoder().default
+# json's C encoder for scalars and for flat sequences of them, whose items it
+# separates by ",\n"; a value json cannot render raises TypeError.  It keeps
+# no state between calls, so every writer shares it.
+_ENCODER = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ": ", ",\n",
+                          True, False, True)
 
 
-@functools.cache
-def _encoder(level: int):
-    """json's C encoder for scalars, separating items at ``level``; it keeps
-    no state between calls, so every writer shares one per level."""
-    return c_make_encoder(
-        None, _DEFAULT, encode_basestring, None, ": ", ",\n" + "  " * level, True, False, True,
-    )
+def _scalars(v) -> str:
+    """The JSON text of a scalar, or of a bracketed sequence of them."""
+    return "".join(_ENCODER(v, 0))
 
 
-def _scalars(v, level: int) -> str:
-    """A scalar, or a bracketed sequence of them separated at ``level``."""
-    return "".join(_encoder(level)(v, 0))
-
-
-def _each(values: list) -> list[str]:
-    """The JSON text of each scalar of a non-empty list, from one encoder call."""
-    # an encoded scalar holds no raw newline, so ",\n" separates them exactly
-    return _scalars(values, 0)[1:-1].split(",\n")
+def _each(values) -> list[str]:
+    """The JSON text of each scalar of a sequence, from one encoder call: no
+    text holds a raw newline, so ",\n" separates them exactly."""
+    return _scalars(values)[1:-1].split(",\n")
 
 
 class _Writer:
-    """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``.
+    """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
+    of a ``_document``.
 
     json's C encoder takes no indent, so the writer lays out the containers
-    itself and hands scalars to the C encoder, with one shared encoder per
-    indent whose item separator carries that indent.
+    itself and takes the text of each scalar from the C encoder.
 
-    A list whose first item is a tuple is a table: each item is a record, a
-    color tuple and then at least one scalar.  Each run of records of one
-    width is written in one pass, one string per record: the color's cached
-    head, then each scalar's text from one memo per document, which encodes
-    each distinct scalar once (a cell name recurs in faces, comp, pi and
-    stage_of).  A run holding a scalar that is not a ``str``, an ``int`` or
-    ``None`` bypasses the memo and is encoded in one encoder call.
+    A table arrives as ``_Columns`` and is written a column at a time, with
+    no pass over its records by width: one text iterator per column, zipped
+    into one string per record behind the color's cached head.  A column,
+    or a plain list of scalars such as a color or its cell ids, whose values
+    are all ``str``, ``int`` or ``None`` takes its texts from one memo per
+    document, so each distinct scalar is encoded once (a cell name recurs in
+    cells, faces, comp, pi and stage_of); any other is encoded in one
+    encoder call.
 
     One string per record, not one per table or document: a long document's
     text joined from one list of all its pieces, or from a few long strings,
@@ -189,31 +206,34 @@ class _Writer:
         self._heads: dict = {}
         self._memo: dict = {}
 
-    def _table(self, records, level: int, out: list[str]):
+    def _texts(self, values):
+        """An iterator over the JSON text of each scalar of a non-empty sequence."""
+        types = set(map(type, values))
+        if types <= _MEMO_TYPES:
+            memo = self._memo
+            new = set(values).difference(memo)
+            if new:  # a set left unchanged yields its items in one order on every pass
+                memo.update(zip(new, map(encode_basestring, new) if types == {str}
+                                else _each(list(new))))
+            return map(memo.__getitem__, values)
+        if not types <= _SCALAR_TYPES:  # a container would split into several texts
+            bad = min(t.__name__ for t in types - _SCALAR_TYPES)
+            raise TypeError(f"table fields must be scalars, not {bad}")
+        return iter(_each(values))
+
+    def _table(self, cols: _Columns, level: int, out: list[str]):
         """Lay out a non-empty table at indent ``level``, one string per record."""
         inner = "\n" + "  " * (level + 1)
         mid = ",\n" + "  " * (level + 2)
         between = inner + "]," + inner
         heads = self._heads.setdefault(level, {})
-        memo = self._memo
+        colors, *fields = cols
+        for c in set(colors).difference(heads):
+            color: list[str] = []
+            self._write(c, level + 2, color)
+            heads[c] = f"{between}[{mid[1:]}{''.join(color)}"
         first = len(out)
-        for width, run in groupby(records, len):
-            scalars = list(chain.from_iterable(run))
-            colors = scalars[::width]
-            del scalars[::width]
-            for c in set(colors).difference(heads):
-                color: list[str] = []
-                self._write(c, level + 2, color)
-                heads[c] = f"{between}[{mid[1:]}{''.join(color)}"
-            if set(map(type, scalars)) <= _MEMO_TYPES:
-                new = list(set(scalars).difference(memo))
-                if new:
-                    memo.update(zip(new, _each(new)))
-                texts = map(memo.__getitem__, scalars)
-            else:
-                texts = iter(_each(scalars))
-            # one shared iterator hands each record its width - 1 texts
-            out += map(mid.join, zip(map(heads.__getitem__, colors), *[texts] * (width - 1)))
+        out += map(mid.join, zip(map(heads.__getitem__, colors), *map(self._texts, fields)))
         # the first record opens the table instead of closing the one before
         out[first] = "[" + inner + out[first][len(between):]
         out.append(inner + "]\n" + "  " * level + "]")
@@ -230,20 +250,20 @@ class _Writer:
             for k in sorted(v):
                 x = v[k]
                 if type(x) in _SCALAR_TYPES:
-                    out.append(f"{sep}{encode_basestring(k)}: {_scalars(x, level + 1)}")
+                    out.append(f"{sep}{encode_basestring(k)}: {_scalars(x)}")
                 else:
                     out.append(f"{sep}{encode_basestring(k)}: ")
                     self._write(x, level + 1, out)
                 sep = "," + inner
             out.append(close + "}")
         elif not isinstance(v, (list, tuple)):
-            out.append(_scalars(v, level))
+            out.append(_scalars(v))
         elif not v:
             out.append("[]")
-        elif type(v[0]) is tuple:
+        elif type(v) is _Columns:
             self._table(v, level, out)
-        elif set(map(type, v)) <= _SCALAR_TYPES:
-            out.append(f"[{inner}{_scalars(v, level + 1)[1:-1]}{close}]")
+        elif set(map(type, v)) <= _SCALAR_TYPES:  # a color, a color's cell ids
+            out.append(f"[{inner}{(',' + inner).join(self._texts(v))}{close}]")
         else:
             sep = "[" + inner
             for x in v:
@@ -257,7 +277,7 @@ def serialize(obj, kind: str | None = None) -> str:
     out: list[str] = []
     # the text is joined once the writer and the document are gone, so that
     # neither is held under it
-    _Writer()._write(to_document(obj, kind), 0, out)
+    _Writer()._write(_document(obj, kind), 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -569,8 +589,17 @@ def load(path: str):
         return parse(fh.read())
 
 
+_SLICE = 1 << 20  # dump encodes and writes this many characters at a time
+
+
 def dump(obj, path: str, kind: str | None = None):
-    # rendered first: a structure that cannot be written leaves the file as it was
+    # rendered and checked to encode before the file is opened: a structure
+    # that cannot be written leaves the file as it was
     text = serialize(obj, kind)
+    starts = range(0, len(text), _SLICE)
+    if not text.isascii():  # a lone surrogate raises UnicodeEncodeError
+        for i in starts:
+            text[i:i + _SLICE].encode("utf-8")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for i in starts:
+            fh.write(text[i:i + _SLICE])

@@ -131,6 +131,29 @@ def test_free_weak_parallel_edges(capsys, tmp_path):
     assert main(["validate", str(out_path)]) == 0
 
 
+def test_free_reports_a_write_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.mset"
+    assert main(["free", "reflexive", fpath("point.mset"), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out_path}: No such file or directory\n")
+
+
+def test_free_reports_a_name_it_cannot_encode(tmp_path, capsys):
+    """A lone surrogate parses and validates, but has no UTF-8 encoding."""
+    doc = json.loads(serialize(fx.point()))
+    doc["cells"] = [[[], ["\ud800"]]]
+    in_path = tmp_path / "in.mset"
+    in_path.write_text(json.dumps(doc), encoding="ascii")
+    assert main(["validate", str(in_path)]) == 0
+    out_path = tmp_path / "out.mset"
+    out_path.write_text("old", encoding="utf-8")
+    assert main(["free", "reflexive", str(in_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "surrogates not allowed" in err
+    assert out_path.read_text(encoding="utf-8") == "old"
+
+
 def test_free_weak_cutoff_failure(capsys):
     assert main(["free", "weak", fpath("single-edge.mset"), "--m", "0"]) == 1
     assert "error:" in capsys.readouterr().err

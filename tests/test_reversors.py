@@ -322,12 +322,31 @@ def test_search_rejects_an_unknown_kind():
         mc.search_reversors(fx.pair_groupoid(2), 0, "cubical")
 
 
-def test_search_on_a_face_table_missing_a_cell_raises_unknown_cell():
+def test_search_on_a_face_table_missing_a_cell_raises_invalid_base():
+    ms = loops(3)
+    del ms.src[((1,), 1)]["l1"]
+    with pytest.raises(mc.InvalidBase):
+        mc.search_reversors(ms, 0, "minimal")
+
+
+def test_space_on_a_face_table_missing_a_cell_raises_unknown_cell():
+    """ReversorSpace takes its base as given: the check is search_reversors'."""
     ms = loops(3)
     del ms.src[((1,), 1)]["l1"]
     with pytest.raises(mc.UnknownCell) as info:
-        mc.search_reversors(ms, 0, "minimal")
+        mc.ReversorSpace(ms, 0, "minimal", Budget(10**6))
     assert (info.value.color, info.value.cell) == ((1,), "l1")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_search_validates_its_base_for_every_kind(kind):
+    """Maximal chains at [1, 2, 3] run along (1, 2), (1, 3) and (2, 3) and
+    never read direction 3 at the top color, so without the check this base
+    raised UnknownCell for minimal and general but gave maximal a structure."""
+    ms = mc.terminal_multiple_set(3, 3)
+    del ms.src[((1, 2, 3), 3)]
+    with pytest.raises(mc.InvalidBase):
+        mc.search_reversors(ms, 0, kind)
 
 
 def test_space_is_not_equal_to_other_types():

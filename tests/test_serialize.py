@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import tracemalloc
@@ -422,6 +423,77 @@ def test_failed_dump_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(TypeError):
         dump(object(), str(path))
     assert path.read_text(encoding="utf-8") == before
+
+
+def test_writer_output_is_pinned():
+    """The sha-256 of the weak-build document, recorded from the writer that
+    laid out tables a record at a time."""
+    text = serialize(mc.free_weak(fx.path2(), stages=4).stretching)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "ed68bab170088fc6908d07d687d0f86ebbe695bc041933ebf5e79fad840a5db3")
+
+
+def test_to_document_lists_every_table_as_tuples():
+    doc = to_document(mc.free_weak(fx.square(), stages=2).stretching)
+    tables = {"pi": doc["pi"], "brackets": doc["brackets"], "stage_of": doc["stage_of"]}
+    for body in ("magma", "cat"):
+        for table in ("faces", "refl", "comp"):
+            tables[f"{body}.{table}"] = doc[body][table]
+    for name, records in tables.items():
+        assert type(records) is list and records, name
+        assert {type(r) for r in records} == {tuple}, name
+        assert {type(r[0]) for r in records} == {tuple}, name
+    assert to_document(fx.point())["faces"] == []
+
+
+def test_dump_writes_long_text_as_serialize_does(tmp_path):
+    """A text of more than two 1 MiB slices, with non-ASCII names across
+    each slice boundary."""
+    ms = mc.MultipleSet(1, 1)
+    ms.cells[()] = [f"\u00e9{i:05d}" + "\u2028\U0001f600" * 64 for i in range(16_000)]
+    ms.cells[(1,)] = ["e"]
+    ms.src[((1,), 1)] = {"e": ms.cells[()][0]}
+    text = serialize(ms)
+    assert len(text) > 2 << 20
+    for boundary in (1 << 20, 2 << 20):
+        assert not text[boundary - 1:boundary + 1].isascii()
+    path = tmp_path / "long.mset"
+    path.write_text("old", encoding="utf-8")
+    dump(ms, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_unencodable_dump_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "point.mset"
+    dump(fx.point(), str(path))
+    before = path.read_bytes()
+    ms = fx.point()
+    ms.cells[()] = ["\ud800"]  # a lone surrogate: no UTF-8 encoding
+    with pytest.raises(UnicodeEncodeError):
+        dump(ms, str(path))
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("key", ["ab", ("a",), ("a", "b", "c"), 1])
+def test_a_comp_key_that_is_not_a_pair_is_a_type_error(key, tmp_path):
+    """Written as it is, the key would make a record the parser rejects."""
+    path = tmp_path / "square.mset"
+    dump(fx.square(), str(path))
+    before = path.read_bytes()
+    m = mc.MagmaStructure(base=fx.square(), comp={((1,), 1): {key: "a"}})
+    with pytest.raises(TypeError, match="comp keys must be pairs of cells"):
+        dump(m, str(path))
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("value, name", [(["x", "y"], "list"), (("x", "y"), "tuple")])
+def test_a_table_value_that_is_not_a_scalar_is_a_type_error(value, name):
+    """Encoded in one call, a container would split into several texts."""
+    ms = fx.square()
+    ms.src[((1,), 1)]["e0"] = value
+    ms.tgt[((1,), 1)]["e0"] = None
+    with pytest.raises(TypeError, match=f"table fields must be scalars, not {name}"):
+        serialize(ms)
 
 
 # cell names that need escaping, or that look like the layout's own syntax
