@@ -8,8 +8,10 @@ saturation work for the free constructions; it must be an integer >= 0.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -77,12 +79,18 @@ def cmd_free(args) -> int:
     except ValueError as exc:  # a MULTICAT_BUDGET that is not a count
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        # refused before a construction that may run long
+        missing = not os.path.exists(os.path.dirname(args.out) or ".")
+        if missing or os.path.isdir(args.out):
+            reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 2
     obj = _load(args.path)
-    if not isinstance(obj, MultipleSet):
-        if isinstance(obj, (MagmaStructure, ReflexiveStructure)):
-            obj = obj.base
-        else:
-            raise ParseError("free constructions take a multiple-set document")
+    if isinstance(obj, (MagmaStructure, ReflexiveStructure)):
+        obj = obj.base
+    elif not isinstance(obj, MultipleSet):
+        raise ParseError("free constructions take a multiple-set document")
     dim = args.dim if args.dim is not None else obj.dim_bound
 
     if args.mode == "reflexive":

@@ -99,9 +99,14 @@ def faces_total(ms: MultipleSet) -> bool:
 
 def _shape_check(ms: MultipleSet, report: ValidationReport,
                  members: dict[Color, set[CellId]]) -> bool:
-    """Check that face tables exist, are total, and land in the right sets."""
+    """Check that colors are in bounds and face tables exist, are total and land in cells."""
     ok = True
     for c in ms.colors():
+        if len(c) > ms.dim_bound or (c and c[-1] > ms.universe_bound):
+            report.add("SHAPE", c, (), f"color {list(c)} outside universe_bound"
+                       f" {ms.universe_bound} and dim_bound {ms.dim_bound}")
+            ok = False
+            continue
         xs = ms.cells[c]
         for d in c:
             lower = minus(c, d)

@@ -103,7 +103,8 @@ def two_copies(universe_bound: int, dim_bound: int) -> MultipleSet:
 
 
 def pair_groupoid(n_objects: int = 2) -> MagmaStructure:
-    """The strict category with one edge between every ordered pair of objects.
+    """A magma, written as a ``magma`` document, whose tables form the strict
+    category with one edge between every ordered pair of objects.
 
     Loops double as the identity edges; every edge has a unique reverse, so
     the edge-swap map is the only candidate reversor structure.

@@ -373,7 +373,7 @@ def _read_table(records, table: str, color) -> list[dict]:
     records = _array(records, table)
     try:
         # strict: every record is as long as the first one
-        cols = list(zip(*records, strict=True)) or [()] * width
+        cols = list(zip(*records, strict=True)) if records else [()] * width
     except (TypeError, ValueError):
         cols = ()
     if len(cols) != width:
@@ -543,30 +543,26 @@ def from_document(doc: dict):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed reversor chains: {exc}") from exc
     # stretching
-    try:
-        magma = _parse_magma(_fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"),
-                             color)
-        cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), color,
-                           StrictCategory)
-        pi = _read_table(_require(doc, "pi"), "pi", color)[0]
-        brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
-        if ("stage" in doc) != ("stage_of" in doc):
-            given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
-            raise ParseError(f"stretching document has {given!r} without {missing!r}")
-        stage_of = None
-        if "stage_of" in doc:
-            stages = _read_table(doc["stage_of"], "stage_of", color)[0]
-            for c, tab in stages.items():
-                _only_cells(tab, set(magma.base.cells.get(c, ())), "stage_of", c)
-            stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
-        return Stretching(
-            magma=magma, cat=cat, pi=pi, brackets=brackets,
-            m=_int(doc["m"], "m", 0) if "m" in doc else None,
-            stage_of=stage_of, stage=_int(doc.get("stage", 0), "stage", 0),
-            stage_log=_stage_log(doc["stage_log"]) if "stage_log" in doc else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed stretching body: {exc}") from exc
+    magma = _parse_magma(_fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"), color)
+    cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), color,
+                       StrictCategory)
+    pi = _read_table(_require(doc, "pi"), "pi", color)[0]
+    brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
+    if ("stage" in doc) != ("stage_of" in doc):
+        given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
+        raise ParseError(f"stretching document has {given!r} without {missing!r}")
+    stage_of = None
+    if "stage_of" in doc:
+        stages = _read_table(doc["stage_of"], "stage_of", color)[0]
+        for c, tab in stages.items():
+            _only_cells(tab, set(magma.base.cells.get(c, ())), "stage_of", c)
+        stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
+    return Stretching(
+        magma=magma, cat=cat, pi=pi, brackets=brackets,
+        m=_int(doc["m"], "m", 0) if "m" in doc else None,
+        stage_of=stage_of, stage=_int(doc.get("stage", 0), "stage", 0),
+        stage_log=_stage_log(doc["stage_log"]) if "stage_log" in doc else None,
+    )
 
 
 def loads(text: str) -> dict:

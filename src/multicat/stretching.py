@@ -12,10 +12,10 @@ degeneracies are pushed inside composites and stacked in one order, so the
 exchange and distribution laws hold structurally.  No strictness law is
 applied to M; distinct formal composites with equal projections are
 exactly what brackets connect.  The graph's one constructor makes each cell
-and its faces; the completion's one hook on it checks the cell against the
-bounds and records its projection and stage.  Each stage names and indexes
-only the cells made since the last, pairs cells through the face columns,
-and logs what each loop added once per loop.
+and its faces; the completion's one hook on it reads the cell's projection
+off the strict layer and records it with its stage.  Each stage names and
+indexes only the cells made since the last, pairs cells through the face
+columns, and logs what each loop added once per loop.
 """
 
 from __future__ import annotations
@@ -310,22 +310,15 @@ class _Completion(ReflexiveTerms):
         super().__init__(X, dim_bound, budget, "weak completion")
 
     def _admit(self, node: tuple, color: Color, size: int, nid: int):
-        """A new cell's checks, then its projection and stage.  A degeneracy
-        projects to the degeneracy of its cell's projection, and a bracket
-        to that of its endpoints' common projection."""
+        """A new cell's projection, read off the quotient C, and its stage.
+        M's composites, degeneracies and brackets project onto composable
+        pairs and admissible degeneracies of C, all of which the quotient
+        holds; only a reversor cell can ask C for what it lacks."""
         if self.sealed:
             raise _Sealed
-        if len(color) > self.dim_bound:
-            raise BoundsTooSmall(
-                f"term at color {list(color)} exceeds dim bound {self.dim_bound}")
         kind, pi = node[0], self.pi
         if kind == "comp":
-            _, d, a, b = node
-            px = self.cat.comp.get((color, d), {}).get((pi[a], pi[b]))
-            if px is None:
-                raise BoundsTooSmall(
-                    f"strict layer lacks composite of ({pi[a]!r}, {pi[b]!r}) in direction {d}"
-                )
+            px = self.cat.comp[(color, node[1])][(pi[node[2]], pi[node[3]])]
         elif kind == "gen":
             px = self.umap[(node[1], node[2])]
         elif kind == "rev":
@@ -335,11 +328,7 @@ class _Completion(ReflexiveTerms):
                 raise BoundsTooSmall(f"strict layer lacks reversor at {list(below)}")
             px = tab[pi[node[2]]]
         else:
-            px = self.cat.refl.refl.get((self.color[node[2]], node[1]), {}).get(pi[node[2]])
-            if px is None:
-                if kind == "br":
-                    raise BoundsTooSmall("strict layer lacks degeneracy for bracket projection")
-                raise BoundsTooSmall(f"strict layer lacks degeneracy added={node[1]}")
+            px = self.cat.refl.refl[(self.color[node[2]], node[1])][pi[node[2]]]
         pi.append(px)
         self.stage_of.append(self.stage)
 

@@ -266,6 +266,8 @@ class NaiveFreeStrict:
 def multiple_set_axiom_ids(ms: MultipleSet) -> set:
     found = set()
     for c in ms.colors():
+        if len(c) > ms.dim_bound or any(d > ms.universe_bound for d in c):
+            found.add("SHAPE")
         for d in c:
             lower = minus(c, d)
             for tabs in (ms.src, ms.tgt):

@@ -138,6 +138,35 @@ def test_free_reports_a_write_error(tmp_path, capsys):
         f"error: cannot write {out_path}: No such file or directory\n")
 
 
+@pytest.mark.parametrize("target, reason", [
+    (os.path.join("missing", "x.mset"), "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_free_refuses_an_unwritable_target_before_building(target, reason, tmp_path, capsys):
+    # the weak completion of path2 at 4 stages builds 23,796 cells
+    out_path = os.path.join(tmp_path, target)
+    argv = ["free", "weak", fpath("path2.mset"), "--stages", "4", "--out", out_path]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot write {out_path}: {reason}\n"
+
+
+@pytest.mark.parametrize("layer", [mc.MagmaStructure, mc.ReflexiveStructure])
+def test_free_strict_builds_from_a_document_base(layer, tmp_path, capsys):
+    p = tmp_path / "path2.mset"
+    p.write_text(serialize(layer(base=fx.path2())))
+    assert main(["free", "strict", fpath("path2.mset")]) == 0
+    want = capsys.readouterr().out
+    assert main(["free", "strict", str(p)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_free_refuses_a_stretching_document(capsys):
+    assert main(["free", "strict", fpath("parallel-edges-free-weak.mset")]) == 2
+    assert capsys.readouterr().err == "error: free constructions take a multiple-set document\n"
+
+
 def test_free_reports_a_name_it_cannot_encode(tmp_path, capsys):
     """A lone surrogate parses and validates, but has no UTF-8 encoding."""
     doc = json.loads(serialize(fx.point()))

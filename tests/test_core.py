@@ -55,6 +55,35 @@ def test_missing_table_is_shape_violation():
     assert "SHAPE" in report.axioms()
 
 
+def test_colors_outside_the_bounds_are_shape_violations():
+    sq = fx.square()
+    sq.dim_bound = 1
+    report = mc.validate_multiple_set(sq)
+    assert report.render() == (
+        "SHAPE color=[1, 2] cells= color [1, 2] outside universe_bound 2 and dim_bound 1")
+    assert report.axioms() == multiple_set_axiom_ids(sq)
+    sq = fx.square()
+    sq.universe_bound = 1
+    report = mc.validate_multiple_set(sq)
+    assert {v.color for v in report.violations} == {(2,), (1, 2)}
+    assert report.axioms() == multiple_set_axiom_ids(sq) == {"SHAPE"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda X: mc.free_strict(X, 1, 8),
+    lambda X: mc.free_reflexive(X, 1),
+    lambda X: mc.search_reversors(X, 0),
+    lambda X: mc.free_weak(X),
+], ids=["free_strict", "free_reflexive", "search_reversors", "free_weak"])
+def test_constructions_refuse_cells_outside_the_bounds(build):
+    # each used to build from the square's [1, 2] cell, or to fail late in
+    # the weak completion; a reflexive result could not be read back
+    sq = fx.square()
+    sq.dim_bound = 1
+    with pytest.raises(mc.InvalidBase):
+        build(sq)
+
+
 def test_identity_morphism_validates():
     sq = fx.square()
     assert mc.validate_morphism(mc.identity_morphism(sq)).ok

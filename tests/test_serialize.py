@@ -71,6 +71,8 @@ def test_parse_rejects_bad_json():
     with pytest.raises(mc.ParseError) as exc:
         parse("{not json")
     assert exc.value.line == 1
+    with pytest.raises(mc.ParseError, match="document is not an object"):
+        parse("[]")
 
 
 def test_parse_rejects_missing_fields():
@@ -93,6 +95,10 @@ def test_parse_rejects_malformed_body(tmp_path, capsys):
     }
     with pytest.raises(mc.ParseError):
         from_document(doc)
+    # a cells entry that is not a color and an id list
+    doc["cells"] = [[[], ["x"], "extra"]]
+    with pytest.raises(mc.ParseError, match="malformed multiple-set body"):
+        from_document(doc)
     # in every table: a record that is not an array, one too short, one too long
     for name, field in [
         ("square.mset", "faces"), ("point-free-reflexive.mset", "refl"),
@@ -109,6 +115,10 @@ def test_parse_rejects_malformed_body(tmp_path, capsys):
             doc[field][0] = bad
             with pytest.raises(mc.ParseError):
                 from_document(doc)
+        # the one record an empty array: it used to raise IndexError
+        doc[field] = [[]]
+        with pytest.raises(mc.ParseError):
+            from_document(doc)
     # the last case, a chain one item too long, through the CLI
     p = tmp_path / "long-record.mset"
     p.write_text(json.dumps(doc))
@@ -184,6 +194,9 @@ def test_parse_rejects_malformed_color():
     for color in ([2, 1], [0]):
         with pytest.raises(mc.ParseError, match="bad color"):
             from_document(_point_doc(universe_bound=2, cells=[[[], ["p"]], [color, ["e"]]]))
+    # a faces record whose color is a number
+    with pytest.raises(mc.ParseError, match="bad color 1: must be an array"):
+        from_document(_point_doc(cells=[[[], ["p"]], [[1], ["e"]]], faces=[[1, 1, "e", "p", "p"]]))
 
 
 # the key of each table's first record, as the document writes it

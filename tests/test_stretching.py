@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -163,6 +164,44 @@ def test_stretching_morphism_square_law():
     twisted[(1,)]["o0>o1"] = "o1>o0"
     report = mc.validate_stretching_morphism(twisted, ident, e, e)
     assert "SQUARE" in report.axioms()
+    # a target whose bracket on a pair is another cell breaks preservation only
+    e2 = mc.identity_stretching(fx.pair_groupoid(2))
+    e2.brackets[((), 1)][("o0", "o0")] = "o0>o1"
+    report = mc.validate_stretching_morphism(ident, ident, e, e2)
+    assert report.render() == "BR-MOR color=[] cells=o0,o0 added=1"
+
+
+def test_stretching_without_degeneracies():
+    cat = fx.pair_groupoid(2)
+    # M without degeneracies
+    e = mc.identity_stretching(cat)
+    e.magma = mc.MagmaStructure(base=cat.base, comp=cat.comp)
+    report = mc.validate_stretching(e)
+    assert ("TOTAL", "M carries no reflexive structure") in {
+        (v.axiom, v.detail) for v in report.violations}
+    # C without them: no bracket has a degeneracy to project to
+    e = mc.identity_stretching(cat)
+    e.cat = mc.StrictCategory(base=cat.base, comp=cat.comp)
+    report = mc.validate_stretching(e)
+    assert {v.cells for v in report.violations if v.axiom == "BR-PI"} == {
+        pair for tab in e.brackets.values() for pair in tab}
+
+
+def test_free_weak_fails_only_with_its_own_errors():
+    """The completion reads projections straight off the strict layer; a
+    seeded sweep finds no input on which a lookup there misses."""
+    inputs = [fx.point(), fx.square(), fx.path2(), fx.single_edge(), fx.parallel_edges(),
+              fx.grid2x2(), fx.two_copies(1, 1), fx.pair_groupoid(2).base]
+    inputs += [mc.random_multiple_set(n, n, seed=seed) for n in (1, 2) for seed in range(6)]
+    built = 0
+    for X in inputs:
+        for m, stages, size in itertools.product((None, 0, 1), (1, 2, 3), (4, 6, 8)):
+            try:
+                mc.free_weak(X, m=m, size_bound=size, stages=stages, budget=20000)
+                built += 1
+            except (mc.BoundsTooSmall, mc.BudgetExceeded, mc.InvalidBase):
+                pass
+    assert built == 87  # of 540 runs; the rest raise BoundsTooSmall
 
 
 def test_algebra_unit_check():

@@ -82,6 +82,11 @@ def test_quotient_needs_room():
         mc.quotient_to_category(p)
 
 
+def test_dim_bound_below_base_rejected():
+    with pytest.raises(mc.InvalidBase, match="dim bound 1 below base bound 2"):
+        mc.free_strict(fx.square(), 1, 8)
+
+
 def test_budget_exceeded():
     with pytest.raises(mc.BudgetExceeded):
         mc.free_strict(fx.grid2x2(), 2, 10, budget=50)
@@ -165,6 +170,13 @@ def test_strict_table_keyed_by_bad_direction_is_total_violation():
     pg.comp[((), 1)] = {("o0", "o0"): "o0"}
     report = mc.validate_strict(pg)
     assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]
+
+
+def test_strict_without_degeneracies_is_total_violation():
+    pg = fx.pair_groupoid(2)
+    pg.refl = None
+    report = mc.validate_strict(pg)
+    assert report.render() == "TOTAL color=[] cells= no reflexive structure attached"
 
 
 def test_quotient_stops_at_first_missing_composite():
