@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import gc
 import json
 import os
 import sys
@@ -81,10 +82,13 @@ def cmd_free(args) -> int:
         return 2
     if args.out:
         # refused before a construction that may run long
-        missing = not os.path.exists(os.path.dirname(args.out) or ".")
-        if missing or os.path.isdir(args.out):
-            reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
-            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        parent = os.path.dirname(args.out) or "."
+        if not os.path.isdir(parent):  # missing, or a regular file
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            code = errno.EISDIR if os.path.isdir(args.out) else 0
+        if code:
+            print(f"error: cannot write {args.out}: {os.strerror(code)}", file=sys.stderr)
             return 2
     obj = _load(args.path)
     if isinstance(obj, (MagmaStructure, ReflexiveStructure)):
@@ -260,6 +264,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a command builds no reference cycles (tests/test_cli.py checks each
+    # kind), so the cyclic collector would only re-walk its structures
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -268,6 +276,9 @@ def main(argv=None) -> int:
     except MulticatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

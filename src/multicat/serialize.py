@@ -211,8 +211,11 @@ class _Writer:
         types = set(map(type, values))
         if types <= _MEMO_TYPES:
             memo = self._memo
-            new = set(values).difference(memo)
-            if new:  # a set left unchanged yields its items in one order on every pass
+            # a column whose values are all encoded (a face's cell, pi's cells)
+            # builds no set of them
+            if not all(map(memo.__contains__, values)):
+                new = set(values).difference(memo)
+                # a set left unchanged yields its items in one order on every pass
                 memo.update(zip(new, map(encode_basestring, new) if types == {str}
                                 else _each(list(new))))
             return map(memo.__getitem__, values)

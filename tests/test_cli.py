@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import tracemalloc
@@ -141,9 +142,11 @@ def test_free_reports_a_write_error(tmp_path, capsys):
 @pytest.mark.parametrize("target, reason", [
     (os.path.join("missing", "x.mset"), "No such file or directory"),
     ("", "Is a directory"),
+    (os.path.join("file", "x.mset"), "Not a directory"),
 ])
 def test_free_refuses_an_unwritable_target_before_building(target, reason, tmp_path, capsys):
     # the weak completion of path2 at 4 stages builds 23,796 cells
+    (tmp_path / "file").write_text("")
     out_path = os.path.join(tmp_path, target)
     argv = ["free", "weak", fpath("path2.mset"), "--stages", "4", "--out", out_path]
     assert main(argv) == 2
@@ -462,3 +465,87 @@ def test_validate_unknown_reversor_kind_is_parse_error(value, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert main(["validate", str(p)]) == 2
     assert "reversor_kind" in capsys.readouterr().err
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+
+    def record(obj):
+        seen.append(gc.isenabled())
+        return mc.validate_multiple_set(obj)
+
+    # _validate_any looks the validator up in the cli module at call time
+    monkeypatch.setattr("multicat.cli.validate_multiple_set", record)
+    assert gc.isenabled()
+    assert main(["validate", fpath("point.mset")]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", fpath("point.mset")], 0),
+    (["validate", fpath("square-broken-st.mset")], 1),
+    (["free", "reflexive", fpath("point.mset"), "--dim", "2", "--budget", "1"], 1),
+    (["validate", "nonexistent.mset"], 2),
+])
+def test_main_restores_the_collector(argv, code, enabled, capsys):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_when_an_exception_escapes(enabled, monkeypatch):
+    def fail(obj):
+        raise RuntimeError("escapes main")
+
+    monkeypatch.setattr("multicat.cli.validate_multiple_set", fail)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["validate", fpath("point.mset")])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def unknown_field(tmp_path):
+    with open(fpath("point.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["refl"] = []
+    p = tmp_path / "unknown-field.mset"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", fpath("square.mset")], 0),
+    (["validate", fpath("square-broken-st.mset"), "--format", "json"], 1),
+    (["free", "reflexive", fpath("point.mset"), "--dim", "2", "--out", "{tmp}/r.mset"], 0),
+    (["free", "strict", fpath("path2.mset"), "--out", "{tmp}/s.mset"], 0),
+    (["free", "weak", fpath("parallel-edges.mset"), "--stages", "2", "--out", "{tmp}/w.mset"], 0),
+    (["stats", fpath("parallel-edges-free-weak.mset")], 0),
+    (["diff", fpath("square.mset"), fpath("square-broken-st.mset")], 1),
+    (["free", "reflexive", fpath("point.mset"), "--dim", "2", "--budget", "1"], 1),
+    (["free", "weak", fpath("single-edge.mset"), "--m", "0"], 1),
+    (["validate", "nonexistent.mset"], 2),
+    (["validate", "{tmp}"], 2),
+    (["validate", "{unknown_field}"], 2),
+])
+def test_commands_make_no_reference_cycles(argv, code, unknown_field, tmp_path, capsys):
+    """The premise of main's collector pause: a command, run with the
+    collector off, leaves nothing that only the collector would free."""
+    argv = [a.format(tmp=tmp_path, unknown_field=unknown_field) for a in argv]
+    main(["validate", fpath("point.mset")])  # the parser is built once
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
