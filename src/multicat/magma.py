@@ -87,6 +87,10 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
                 report.add("TOTAL", c, pair, f"direction {d} not an entry of {list(c)}")
             continue
         here = members.get(c, ())
+        if here:  # the faces of a valid base's cells are defined
+            sd, td = src[(c, d)], tgt[(c, d)]
+            for pair in [(a, b) for a, b in tab if a in here and b in here and sd[a] != td[b]]:
+                report.add("TOTAL", c, pair, f"operands not composable in direction {d}")
         outside = [(a, b) for (a, b), r in tab.items()
                    if not (a in here and b in here and r in here)]
         if outside:
@@ -99,7 +103,6 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
                     report.add("TOTAL", c, (a, b), f"composite {r!r} not a cell at {list(c)}")
         if not tab:
             continue
-        sd, td = src[(c, d)], tgt[(c, d)]
         for pair in [(a, b) for (a, b), r in tab.items() if sd[r] != sd[b]]:
             report.add("POS1", c, pair, f"direction={d} polarity={SOURCE}")
         for pair in [(a, b) for (a, b), r in tab.items() if td[r] != td[a]]:

@@ -12,8 +12,9 @@ kind a parsed structure carries in its type (``StrictCategory`` for strict).
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, groupby, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring
+from operator import itemgetter
 
 from .colors import Color, make_color
 from .core import MultipleSet
@@ -34,8 +35,14 @@ def _color_key(c: Color):
 
 
 class _Columns(list):
-    """A table as one sequence per field: the color, the direction if the
-    table has one, the key cell or cells, then the values."""
+    """A table as its runs, one ``(color, direction, count)`` per run of
+    records that share a color and direction, then one sequence per key cell
+    and per value field.  ``directed`` says whether the table has a direction
+    field; the direction is ``None`` in a table without one."""
+
+    def __init__(self, directed: bool = False, fields=()):
+        super().__init__(fields)
+        self.directed = directed
 
 
 def _columns(table: str, runs) -> _Columns:
@@ -43,12 +50,11 @@ def _columns(table: str, runs) -> _Columns:
     tables)`` in canonical order: the direction is ``None`` in a table
     without one, and each value table is read with ``get``."""
     direction, nkeys, nvalues, _ = _TABLES[table]
-    colors, dirs, keys = [], [], []
+    counted, keys = [], []
     values = [[] for _ in range(nvalues)]
     for c, d, ks, tabs in runs:
-        colors += [c] * len(ks)
-        if direction:
-            dirs += [d] * len(ks)
+        if ks:
+            counted.append((c, d, len(ks)))
         keys += ks
         for col, tab in zip(values, tabs):
             col += map(tab.get, ks)
@@ -61,7 +67,7 @@ def _columns(table: str, runs) -> _Columns:
         keys = zip(*keys)
     else:
         keys = [keys]
-    return _Columns([colors, *([dirs] if direction else []), *keys, *values])
+    return _Columns(bool(direction), [counted, *keys, *values])
 
 
 def _keyed(table: str, tabs: dict) -> _Columns:
@@ -131,9 +137,14 @@ def _document(obj, kind: str | None) -> dict:
             body["stage_log"] = obj.stage_log
         if obj.stage_of is not None:
             body["stage"] = obj.stage
+            # regrouped by color a run of equal colors at a time: the cells
+            # and stages of a run of n keys are the next n of each iterator
             stages: dict = {}
-            for (c, x), s in obj.stage_of.items():
-                stages.setdefault(c, {})[x] = s
+            cells = map(itemgetter(1), obj.stage_of)
+            values = iter(obj.stage_of.values())
+            for c, run in groupby(map(itemgetter(0), obj.stage_of)):
+                n = len(list(run))
+                stages.setdefault(c, {}).update(zip(islice(cells, n), islice(values, n)))
             body["stage_of"] = _keyed("stage_of", stages)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -142,8 +153,20 @@ def _document(obj, kind: str | None) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
+def _rows(cols: _Columns) -> list[tuple]:
+    """The records of a table, its runs expanded: one tuple per record."""
+    if not cols:
+        return []
+    runs, *fields = cols
+    colors = chain.from_iterable(repeat(c, n) for c, _, n in runs)
+    if cols.directed:
+        dirs = chain.from_iterable(repeat(d, n) for _, d, n in runs)
+        return list(zip(colors, dirs, *fields))
+    return list(zip(colors, *fields))
+
+
 def _records(doc: dict) -> dict:
-    return {k: list(zip(*v)) if type(v) is _Columns else _records(v) if type(v) is dict else v
+    return {k: _rows(v) if type(v) is _Columns else _records(v) if type(v) is dict else v
             for k, v in doc.items()}
 
 
@@ -180,6 +203,18 @@ def _each(values) -> list[str]:
     return _scalars(values)[1:-1].split(",\n")
 
 
+class _Memo(dict):
+    """The JSON text of each ``str``, ``int`` or ``None`` written so far, made
+    on its first lookup.  A column is read in one pass, with no pass first
+    to find its new values, and the texts of new names are made in column
+    order, so the texts a table joins lie in memory in the order it reads
+    them."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = encode_basestring(value) if type(value) is str else _scalars(value)
+        return text
+
+
 class _Writer:
     """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
     of a ``_document``.
@@ -188,8 +223,10 @@ class _Writer:
     itself and takes the text of each scalar from the C encoder.
 
     A table arrives as ``_Columns`` and is written a column at a time, with
-    no pass over its records by width: one text iterator per column, zipped
-    into one string per record behind the color's cached head.  A column,
+    no pass over its records by width: one text iterator per key and value
+    column, zipped into one string per record behind its run's head, the
+    text of the run's color and direction, rendered once per indent level
+    and repeated over the run.  A column,
     or a plain list of scalars such as a color or its cell ids, whose values
     are all ``str``, ``int`` or ``None`` takes its texts from one memo per
     document, so each distinct scalar is encoded once (a cell name recurs in
@@ -204,39 +241,43 @@ class _Writer:
 
     def __init__(self):
         self._heads: dict = {}
-        self._memo: dict = {}
+        self._memo = _Memo()
 
     def _texts(self, values):
         """An iterator over the JSON text of each scalar of a non-empty sequence."""
         types = set(map(type, values))
         if types <= _MEMO_TYPES:
-            memo = self._memo
-            # a column whose values are all encoded (a face's cell, pi's cells)
-            # builds no set of them
-            if not all(map(memo.__contains__, values)):
-                new = set(values).difference(memo)
-                # a set left unchanged yields its items in one order on every pass
-                memo.update(zip(new, map(encode_basestring, new) if types == {str}
-                                else _each(list(new))))
-            return map(memo.__getitem__, values)
+            return map(self._memo.__getitem__, values)
         if not types <= _SCALAR_TYPES:  # a container would split into several texts
             bad = min(t.__name__ for t in types - _SCALAR_TYPES)
             raise TypeError(f"table fields must be scalars, not {bad}")
         return iter(_each(values))
 
     def _table(self, cols: _Columns, level: int, out: list[str]):
-        """Lay out a non-empty table at indent ``level``, one string per record."""
+        """Lay out a non-empty table at indent ``level``, one string per record:
+        each run's cached head, its color and direction, repeated over its records."""
         inner = "\n" + "  " * (level + 1)
         mid = ",\n" + "  " * (level + 2)
         between = inner + "]," + inner
         heads = self._heads.setdefault(level, {})
-        colors, *fields = cols
-        for c in set(colors).difference(heads):
-            color: list[str] = []
-            self._write(c, level + 2, color)
-            heads[c] = f"{between}[{mid[1:]}{''.join(color)}"
+        runs, *fields = cols
+        repeats = []
+        for c, d, n in runs:
+            # True == 1, but the two render apart: a head is keyed by the types
+            # of its color's entries and of its direction too
+            key = (cols.directed, c, tuple(map(type, c)), type(d), d)
+            head = heads.get(key)
+            if head is None:
+                text: list[str] = []
+                self._write(c, level + 2, text)
+                if cols.directed:
+                    if type(d) not in _SCALAR_TYPES:
+                        raise TypeError(f"table fields must be scalars, not {type(d).__name__}")
+                    text += mid, _scalars(d)
+                head = heads[key] = f"{between}[{mid[1:]}{''.join(text)}"
+            repeats.append(repeat(head, n))
         first = len(out)
-        out += map(mid.join, zip(map(heads.__getitem__, colors), *map(self._texts, fields)))
+        out += map(mid.join, zip(chain.from_iterable(repeats), *map(self._texts, fields)))
         # the first record opens the table instead of closing the one before
         out[first] = "[" + inner + out[first][len(between):]
         out.append(inner + "]\n" + "  " * level + "]")
@@ -549,7 +590,12 @@ def from_document(doc: dict):
     magma = _parse_magma(_fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"), color)
     cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), color,
                        StrictCategory)
+    # pi and stage_of are keyed by M's cells, and a record of another would
+    # be kept through a round trip unchecked
+    members = {c: set(xs) for c, xs in magma.base.cells.items()}
     pi = _read_table(_require(doc, "pi"), "pi", color)[0]
+    for c, tab in pi.items():
+        _only_cells(tab, members.get(c, set()), "pi", c)
     brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
     if ("stage" in doc) != ("stage_of" in doc):
         given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
@@ -558,7 +604,7 @@ def from_document(doc: dict):
     if "stage_of" in doc:
         stages = _read_table(doc["stage_of"], "stage_of", color)[0]
         for c, tab in stages.items():
-            _only_cells(tab, set(magma.base.cells.get(c, ())), "stage_of", c)
+            _only_cells(tab, members.get(c, set()), "stage_of", c)
         stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
     return Stretching(
         magma=magma, cat=cat, pi=pi, brackets=brackets,

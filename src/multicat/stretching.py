@@ -455,11 +455,17 @@ def free_weak(
     for t, node in enumerate(g.nodes):
         kind = node[0]
         if kind == "comp":
-            comp.setdefault((color[t], node[1]), {})[(name[node[2]], name[node[3]])] = name[t]
+            tabs, key, cell = comp, (color[t], node[1]), (name[node[2]], name[node[3]])
         elif kind == "br":
-            brackets.setdefault((color[node[2]], node[1]), {})[(name[node[2]], name[node[3]])] = name[t]
+            tabs, key, cell = brackets, (color[node[2]], node[1]), (name[node[2]], name[node[3]])
         elif kind == "rev":
-            m_rev_tables.setdefault((color[t], node[1]), {})[name[node[2]]] = name[t]
+            tabs, key, cell = m_rev_tables, (color[t], node[1]), name[node[2]]
+        else:
+            continue
+        tab = tabs.get(key)
+        if tab is None:
+            tab = tabs[key] = {}
+        tab[cell] = name[t]
     e = Stretching(magma=magma, cat=cat, pi=pi, brackets=brackets, m=m,
                    cat_reversors=cat_reversors, m_rev_tables=m_rev_tables or None,
                    stage_of=stage_of, stage=stages, stage_log=log)

@@ -341,6 +341,10 @@ def magma_axiom_ids(comp_tables, ms: MultipleSet) -> set:
                         found.add("TOTAL")
     for (c, d), tab in comp_tables.items():
         for (a, b), r in tab.items():
+            # a key off the pullback: a after b needs s_d(a) == t_d(b)
+            if (d in c and a in ms.cells_at(c) and b in ms.cells_at(c)
+                    and ms.src[(c, d)][a] != ms.tgt[(c, d)][b]):
+                found.add("TOTAL")
             if r not in ms.cells_at(c):
                 found.add("TOTAL")
                 continue

@@ -395,6 +395,32 @@ def test_validate_rejects_a_stage_of_record_of_no_cell(tmp_path, capsys):
                        " at color [1]\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["--strict"]])
+def test_validate_reports_a_composite_off_the_pullback(flags, tmp_path, capsys):
+    # s(o0>o0) = o0 but t(o0>o1) = o1: the pair does not compose
+    with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["comp"].append([[1], 1, "o0>o0", "o0>o1", "o0>o0"])
+    p = tmp_path / "off-pullback.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), *flags]) == 1
+    assert capsys.readouterr().out == (
+        "TOTAL color=[1] cells=o0>o0,o0>o1 operands not composable in direction 1\n")
+
+
+def test_validate_rejects_a_pi_record_of_no_cell(tmp_path, capsys):
+    # a projection of no cell was kept through every round trip
+    with open(fpath("parallel-edges-free-weak.mset"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["pi"].append([[], "ghost", "v0"])
+    p = tmp_path / "ghost-pi.mset"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: pi record names 'ghost', which is not a cell at color []\n"
+
+
 def test_validate_malformed_color_is_parse_error(tmp_path, capsys):
     with open(fpath("pair-groupoid.mset"), encoding="utf-8") as fh:
         doc = json.load(fh)

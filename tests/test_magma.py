@@ -110,6 +110,44 @@ def test_composite_keyed_by_bad_direction_is_total_violation():
     assert [(v.axiom, v.cells) for v in report.violations] == [("TOTAL", ("o0", "o0"))]
 
 
+NOT_COMPOSABLE = "operands not composable in direction 1"
+
+
+def test_composite_off_the_pullback_is_total_violation():
+    """a *_d b is defined only where s_d(a) == t_d(b): a key off the
+    pullback is reported, as the oracle finds it, by the magma and the
+    strict validators."""
+    pg = fx.pair_groupoid(2)
+    table = pg.comp[((1,), 1)]
+    cells = pg.base.cells_at((1,))
+    off = [(a, b) for a in cells for b in cells if (a, b) not in table]
+    assert len(off) == 8
+    for a, b in off:
+        table[(a, b)] = a
+        assert mc.validate_magma(pg).axioms() == magma_axiom_ids(pg.comp, pg.base)
+        for report in (mc.validate_magma(pg), mc.validate_strict(pg)):
+            assert [(v.axiom, v.cells, v.detail) for v in report.violations
+                    if v.axiom == "TOTAL"] == [("TOTAL", (a, b), NOT_COMPOSABLE)]
+        del table[(a, b)]
+    assert mc.validate_magma(pg).ok
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_stretching_composite_off_the_pullback_is_total_violation(staged):
+    """Reported in M whether or not totality is demanded of it."""
+    cat = fx.pair_groupoid(2)
+    e = mc.identity_stretching(cat)
+    e.magma = dataclasses.replace(cat, comp={k: dict(v) for k, v in cat.comp.items()})
+    if staged:
+        e.stage_of = {(c, x): 0 for c in cat.base.colors() for x in cat.base.cells_at(c)}
+        e.stage = 1
+    assert mc.validate_stretching(e).ok
+    e.magma.comp[((1,), 1)][("o0>o0", "o0>o1")] = "o0>o0"
+    report = mc.validate_stretching(e)
+    assert [(v.axiom, v.cells, v.detail) for v in report.violations if v.axiom == "TOTAL"] == [
+        ("TOTAL", ("o0>o0", "o0>o1"), NOT_COMPOSABLE)]
+
+
 def test_reflexive_magma_without_refl_still_checks_the_layers_below():
     pg = fx.pair_groupoid(2)
     del pg.base.src[((1,), 1)]["o0>o0"]

@@ -391,10 +391,16 @@ def _equal_scalars():
     plain.cells[(1,)] = cells
     plain.src[((1,), 1)] = {x: [1, "1", None][i % 3] for i, x in enumerate(cells)}
     plain.tgt[((1,), 1)] = {x: ["1", "p", 1][i % 3] for i, x in enumerate(cells)}
-    return [ms, refl, m, plain]
+    # faces in direction 1 and composites in direction True, at one color:
+    # each run's head, its color and direction, is cached by the direction's type
+    directions = mc.MagmaStructure(base=plain, comp={((1,), True): {("e0", "e1"): "e2"}})
+    # and composites at the color (True,), written after the faces at (1,)
+    colors = mc.MagmaStructure(base=plain, comp={((True,), 1): {("e0", "e1"): "e2"}})
+    return [ms, refl, m, plain, directions, colors]
 
 
-@pytest.mark.parametrize("obj", _equal_scalars(), ids=["faces", "refl", "magma", "plain"])
+@pytest.mark.parametrize("obj", _equal_scalars(),
+                         ids=["faces", "refl", "magma", "plain", "directions", "colors"])
 def test_writer_keeps_equal_scalars_of_different_types_apart(obj):
     assert serialize(obj) == json_dumps(obj)
 
@@ -507,6 +513,33 @@ def test_a_table_value_that_is_not_a_scalar_is_a_type_error(value, name):
     ms.tgt[((1,), 1)]["e0"] = None
     with pytest.raises(TypeError, match=f"table fields must be scalars, not {name}"):
         serialize(ms)
+
+
+@pytest.mark.parametrize("direction, name", [((1,), "tuple"), (frozenset({1}), "frozenset")])
+def test_a_direction_that_is_not_a_scalar_is_a_type_error(direction, name, tmp_path):
+    path = tmp_path / "pair-groupoid.mset"
+    dump(fx.pair_groupoid(2), str(path))
+    before = path.read_bytes()
+    m = fx.pair_groupoid(2)
+    m.comp[((1,), direction)] = m.comp.pop(((1,), 1))
+    with pytest.raises(TypeError, match=f"table fields must be scalars, not {name}"):
+        dump(m, str(path))
+    assert path.read_bytes() == before
+
+
+def test_stage_of_in_any_order_writes_the_same_text():
+    """The writer regroups stage_of by color a run at a time: a dict whose
+    colors interleave writes what the dict in sorted order writes.  The
+    json oracle reads the same document, so only the text shows this."""
+    e = mc.free_weak(fx.square(), stages=2).stretching
+    stage_of = e.stage_of
+    e.stage_of = dict(sorted(stage_of.items()))
+    text = serialize(e)
+    # by cell name first: the colors interleave
+    e.stage_of = dict(sorted(stage_of.items(), key=lambda item: (item[0][1], item[0][0])))
+    colors = [c for c, _ in e.stage_of]
+    assert sum(a != b for a, b in zip(colors, colors[1:])) > 2 * len(set(colors))
+    assert serialize(e) == text
 
 
 # cell names that need escaping, or that look like the layout's own syntax
