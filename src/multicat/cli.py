@@ -74,6 +74,11 @@ def _print_counts(counts: dict, label: str):
         print(f"{label} color={list(c)} count={counts[c]}")
 
 
+def _print_stage_log(log: list[dict]):
+    for i, entry in enumerate(log, start=1):
+        print(f"stage {i}: " + " ".join(f"{k}={v}" for k, v in sorted(entry.items())))
+
+
 def cmd_free(args) -> int:
     try:
         budget = as_budget(args.budget)
@@ -122,8 +127,7 @@ def cmd_free(args) -> int:
             key = tuple(sorted(set(c) | {r}))
             brackets[key] = brackets.get(key, 0) + len(tab)
         _print_counts(brackets, "brackets")
-        for i, entry in enumerate(fw.stage_log, start=1):
-            print(f"stage {i}: " + " ".join(f"{k}={v}" for k, v in sorted(entry.items())))
+        _print_stage_log(fw.stage_log)
         out_obj = fw.stretching
 
     if args.out:
@@ -169,8 +173,7 @@ def cmd_stats(args) -> int:
         print(f"pairs {key} count={val}")
     for key, val in stats["brackets"].items():
         print(f"brackets {key} count={val}")
-    for i, entry in enumerate(stats.get("stage_log", []), start=1):
-        print(f"stage {i}: " + " ".join(f"{k}={v}" for k, v in sorted(entry.items())))
+    _print_stage_log(stats.get("stage_log", []))
     return 0
 
 

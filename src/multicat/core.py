@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .colors import Color, add, colors_within, minus
-from .errors import EntryAbsent, UnknownCell
+from .colors import Color, add, colors_within, make_color, minus
+from .errors import EntryAbsent, NonPositiveEntry, NotStrictlyIncreasing, UnknownCell
 from .report import ValidationReport
 
 CellId = str
@@ -30,7 +30,8 @@ _MISSING = object()
 class MultipleSet:
     universe_bound: int
     dim_bound: int
-    # color -> sorted list of cell ids; ids are unique within one color
+    # color -> sorted list of cell ids, each a str listed once at its color
+    # (validate_multiple_set reports any other list as SHAPE)
     cells: dict[Color, list[CellId]] = field(default_factory=dict)
     # (color, entry) -> cell -> face cell at minus(color, entry)
     src: dict[tuple[Color, int], dict[CellId, CellId]] = field(default_factory=dict)
@@ -48,6 +49,135 @@ class MultipleSet:
     def table(self, polarity: str, c: Color, d: int) -> dict[CellId, CellId]:
         tabs = self.src if polarity == SOURCE else self.tgt
         return tabs.get((c, d), {})
+
+
+# -- the document rule ------------------------------------------------------
+#
+# What a model may hold is what a document can: the parser raises ParseError
+# with each message below, and the validators report it as SHAPE, once per
+# color.  Each check returns its message, or None when the value passes.
+
+
+def int_problem(value, field: str, least: int | None = None) -> str | None:
+    """An integer (not a bool, float or string), at least ``least`` when that is given."""
+    if type(value) is int and (least is None or value >= least):
+        return None
+    bound = "" if least is None else f" >= {least}"
+    return f"{field} must be an integer{bound}, got {value!r}"
+
+
+def color_problem(raw) -> str | None:
+    """A color: an array of integers >= 1 in strictly increasing order."""
+    if type(raw) not in (list, tuple):
+        return f"bad color {raw!r}: must be an array"
+    last = 0
+    for e in raw:
+        if type(e) is not int or e <= last:
+            break
+        last = e
+    else:
+        return None
+    if not set(map(type, raw)) <= {int}:
+        return f"bad color {list(raw)}: entries must be integers"
+    try:
+        make_color(raw)
+    except (NotStrictlyIncreasing, NonPositiveEntry) as exc:  # it names the entry
+        return f"bad color {list(raw)}: {exc}"
+
+
+def bounds_problem(c: Color, universe_bound: int, dim_bound: int) -> str | None:
+    """A color within the bounds, judged by its length and largest entry: listing
+    ``colors_within`` would grow as C(universe_bound, dim_bound)."""
+    if len(c) > dim_bound or (c and c[-1] > universe_bound):
+        return f"color {list(c)} outside universe_bound {universe_bound} and dim_bound {dim_bound}"
+    return None
+
+
+def cell_ids_problem(c: Color, ids) -> str | None:
+    """The cell ids at color ``c``: strings."""
+    if not set(map(type, ids)) <= {str}:
+        return f"cell ids at color {list(c)} must be strings"
+    return None
+
+
+def repeat_problem(c: Color, ids, distinct: set) -> str | None:
+    """Each cell id at color ``c`` listed once; ``distinct`` is the set of ``ids``."""
+    return f"cell id repeated at color {list(c)}" if len(distinct) != len(ids) else None
+
+
+def names_problem(table: str, names, allowed=frozenset((str,))) -> str | None:
+    """The cells named in ``table``'s records: strings, or values of the
+    ``allowed`` types where the table holds those."""
+    if not set(map(type, names)) <= allowed:
+        return f"cells named in {table} records must be strings"
+    return None
+
+
+# the direction field of each table that has one, as the document names it
+DIRECTIONS = {"faces": "face direction", "refl": "degeneracy direction",
+              "comp": "composition direction", "brackets": "bracket direction"}
+
+
+def key_problem(table: str, key) -> tuple[Color, str] | None:
+    """Where and how a key of ``table`` breaks the document rule: a key is a
+    color, then an integer direction where the table has a direction field.
+    A color that is not one is reported at the empty color."""
+    c = key[0] if table in DIRECTIONS else key
+    if (problem := color_problem(c)) is not None:
+        return (), problem
+    if table in DIRECTIONS and (problem := int_problem(key[1], DIRECTIONS[table])) is not None:
+        return c, problem
+    return None
+
+
+def record_problem(table: str, c: Color, keys, ids: set) -> str | None:
+    """The records of ``table`` at color ``c``, keyed by ``keys``, each name
+    a cell of ``ids``: the model has no place for another."""
+    if not keys <= ids:
+        return (f"{table} record names {min(keys - ids, key=str)!r},"
+                f" which is not a cell at color {list(c)}")
+    return None
+
+
+def chain_map_problem(pairs) -> str | None:
+    """A chain map, as its (cell, image) pairs, sends each cell once."""
+    return "a chain map sends one cell twice" if len(dict(pairs)) != len(pairs) else None
+
+
+def choice_problem(value, choices, field: str) -> str | None:
+    """One of ``choices``."""
+    return None if value in choices else f"unknown {field} {value!r}"
+
+
+def stage_log_problem(raw) -> str | None:
+    """A list of objects that map counter names to integers."""
+    if isinstance(raw, list) and all(
+        isinstance(entry, dict) and all(type(k) is str and type(v) is int for k, v in entry.items())
+        for entry in raw
+    ):
+        return None
+    return "stage_log must be a list of objects that map names to integers"
+
+
+def _rule_problems(ms: MultipleSet) -> list[tuple[Color, str]]:
+    """(color, message) for each type in ``ms`` that breaks the document
+    rule: of its bounds, then of each color, then of each color's cell ids.
+    A bound or a color that breaks it is reported at the empty color."""
+    problems = [((), p) for p in (int_problem(ms.universe_bound, "universe_bound", 0),
+                                  int_problem(ms.dim_bound, "dim_bound", 0)) if p]
+    for c, ids in ms.cells.items():
+        if (p := color_problem(c)) is not None:
+            problems.append(((), p))
+        elif (p := cell_ids_problem(c, ids)) is not None:
+            problems.append((c, p))
+    return problems
+
+
+def well_formed(ms: MultipleSet, report: ValidationReport) -> bool:
+    """Whether the scans of the layers above may read ``ms``, whose
+    ``validate_multiple_set`` report is ``report``: it is clean, or each
+    type in ``ms`` is one the document rule allows."""
+    return report.ok or not _rule_problems(ms)
 
 
 def face(ms: MultipleSet, c: Color, x: CellId, d: int, polarity: str) -> CellId:
@@ -102,9 +232,8 @@ def _shape_check(ms: MultipleSet, report: ValidationReport,
     """Check that colors are in bounds and face tables exist, are total and land in cells."""
     ok = True
     for c in ms.colors():
-        if len(c) > ms.dim_bound or (c and c[-1] > ms.universe_bound):
-            report.add("SHAPE", c, (), f"color {list(c)} outside universe_bound"
-                       f" {ms.universe_bound} and dim_bound {ms.dim_bound}")
+        if (p := bounds_problem(c, ms.universe_bound, ms.dim_bound)) is not None:
+            report.add("SHAPE", c, (), p)
             ok = False
             continue
         xs = ms.cells[c]
@@ -129,9 +258,17 @@ def _shape_check(ms: MultipleSet, report: ValidationReport,
 
 
 def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
-    """Shape checks plus the SS, TT and ST face-commutation axioms."""
+    """The document rule, then the shape checks, then the SS, TT and ST
+    face-commutation axioms; each stage runs only when the one before passed."""
     report = ValidationReport()
-    if not _shape_check(ms, report, cell_sets(ms)):
+    problems = _rule_problems(ms)
+    if not problems:
+        members = cell_sets(ms)
+        problems = [(c, p) for c, xs in ms.cells.items()
+                    if (p := repeat_problem(c, xs, members[c])) is not None]
+    for c, p in problems:
+        report.add("SHAPE", c, (), p)
+    if problems or not _shape_check(ms, report, members):
         return report.sorted()
     src, tgt = ms.src, ms.tgt
     for c in ms.colors():

@@ -12,7 +12,17 @@ from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, minus
 from .core import _MISSING
-from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, face, validate_multiple_set
+from .core import (
+    SOURCE,
+    TARGET,
+    CellId,
+    MultipleSet,
+    cell_sets,
+    face,
+    key_problem,
+    validate_multiple_set,
+    well_formed,
+)
 from .errors import NotComposable, UnknownCell
 from .reflexive import ReflexiveStructure, _scan_reflexive
 from .report import ValidationReport
@@ -82,6 +92,9 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
 
     src, tgt = ms.src, ms.tgt
     for (c, d), tab in m.comp.items():
+        if (broken := key_problem("comp", (c, d))) is not None:
+            report.add("SHAPE", broken[0], (), broken[1])
+            continue
         if d not in c:
             for pair in tab:
                 report.add("TOTAL", c, pair, f"direction {d} not an entry of {list(c)}")
@@ -126,7 +139,8 @@ def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
     """Degeneracies distribute over composition (the DIST law), on top of
     the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
-    _scan_reflexive_magma(m, report, report.ok, cell_sets(m.base))
+    if well_formed(m.base, report):
+        _scan_reflexive_magma(m, report, report.ok, cell_sets(m.base))
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
     return report.sorted()

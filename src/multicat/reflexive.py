@@ -23,6 +23,7 @@ from .core import (
     MsMorphism,
     MultipleSet,
     cell_sets,
+    key_problem,
     validate_multiple_set,
 )
 from .errors import BoundMismatch, InvalidBase
@@ -84,6 +85,9 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
     # an exchange square missing both composites fails only under totality
     unset = _MISSING if require_total else None
     for (c, l), tab in r.refl.items():
+        if (broken := key_problem("refl", (c, l))) is not None:
+            report.add("SHAPE", broken[0], (), broken[1])
+            continue
         if l in c or l < 1:
             for x in tab:
                 report.add("TOTAL", c, (x,), f"entry {l} cannot be added to {list(c)}")
@@ -241,10 +245,10 @@ def free_reflexive(
     (an int, a ``Budget`` shared with other phases, or ``None`` for
     ``MULTICAT_BUDGET``) when it is interned.
     """
-    if dim_bound < ms.dim_bound:
-        raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("base multiple set does not validate")
+    if dim_bound < ms.dim_bound:
+        raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
 
     g = ReflexiveTerms(ms, dim_bound, as_budget(budget), PHASE)
     # the list grows as degeneracies are made, and each new one is closed too

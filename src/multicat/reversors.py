@@ -10,7 +10,17 @@ and targets; the terminal map swaps them in its own direction.  Kinds:
 * general — at least one chain of some admissible length per (color, first
   entry).
 
-At dimension m+1 every kind degenerates to single swap maps.
+At dimension m+1 every kind degenerates to single swap maps.  A chain whose
+entries leave its color, or that has fewer maps than entries, is one COVER
+violation, in ``validate_reversors`` and, on either side, in
+``validate_reversor_morphism``.
+
+``search_reversors`` lists structures in one order: slots in
+``itertools.product`` order, the last slot (by dimension, color, key)
+fastest; within a slot, entry sequences by length, then lexicographically;
+within one, the terminal map first, each map in product order over its
+color's cells as listed.  Each structure's chains are in (color, entries)
+order.
 """
 
 from __future__ import annotations
@@ -28,6 +38,11 @@ from .core import (
     MsMorphism,
     MultipleSet,
     cell_sets,
+    chain_map_problem,
+    choice_problem,
+    color_problem,
+    int_problem,
+    names_problem,
     validate_multiple_set,
 )
 from .errors import InvalidBase, UnknownCell
@@ -131,11 +146,34 @@ def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
                         report.add("SERIAL", level_color, (x,), f"entry={e} polarity={pol}")
 
 
+def _chain_problem(ch: Chain) -> str | None:
+    """The part of the document rule a chain can break, past its color: its
+    entries are integers, and its maps name cells by strings, each once."""
+    for e in ch.entries:
+        if (problem := int_problem(e, "chain entry")) is not None:
+            return problem
+    for level in ch.maps:
+        if (problem := chain_map_problem(level)) is not None:
+            return problem
+    return names_problem("chains", [x for level in ch.maps for pair in level for x in pair])
+
+
 def validate_reversors(r: ReversorStructure) -> ValidationReport:
-    report = ValidationReport()
-    base_report = validate_multiple_set(r.base)
-    if not base_report.ok:
-        return base_report
+    """The document rule (the base's, then ``m``, the kind and each chain's,
+    reported at the chain's color), then coverage and each chain's scans."""
+    report = validate_multiple_set(r.base)
+    if not report.ok:
+        return report
+    for problem in (int_problem(r.m, "m", 0), choice_problem(r.kind, KINDS, "reversor_kind")):
+        if problem is not None:
+            report.add("SHAPE", (), (), problem)
+    for ch in r.chains:
+        if (problem := color_problem(ch.color)) is not None:
+            report.add("SHAPE", (), (), problem)
+        elif (problem := _chain_problem(ch)) is not None:
+            report.add("SHAPE", ch.color, (), problem)
+    if not report.ok:
+        return report.sorted()
     # a general slot is keyed by its first entry and takes any admissible length
     general = r.kind == "general"
     covered = {
@@ -366,14 +404,13 @@ def search_reversors(
     holds every satisfying assignment.  ``budget`` (an int, a ``Budget``
     shared with other phases, or ``None`` for ``MULTICAT_BUDGET``) pays one
     unit per candidate map, each map level before it is made, and one unit
-    per structure, charged as ``len`` before the space is returned.  A
-    negative ``m`` or an unknown ``kind`` is a ValueError, and a base that
-    does not validate is InvalidBase.
+    per structure, charged as ``len`` before the space is returned.  An
+    unknown ``kind``, or an ``m`` that is not an integer >= 0, is a
+    ValueError, and a base that does not validate is InvalidBase.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
+    for problem in (choice_problem(kind, KINDS, "kind"), int_problem(m, "m", 0)):
+        if problem is not None:
+            raise ValueError(problem)
     ms = cat.base if isinstance(cat, MagmaStructure) else cat
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("base multiple set does not validate")

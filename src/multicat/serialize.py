@@ -7,18 +7,64 @@ two-space indent, trailing newline, the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``.
 ``serialize(parse(text))`` is the identity on canonical documents, whose
 kind a parsed structure carries in its type (``StrictCategory`` for strict).
+What a document, and so a model, may hold is the document rule of
+``multicat.core``: the parser raises ``ParseError`` with the message of the
+part a document breaks, and the validators report a model that breaks it.
+
+The writer.  ``_document`` hands each table (``faces``, ``refl``, ``comp``,
+``pi``, ``brackets``, ``stage_of``) over as ``_Columns``: its runs, one
+``(color, direction, count)`` per run of records that share a color and
+direction, then one list per key and value field; ``to_document`` expands
+them into record tuples.  The writer lays out the containers itself, one
+string per record: its run's head, the text of the run's color and direction
+made once per indent level, then the text of each field.  It takes only the
+document scalars ``str``, ``int`` and ``None``, and reads every scalar's text
+from one memo per document that encodes a value on its first lookup, so each
+name is encoded once, in column order.  A bool or a float equals an int and
+would read its text, so each column, and each run's color and direction, is
+type-checked once before the memo is read: any other type, and a ``comp`` or
+``brackets`` key that is not a pair of cells, is a TypeError.  The text is
+joined once the writer and the document are gone; a long document's text
+joined from one list of all its pieces, or from a few long strings, leaves
+that memory in the allocator under the text (the weak-build benchmark's peak
+resident memory rose from 99 to 112 MB).  ``dump`` renders the text and
+checks that it encodes before it opens its file, so a failed write, a lone
+surrogate in a name included, leaves the file as it was, and then writes the
+text in 1 MiB slices, so that no encoded copy of the whole text is made.
+
+The reader.  ``_read_table`` reads every keyed table under one rule (see
+``_TABLES``).  It checks each field a column at a time, and reads a column
+that fails its check again value by value, to name the first bad value; then
+it stores the records in one pass per value field, reading a color and
+direction once per run of records that share them.  Each distinct color is
+checked and built once per document.  A ``faces``, ``pi`` or ``stage_of``
+record must name a cell listed at its color, and a face record's direction
+must be an entry of its color: the model has no place for any other.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, groupby, islice, repeat
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .colors import Color, make_color
-from .core import MultipleSet
-from .errors import NonPositiveEntry, NotStrictlyIncreasing, ParseError
+from .colors import Color
+from .core import (
+    DIRECTIONS,
+    MultipleSet,
+    bounds_problem,
+    cell_ids_problem,
+    choice_problem,
+    color_problem,
+    chain_map_problem,
+    int_problem,
+    names_problem,
+    record_problem,
+    repeat_problem,
+    stage_log_problem,
+)
+from .errors import ParseError
 from .magma import MagmaStructure
 from .reflexive import ReflexiveStructure
 from .reversors import KINDS as REVERSOR_KINDS, ReversorStructure, make_chain
@@ -35,10 +81,9 @@ def _color_key(c: Color):
 
 
 class _Columns(list):
-    """A table as its runs, one ``(color, direction, count)`` per run of
-    records that share a color and direction, then one sequence per key cell
-    and per value field.  ``directed`` says whether the table has a direction
-    field; the direction is ``None`` in a table without one."""
+    """A table as its runs, then one sequence per key cell and per value
+    field.  ``directed`` says whether the table has a direction field; the
+    direction is ``None`` in a table without one."""
 
     def __init__(self, directed: bool = False, fields=()):
         super().__init__(fields)
@@ -49,7 +94,7 @@ def _columns(table: str, runs) -> _Columns:
     """``table`` as columns, from its runs ``(color, direction, keys, value
     tables)`` in canonical order: the direction is ``None`` in a table
     without one, and each value table is read with ``get``."""
-    direction, nkeys, nvalues, _ = _TABLES[table]
+    nkeys, nvalues, _ = _TABLES[table]
     counted, keys = [], []
     values = [[] for _ in range(nvalues)]
     for c, d, ks, tabs in runs:
@@ -67,12 +112,12 @@ def _columns(table: str, runs) -> _Columns:
         keys = zip(*keys)
     else:
         keys = [keys]
-    return _Columns(bool(direction), [counted, *keys, *values])
+    return _Columns(table in DIRECTIONS, [counted, *keys, *values])
 
 
 def _keyed(table: str, tabs: dict) -> _Columns:
     """The columns of ``tabs``, ``{(color, direction) or color: {key: value}}``."""
-    if _TABLES[table][0]:
+    if table in DIRECTIONS:
         heads = sorted(tabs, key=lambda k: (_color_key(k[0]), k[1]))
         return _columns(table, [(c, d, sorted(tabs[c, d]), (tabs[c, d],)) for c, d in heads])
     return _columns(table, [(c, None, sorted(tabs[c]), (tabs[c],))
@@ -148,8 +193,8 @@ def _document(obj, kind: str | None) -> dict:
             body["stage_of"] = _keyed("stage_of", stages)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown document kind {kind!r}")
+    if (problem := choice_problem(kind, KINDS, "document kind")) is not None:
+        raise ValueError(problem)
     return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
@@ -180,78 +225,45 @@ def to_document(obj, kind: str | None = None) -> dict:
     return _records(_document(obj, kind))
 
 
-# The types json renders as scalars.  Equal values of different types can
-# render apart (True == 1 == 1.0 hash alike but render as true, 1 and 1.0),
-# so a memo keyed by value takes only types whose equal values render alike.
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_MEMO_TYPES = frozenset((str, int, type(None)))
-# json's C encoder for scalars and for flat sequences of them, whose items it
-# separates by ",\n"; a value json cannot render raises TypeError.  It keeps
-# no state between calls, so every writer shares it.
-_ENCODER = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ": ", ",\n",
-                          True, False, True)
+# The scalars a document holds.  A bool or a float equals an int (True == 1
+# == 1.0) and hashes alike, but renders apart: the writer refuses any other
+# type before it reads the memo, which is keyed by value.
+_SCALARS = frozenset((str, int, type(None)))
 
 
-def _scalars(v) -> str:
-    """The JSON text of a scalar, or of a bracketed sequence of them."""
-    return "".join(_ENCODER(v, 0))
-
-
-def _each(values) -> list[str]:
-    """The JSON text of each scalar of a sequence, from one encoder call: no
-    text holds a raw newline, so ",\n" separates them exactly."""
-    return _scalars(values)[1:-1].split(",\n")
+def _checked(values):
+    """``values``, once each is checked to be a document scalar."""
+    types = set(map(type, values))
+    if not types <= _SCALARS:
+        bad = min(t.__name__ for t in types - _SCALARS)
+        raise TypeError(f"table fields must be scalars, not {bad}")
+    return values
 
 
 class _Memo(dict):
-    """The JSON text of each ``str``, ``int`` or ``None`` written so far, made
-    on its first lookup.  A column is read in one pass, with no pass first
-    to find its new values, and the texts of new names are made in column
-    order, so the texts a table joins lie in memory in the order it reads
-    them."""
+    """The JSON text of each scalar written so far, made on its first lookup
+    as json makes it: ``encode_basestring`` for a ``str``, ``int.__repr__``
+    for an ``int`` and ``null`` for ``None``."""
 
     def __missing__(self, value) -> str:
-        text = self[value] = encode_basestring(value) if type(value) is str else _scalars(value)
+        text = self[value] = (encode_basestring(value) if type(value) is str
+                              else "null" if value is None else int.__repr__(value))
         return text
 
 
 class _Writer:
     """Renders ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
-    of a ``_document``.
-
-    json's C encoder takes no indent, so the writer lays out the containers
-    itself and takes the text of each scalar from the C encoder.
-
-    A table arrives as ``_Columns`` and is written a column at a time, with
-    no pass over its records by width: one text iterator per key and value
-    column, zipped into one string per record behind its run's head, the
-    text of the run's color and direction, rendered once per indent level
-    and repeated over the run.  A column,
-    or a plain list of scalars such as a color or its cell ids, whose values
-    are all ``str``, ``int`` or ``None`` takes its texts from one memo per
-    document, so each distinct scalar is encoded once (a cell name recurs in
-    cells, faces, comp, pi and stage_of); any other is encoded in one
-    encoder call.
-
-    One string per record, not one per table or document: a long document's
-    text joined from one list of all its pieces, or from a few long strings,
-    leaves that memory in the allocator under the text (the benchmark's
-    weak-build peak resident memory rose from 99 to 112 MB).
-    """
+    of a ``_document`` whose scalars are ``str``, ``int`` and ``None``, each
+    distinct one encoded once (a cell name recurs in cells, faces, comp, pi
+    and stage_of)."""
 
     def __init__(self):
         self._heads: dict = {}
         self._memo = _Memo()
 
     def _texts(self, values):
-        """An iterator over the JSON text of each scalar of a non-empty sequence."""
-        types = set(map(type, values))
-        if types <= _MEMO_TYPES:
-            return map(self._memo.__getitem__, values)
-        if not types <= _SCALAR_TYPES:  # a container would split into several texts
-            bad = min(t.__name__ for t in types - _SCALAR_TYPES)
-            raise TypeError(f"table fields must be scalars, not {bad}")
-        return iter(_each(values))
+        """An iterator over the JSON text of each scalar of a sequence."""
+        return map(self._memo.__getitem__, _checked(values))
 
     def _table(self, cols: _Columns, level: int, out: list[str]):
         """Lay out a non-empty table at indent ``level``, one string per record:
@@ -263,17 +275,15 @@ class _Writer:
         runs, *fields = cols
         repeats = []
         for c, d, n in runs:
-            # True == 1, but the two render apart: a head is keyed by the types
-            # of its color's entries and of its direction too
-            key = (cols.directed, c, tuple(map(type, c)), type(d), d)
+            # checked before the lookup, so that a head is keyed by values alone
+            _checked((*c, d))
+            key = (cols.directed, c, d)
             head = heads.get(key)
             if head is None:
                 text: list[str] = []
                 self._write(c, level + 2, text)
                 if cols.directed:
-                    if type(d) not in _SCALAR_TYPES:
-                        raise TypeError(f"table fields must be scalars, not {type(d).__name__}")
-                    text += mid, _scalars(d)
+                    text += mid, self._memo[d]
                 head = heads[key] = f"{between}[{mid[1:]}{''.join(text)}"
             repeats.append(repeat(head, n))
         first = len(out)
@@ -292,22 +302,18 @@ class _Writer:
                 return
             sep = "{" + inner
             for k in sorted(v):
-                x = v[k]
-                if type(x) in _SCALAR_TYPES:
-                    out.append(f"{sep}{encode_basestring(k)}: {_scalars(x)}")
-                else:
-                    out.append(f"{sep}{encode_basestring(k)}: ")
-                    self._write(x, level + 1, out)
+                out.append(f"{sep}{encode_basestring(k)}: ")
+                self._write(v[k], level + 1, out)
                 sep = "," + inner
             out.append(close + "}")
         elif not isinstance(v, (list, tuple)):
-            out.append(_scalars(v))
+            out += self._texts((v,))
         elif not v:
             out.append("[]")
         elif type(v) is _Columns:
             self._table(v, level, out)
-        elif set(map(type, v)) <= _SCALAR_TYPES:  # a color, a color's cell ids
-            out.append(f"[{inner}{(',' + inner).join(self._texts(v))}{close}]")
+        elif set(map(type, v)) <= _SCALARS:  # a color, a color's cell ids: checked here
+            out.append(f"[{inner}{(',' + inner).join(map(self._memo.__getitem__, v))}{close}]")
         else:
             sep = "[" + inner
             for x in v:
@@ -326,51 +332,35 @@ def serialize(obj, kind: str | None = None) -> str:
     return "".join(out)
 
 
+def _refuse(problem: str | None):
+    """Raise a part of the document rule (``multicat.core``) that a field breaks."""
+    if problem is not None:
+        raise ParseError(problem)
+
+
 def _colors():
     """A color reader for one document: each distinct entry list is checked
     and built once, and a malformed color is a parse error.
 
-    Entry types are checked on every call: ``[true]`` and ``[1.0]`` hash
-    as ``[1]`` does, so the memo alone would let them through.
+    A color is a list, or a tuple in to_document's documents.  The memo is
+    read only for integer entries: ``[true]`` and ``[1.0]`` hash as ``[1]``.
     """
     memo: dict = {}
 
     def color(raw) -> Color:
-        if type(raw) not in (list, tuple):  # to_document's documents hold tuples
-            raise ParseError(f"bad color {raw!r}: must be an array")
-        key = tuple(raw)
-        for e in key:
-            if type(e) is not int:
-                raise ParseError(f"bad color {raw!r}: entries must be integers")
+        key = tuple(raw) if type(raw) in (list, tuple) and set(map(type, raw)) <= {int} else None
         c = memo.get(key)
         if c is None:
-            try:
-                c = memo[key] = make_color(key)
-            except (NotStrictlyIncreasing, NonPositiveEntry) as exc:
-                raise ParseError(f"bad color {raw!r}: {exc}") from exc
+            _refuse(color_problem(raw))
+            c = memo[key] = key
         return c
 
     return color
 
 
 def _int(value, field: str, least: int | None = None) -> int:
-    """An integer field: a JSON integer (not a bool, float or string), and
-    at least ``least`` when that is given."""
-    if type(value) is not int or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ParseError(f"{field} must be an integer{bound}, got {value!r}")
+    _refuse(int_problem(value, field, least))
     return value
-
-
-def _stage_log(raw) -> list[dict]:
-    """A stage log: a list of objects that map counter names to integers."""
-    if not isinstance(raw, list) or not all(
-        isinstance(entry, dict)
-        and all(isinstance(k, str) and type(v) is int for k, v in entry.items())
-        for entry in raw
-    ):
-        raise ParseError("stage_log must be a list of objects that map names to integers")
-    return raw
 
 
 def _array(value, field: str) -> list:
@@ -387,18 +377,18 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-# table -> (direction field, key cells, value fields, value types).  Every
-# table follows one rule: a record is an array of the table's width, its
-# color is well formed, its direction an integer, its cells strings (a face
-# may be null), its stage an integer >= 0, and its key, the fields before its
-# values, is no earlier record's.
+# table -> (key cells, value fields, value types); a table in DIRECTIONS has
+# a direction field.  Every table follows one rule: a record is an array of
+# the table's width, its color is well formed, its direction an integer, its
+# cells strings (a face may be null), its stage an integer >= 0, and its key,
+# the fields before its values, is no earlier record's.
 _TABLES = {
-    "faces": ("face direction", 1, 2, {str, type(None)}),
-    "refl": ("degeneracy direction", 1, 1, {str}),
-    "comp": ("composition direction", 2, 1, {str}),
-    "pi": (None, 1, 1, {str}),
-    "brackets": ("bracket direction", 2, 1, {str}),
-    "stage_of": (None, 1, 1, {int}),
+    "faces": (1, 2, {str, type(None)}),
+    "refl": (1, 1, {str}),
+    "comp": (2, 1, {str}),
+    "pi": (1, 1, {str}),
+    "brackets": (2, 1, {str}),
+    "stage_of": (1, 1, {int}),
 }
 
 
@@ -411,7 +401,8 @@ def _read_table(records, table: str, color) -> list[dict]:
     records are then stored in one pass per value field, which reads each
     color and direction once per run of records that share them.
     """
-    direction, nkeys, nvalues, types = _TABLES[table]
+    direction = DIRECTIONS.get(table)
+    nkeys, nvalues, types = _TABLES[table]
     first = 2 if direction else 1  # the field of the first key cell
     width = first + nkeys + nvalues
     records = _array(records, table)
@@ -437,9 +428,8 @@ def _read_table(records, table: str, color) -> list[dict]:
                              and min(values[0], default=0) >= 0):
         for s in values[0]:
             _int(s, f"{table} value", 0)
-    if not (set(map(type, chain(*cols[first:first + nkeys]))) <= {str}
-            and set(map(type, chain(*values))) <= types):
-        raise ParseError(f"cells named in {table} records must be strings")
+    _refuse(names_problem(table, chain(*cols[first:first + nkeys]))
+            or names_problem(table, chain(*values), types))
     dirs = cols[1] if direction else repeat(None)
     cells = cols[first] if nkeys == 1 else list(zip(*cols[first:first + nkeys]))
     tabs = []
@@ -493,8 +483,8 @@ def _fields(doc, fields, where: str) -> dict:
 def _parse_ms(doc: dict, color) -> MultipleSet:
     try:
         ms = MultipleSet(
-            _int(_require(doc, "universe_bound"), "universe_bound"),
-            _int(_require(doc, "dim_bound"), "dim_bound"),
+            _int(_require(doc, "universe_bound"), "universe_bound", 0),
+            _int(_require(doc, "dim_bound"), "dim_bound", 0),
         )
         ids_at: dict = {}
         for entry in _array(_require(doc, "cells"), "cells"):
@@ -502,19 +492,11 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
             c = color(color_raw)
             if c in ms.cells:
                 raise ParseError(f"color {list(c)} listed twice in cells")
-            # by length and largest entry: listing colors_within would grow
-            # as C(universe_bound, dim_bound)
-            if len(c) > ms.dim_bound or (c and c[-1] > ms.universe_bound):
-                raise ParseError(
-                    f"color {list(c)} outside universe_bound {ms.universe_bound}"
-                    f" and dim_bound {ms.dim_bound}"
-                )
+            _refuse(bounds_problem(c, ms.universe_bound, ms.dim_bound))
             ms.cells[c] = list(_array(ids, f"cell ids at color {list(c)}"))
-            if not set(map(type, ms.cells[c])) <= {str}:
-                raise ParseError(f"cell ids at color {list(c)} must be strings")
+            _refuse(cell_ids_problem(c, ms.cells[c]))
             ids_at[c] = set(ms.cells[c])
-            if len(ids_at[c]) != len(ms.cells[c]):
-                raise ParseError(f"cell id repeated at color {list(c)}")
+            _refuse(repeat_problem(c, ms.cells[c], ids_at[c]))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc
     ms.src, ms.tgt = _read_table(_require(doc, "faces"), "faces", color)
@@ -523,20 +505,13 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
         if d not in c:
             raise ParseError(f"faces record at color {list(c)} has direction {d},"
                              " which is not an entry of the color")
-        _only_cells(tab, ids_at.get(c, set()), "faces", c)
+        _refuse(record_problem("faces", c, tab.keys(), ids_at.get(c, set())))
     # read a null face back as undefined
     for tabs in (ms.src, ms.tgt):
         for key, tab in tabs.items():
             if None in tab.values():
                 tabs[key] = {x: y for x, y in tab.items() if y is not None}
     return ms
-
-
-def _only_cells(tab: dict, ids: set, table: str, c):
-    """Reject a record of ``table`` at color ``c`` keyed by a cell not in ``ids``."""
-    if not tab.keys() <= ids:
-        raise ParseError(f"{table} record names {min(tab.keys() - ids)!r},"
-                         f" which is not a cell at color {list(c)}")
 
 
 def _parse_magma(doc: dict, color, cls=MagmaStructure) -> MagmaStructure:
@@ -553,8 +528,7 @@ def from_document(doc: dict):
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     kind = _require(doc, "kind")
-    if kind not in KINDS:
-        raise ParseError(f"unknown document kind {kind!r}")
+    _refuse(choice_problem(kind, KINDS, "document kind"))
     _fields(doc, _FIELDS[kind], f"a {kind} document")
     color = _colors()
     if kind == "multiple-set":
@@ -571,16 +545,15 @@ def from_document(doc: dict):
             for color_raw, entries, levels in _array(doc.get("chains", []), "chains"):
                 levels = [[_array(pair, "chain map pair") for pair in _array(level, "chain map")]
                           for level in _array(levels, "chain maps")]
+                for level in levels:
+                    _refuse(chain_map_problem(level))
                 maps = [dict(level) for level in levels]
-                if any(len(m) != len(level) for m, level in zip(maps, levels)):
-                    raise ParseError("a chain map sends one cell twice")
-                if any(not type(x) is type(y) is str for lv in maps for x, y in lv.items()):
-                    raise ParseError("cells named in chains records must be strings")
+                _refuse(names_problem("chains", chain.from_iterable(
+                    chain.from_iterable(lv.items()) for lv in maps)))
                 entries = [_int(e, "chain entry") for e in _array(entries, "chain entries")]
                 chains.append(make_chain(color(color_raw), entries, maps))
             rev_kind = _require(doc, "reversor_kind")
-            if type(rev_kind) is not str or rev_kind not in REVERSOR_KINDS:
-                raise ParseError(f"unknown reversor_kind {rev_kind!r}")
+            _refuse(choice_problem(rev_kind, REVERSOR_KINDS, "reversor_kind"))
             return ReversorStructure(
                 base=base, m=_int(_require(doc, "m"), "m", 0), kind=rev_kind, chains=chains,
             )
@@ -595,7 +568,7 @@ def from_document(doc: dict):
     members = {c: set(xs) for c, xs in magma.base.cells.items()}
     pi = _read_table(_require(doc, "pi"), "pi", color)[0]
     for c, tab in pi.items():
-        _only_cells(tab, members.get(c, set()), "pi", c)
+        _refuse(record_problem("pi", c, tab.keys(), members.get(c, set())))
     brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
     if ("stage" in doc) != ("stage_of" in doc):
         given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
@@ -604,13 +577,15 @@ def from_document(doc: dict):
     if "stage_of" in doc:
         stages = _read_table(doc["stage_of"], "stage_of", color)[0]
         for c, tab in stages.items():
-            _only_cells(tab, members.get(c, set()), "stage_of", c)
+            _refuse(record_problem("stage_of", c, tab.keys(), members.get(c, set())))
         stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}
+    if "stage_log" in doc:
+        _refuse(stage_log_problem(doc["stage_log"]))
     return Stretching(
         magma=magma, cat=cat, pi=pi, brackets=brackets,
         m=_int(doc["m"], "m", 0) if "m" in doc else None,
         stage_of=stage_of, stage=_int(doc.get("stage", 0), "stage", 0),
-        stage_log=_stage_log(doc["stage_log"]) if "stage_log" in doc else None,
+        stage_log=doc.get("stage_log"),
     )
 
 

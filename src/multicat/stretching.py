@@ -32,7 +32,12 @@ from .core import (
     MultipleSet,
     cell_sets,
     faces_total,
+    int_problem,
+    key_problem,
+    record_problem,
+    stage_log_problem,
     validate_multiple_set,
+    well_formed,
 )
 from .errors import BoundsTooSmall
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
@@ -88,12 +93,19 @@ def _swap_tables(r: ReversorStructure) -> dict[tuple[Color, int], dict[CellId, C
     return {(ch.color, ch.entries[0]): ch.map_at(0) for ch in r.chains if len(ch.entries) == 1}
 
 
-def _validate_pi(e: Stretching, report: ValidationReport,
+def _validate_pi(e: Stretching, report: ValidationReport, m_members: dict[Color, set[CellId]],
                  c_members: dict[Color, set[CellId]], faces_ok: bool):
-    """The projection laws.  The face squares read the face tables of M and
-    of C, so they run only when ``faces_ok`` says both are total;
-    ``c_members`` is ``cell_sets`` of C."""
+    """The projection laws, after the document rule for the projection's
+    records: each is keyed by a cell of M at a color.  The face squares read
+    the face tables of M and of C, so they run only when ``faces_ok`` says
+    both are total; ``m_members`` and ``c_members`` are the ``cell_sets`` of
+    M and of C."""
     M, C = e.magma.base, e.cat.base
+    for c, tab in e.pi.items():
+        if (broken := key_problem("pi", c)) is not None:
+            report.add("SHAPE", broken[0], (), broken[1])
+        elif (problem := record_problem("pi", c, tab.keys(), m_members.get(c, set()))):
+            report.add("SHAPE", c, (), problem)
     for c in M.colors():
         pmap = e.pi.get(c, {})
         get, images = pmap.get, c_members.get(c, ())
@@ -144,14 +156,18 @@ def validate_stretching(e: Stretching) -> ValidationReport:
 
     For stage-bounded free results, totality (composites, degeneracies,
     brackets) is only demanded of cells strictly below the last completed
-    stage; the frontier is by construction still open.  The projection,
-    bracket and staged totality scans read the face tables of M (and of C)
-    only when every cell there has its faces (``faces_total``), and run
-    their table-lookup checks in any case.
+    stage; the frontier is by construction still open, and those scans run
+    only when the stages are integers >= 0.  The projection, bracket and
+    staged totality scans read the face tables of M (and of C) only when
+    every cell there has its faces (``faces_total``), and run their
+    table-lookup checks in any case.  A layer that breaks the document rule
+    is reported alone, and the scans that would read it do not run.
     """
     M = e.magma.base
-    m_members = cell_sets(M)
     report = validate_multiple_set(M)
+    if not well_formed(M, report):
+        return report
+    m_members = cell_sets(M)
     m_faces = report.ok or faces_total(M)
     _scan_reflexive_magma(e.magma, report, report.ok, m_members,
                           require_total=e.stage_of is None)
@@ -159,12 +175,40 @@ def validate_stretching(e: Stretching) -> ValidationReport:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
     cat_report = validate_strict(e.cat)
     report.extend(cat_report)
-    if e.stage_of is not None:
+    staged = _check_stages(e, report)
+    if e.stage_of is not None and staged:
         _check_staged_totality(e, report, m_faces)
-    c_faces = cat_report.ok or faces_total(e.cat.base)
-    _validate_pi(e, report, cell_sets(e.cat.base), m_faces and c_faces)
-    _validate_brackets(e, report, m_members, m_faces)
+    if well_formed(e.cat.base, cat_report):
+        c_faces = cat_report.ok or faces_total(e.cat.base)
+        _validate_pi(e, report, m_members, cell_sets(e.cat.base), m_faces and c_faces)
+    _validate_brackets(e, report, m_members, m_faces, staged)
     return report.sorted()
+
+
+def _check_stages(e: Stretching, report: ValidationReport) -> bool:
+    """The stretching's part of the document rule: ``m``, the stage log,
+    ``stage`` and each cell's stage, reported once per color.  Returns
+    whether the stages are integers >= 0, so that the staged scans may
+    compare them."""
+    for problem in (e.m is not None and int_problem(e.m, "m", 0),
+                    e.stage_log is not None and stage_log_problem(e.stage_log)):
+        if problem:
+            report.add("SHAPE", (), (), problem)
+    if e.stage_of is None:
+        return True
+    staged = True
+    if (problem := int_problem(e.stage, "stage", 0)) is not None:
+        report.add("SHAPE", (), (), problem)
+        staged = False
+    stages = e.stage_of.values()
+    if not (set(map(type, stages)) <= {int} and min(stages, default=0) >= 0):
+        staged, reported = False, set()
+        for (c, _), s in e.stage_of.items():
+            if c not in reported and (problem := int_problem(s, "stage_of value", 0)):
+                reported.add(c)
+                # a key of no color of M may not compare with the report's colors
+                report.add("SHAPE", c if c in e.magma.base.cells else (), (), problem)
+    return staged
 
 
 def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bool):
@@ -191,24 +235,29 @@ def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bo
 
 
 def _validate_brackets(e: Stretching, report: ValidationReport,
-                       members: dict[Color, set[CellId]], faces_ok: bool):
-    """Bracket totality and BR-PI by table lookup; BR-END and BR-FACE read
-    M's face tables, so they run only when ``faces_ok``.  ``members`` is
-    ``cell_sets`` of M."""
+                       members: dict[Color, set[CellId]], faces_ok: bool, staged: bool):
+    """Bracket totality, which compares stages and so runs only when
+    ``staged``, and BR-PI by table lookup; BR-END and BR-FACE read M's face
+    tables, so they run only when ``faces_ok``.  ``members`` is ``cell_sets``
+    of M."""
     M = e.magma.base
     # totality over projection-equal pairs
-    max_stage = None if e.stage_of is None else e.stage - 1
-    for c in M.colors():
-        if len(c) + 1 > M.dim_bound:
-            continue
-        pairs = pi_equal_pairs(e, c, max_stage=max_stage)
-        for r in addable_entries(c, M.universe_bound):
-            tab = e.brackets.get((c, r), {})
-            for pair in [pair for pair in pairs if pair not in tab]:
-                report.add("BR-TOTAL", c, pair, f"added={r}")
+    if staged:
+        max_stage = None if e.stage_of is None else e.stage - 1
+        for c in M.colors():
+            if len(c) + 1 > M.dim_bound:
+                continue
+            pairs = pi_equal_pairs(e, c, max_stage=max_stage)
+            for r in addable_entries(c, M.universe_bound):
+                tab = e.brackets.get((c, r), {})
+                for pair in [pair for pair in pairs if pair not in tab]:
+                    report.add("BR-TOTAL", c, pair, f"added={r}")
 
     cat_refl = e.cat.refl.refl if e.cat.refl is not None else None
     for (c, r), tab in e.brackets.items():
+        if (broken := key_problem("brackets", (c, r))) is not None:
+            report.add("SHAPE", broken[0], (), broken[1])
+            continue
         if r in c or r < 1:
             for pair in tab:
                 report.add("BR-TOTAL", c, pair, f"added={r} cannot be added to {list(c)}")
@@ -420,12 +469,12 @@ def free_weak(
 
     ``free_strict`` validates ``X`` and raises InvalidBase when it fails.
     The strict closure, the reversor search and the completion spend one
-    shared ``budget``; the completion spends one unit per cell.  A negative
-    ``m`` or ``stages`` is a ValueError.
+    shared ``budget``; the completion spends one unit per cell.  An ``m`` or
+    ``stages`` that is not an integer >= 0 is a ValueError.
     """
     for arg, value in (("m", m), ("stages", stages)):
-        if value is not None and value < 0:
-            raise ValueError(f"{arg} must be an integer >= 0, got {value}")
+        if value is not None and (problem := int_problem(value, arg, 0)) is not None:
+            raise ValueError(problem)
     budget = as_budget(budget)
     N = dim_bound if dim_bound is not None else X.dim_bound
     pres = free_strict(X, N, size_bound, budget=budget)

@@ -43,7 +43,7 @@ that representatives, ``unit_map`` and ``quotient_to_category`` share.
 from __future__ import annotations
 
 from .colors import Color, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, validate_multiple_set, well_formed
 from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
 from .reflexive import ReflexiveStructure, admissible_refl_keys
@@ -60,7 +60,8 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
     """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
     base_ok = report.ok
-    _scan_reflexive_magma(m, report, base_ok, cell_sets(m.base))
+    if well_formed(m.base, report):
+        _scan_reflexive_magma(m, report, base_ok, cell_sets(m.base))
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
     elif base_ok:

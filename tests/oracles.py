@@ -264,6 +264,19 @@ class NaiveFreeStrict:
 
 
 def multiple_set_axiom_ids(ms: MultipleSet) -> set:
+    # what a document can hold: bounds are integers >= 0, a color is a tuple
+    # of integers >= 1 in increasing order, and a color's cell ids are
+    # distinct strings; a bool is not an integer
+    for bound in (ms.universe_bound, ms.dim_bound):
+        if type(bound) is not int or bound < 0:
+            return {"SHAPE"}
+    for c, ids in ms.cells.items():
+        if type(c) is not tuple or any(type(e) is not int or e < 1 for e in c):
+            return {"SHAPE"}
+        if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
+            return {"SHAPE"}
+        if any(type(x) is not str for x in ids) or len(set(ids)) < len(ids):
+            return {"SHAPE"}
     found = set()
     for c in ms.colors():
         if len(c) > ms.dim_bound or any(d > ms.universe_bound for d in c):

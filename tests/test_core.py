@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import multicat as mc
 from multicat import fixtures as fx
+from multicat.serialize import parse, to_document
 from oracles import multiple_set_axiom_ids
 
 ALL_FIXTURES = {
@@ -82,6 +84,80 @@ def test_constructions_refuse_cells_outside_the_bounds(build):
     sq.dim_bound = 1
     with pytest.raises(mc.InvalidBase):
         build(sq)
+
+
+def _edge_ids(*ids):
+    """Give the single edge's color the cell ids ``ids``, each with the edge's faces."""
+    def change(ms):
+        ms.cells[(1,)] = list(ids)
+        for tabs, y in ((ms.src, "v0"), (ms.tgt, "v1")):
+            tabs[((1,), 1)] = {x: y for x in ids}
+    return change
+
+
+def _edge_color(c):
+    """Move the single edge, faces included, to the color ``c``."""
+    def change(ms):
+        ms.cells[c] = ms.cells.pop((1,))
+        for tabs in (ms.src, ms.tgt):
+            tabs[(c, c[0])] = tabs.pop(((1,), 1))
+    return change
+
+
+def _bound(name, value):
+    return lambda ms: setattr(ms, name, value)
+
+
+# a change to the single edge that breaks the document rule, and the one
+# violation its report holds; the parser refuses its document with the
+# violation's detail
+RULE_BREAKS = {
+    "int-id": (_edge_ids(1), "[1] cell ids at color [1] must be strings"),
+    "none-id": (_edge_ids(None), "[1] cell ids at color [1] must be strings"),
+    "float-id": (_edge_ids(1.5), "[1] cell ids at color [1] must be strings"),
+    "bool-id": (_edge_ids(True), "[1] cell ids at color [1] must be strings"),
+    "repeated-id": (lambda ms: ms.cells[(1,)].append("x"), "[1] cell id repeated at color [1]"),
+    "bool-color": (_edge_color((True,)), "[] bad color [True]: entries must be integers"),
+    "zero-color": (_edge_color((0,)),
+                   "[] bad color [0]: entry at position 0 of (0,) is not >= 1"),
+    "decreasing-color": (_edge_color((2, 1)), "[] bad color [2, 1]: entries (2, 1)"
+                         " not strictly increasing at position 1"),
+    "bool-universe-bound": (_bound("universe_bound", True),
+                            "[] universe_bound must be an integer >= 0, got True"),
+    "float-dim-bound": (_bound("dim_bound", 1.0), "[] dim_bound must be an integer >= 0, got 1.0"),
+    "negative-dim-bound": (_bound("dim_bound", -1), "[] dim_bound must be an integer >= 0, got -1"),
+}
+
+
+def broken_edge(name) -> mc.MultipleSet:
+    ms = fx.single_edge()
+    RULE_BREAKS[name][0](ms)
+    return ms
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BREAKS))
+def test_the_document_rule_is_checked_per_color(name):
+    ms = broken_edge(name)
+    report = mc.validate_multiple_set(ms)
+    assert [f"{list(v.color)} {v.detail}" for v in report.violations] == [RULE_BREAKS[name][1]]
+    assert [(v.axiom, v.cells) for v in report.violations] == [("SHAPE", ())]
+    assert report.axioms() == multiple_set_axiom_ids(ms)
+    # the parser refuses the document with the same message
+    with pytest.raises(mc.ParseError) as info:
+        parse(json.dumps(to_document(ms)))
+    assert str(info.value) == report.violations[0].detail
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BREAKS))
+@pytest.mark.parametrize("build", [
+    lambda X: mc.free_strict(X, 1, 8),
+    lambda X: mc.free_reflexive(X, 1),
+    lambda X: mc.search_reversors(X, 0),
+    lambda X: mc.free_weak(X),
+], ids=["free_strict", "free_reflexive", "search_reversors", "free_weak"])
+def test_constructions_refuse_a_set_that_breaks_the_document_rule(build, name):
+    with pytest.raises(mc.InvalidBase):
+        build(broken_edge(name))
 
 
 def test_identity_morphism_validates():

@@ -370,9 +370,8 @@ def test_writer_matches_json_dumps_on_built_structures(build):
 def _equal_scalars():
     """Hand-built structures whose tables hold 1, True, 1.0, None and "1":
     True == 1 == 1.0 hash alike, so a memo keyed by value alone would render
-    one of them as another.  Each faces table holds 1,100 records, and the
-    plain one, whose scalars are only str, int and None, is written through
-    the writer's memo."""
+    one of them as another.  Each faces table holds 1,100 records; only the
+    plain one, whose scalars are only str, int and None, can be written."""
     values = [1, True, 1.0, None, "1"]
     cells = [f"e{i}" for i in range(1100)]
     ms = mc.MultipleSet(1, 1)
@@ -399,10 +398,21 @@ def _equal_scalars():
     return [ms, refl, m, plain, directions, colors]
 
 
-@pytest.mark.parametrize("obj", _equal_scalars(),
+@pytest.mark.parametrize("obj, written",
+                         zip(_equal_scalars(), [False, False, False, True, False, False]),
                          ids=["faces", "refl", "magma", "plain", "directions", "colors"])
-def test_writer_keeps_equal_scalars_of_different_types_apart(obj):
-    assert serialize(obj) == json_dumps(obj)
+def test_writer_keeps_equal_scalars_of_different_types_apart(obj, written, tmp_path):
+    """A bool or a float, which no document holds, is a TypeError, raised
+    before dump opens its target."""
+    if written:
+        assert serialize(obj) == json_dumps(obj)
+        return
+    path = tmp_path / "point.mset"
+    dump(fx.point(), str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="table fields must be scalars, not (bool|float)"):
+        dump(obj, str(path))
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])

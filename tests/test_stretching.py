@@ -302,6 +302,22 @@ def test_staged_totality_reports_deleted_in_stage_degeneracy():
     assert f"staged degeneracy missing, added={key[1]}" in report.render()
 
 
+@pytest.mark.parametrize("stage", ["1", 1.5, None])
+def test_a_stage_that_is_not_an_integer_is_reported_not_raised(stage):
+    """The staged scans compare stages, so they run only when every stage is
+    an integer >= 0; a str stage used to raise TypeError from them."""
+    e = mc.free_weak(fx.path2(), stages=2).stretching
+    (c, x), s = max(e.stage_of.items(), key=lambda item: item[1])
+    e.stage_of[(c, x)] = stage
+    # a missing staged composite goes unreported while the stages are not integers
+    del e.magma.comp[next(iter(e.magma.comp))]
+    report = mc.validate_stretching(e)
+    assert report.render() == (
+        f"SHAPE color={list(c)} cells= stage_of value must be an integer >= 0, got {stage!r}")
+    e.stage_of[(c, x)] = s
+    assert _staged_totality(mc.validate_stretching(e))
+
+
 def test_free_weak_takes_the_first_reversor_structure_lazily(monkeypatch):
     # three loops at one vertex: 27 structures, each one swap map
     loops = mc.MultipleSet(1, 1)
