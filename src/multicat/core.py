@@ -118,16 +118,38 @@ DIRECTIONS = {"faces": "face direction", "refl": "degeneracy direction",
               "comp": "composition direction", "brackets": "bracket direction"}
 
 
+# what a key of each table keyed by pairs holds after its color
+_PAIRED = {**dict.fromkeys(DIRECTIONS, "direction"), "stage_of": "cell"}
+
+
 def key_problem(table: str, key) -> tuple[Color, str] | None:
     """Where and how a key of ``table`` breaks the document rule: a key is a
-    color, then an integer direction where the table has a direction field.
-    A color that is not one is reported at the empty color."""
-    c = key[0] if table in DIRECTIONS else key
+    color, or a pair of a color and an integer direction where the table has
+    a direction field (of a color and a cell in ``stage_of``).  A key that
+    is not a pair, and a color that is not one, are reported at the empty
+    color."""
+    if table in _PAIRED and not (type(key) is tuple and len(key) == 2):
+        return (), f"{table} key {key!r} is not a (color, {_PAIRED[table]}) pair"
+    c = key[0] if table in _PAIRED else key
     if (problem := color_problem(c)) is not None:
         return (), problem
     if table in DIRECTIONS and (problem := int_problem(key[1], DIRECTIONS[table])) is not None:
         return c, problem
     return None
+
+
+def unpaired(report: ValidationReport, tables: dict[str, dict]) -> bool:
+    """Report each key that is not a pair, of the ``tables`` that ``_PAIRED``
+    names, as SHAPE; whether there was one.  The scans unpack every key of
+    such a table, so a layer with one is reported alone."""
+    found = False
+    for table, tabs in tables.items():
+        for key in tabs:
+            if not (type(key) is tuple and len(key) == 2):
+                found = True
+                c, problem = key_problem(table, key)
+                report.add("SHAPE", c, (), problem)
+    return found
 
 
 def record_problem(table: str, c: Color, keys, ids: set) -> str | None:
@@ -173,13 +195,6 @@ def _rule_problems(ms: MultipleSet) -> list[tuple[Color, str]]:
     return problems
 
 
-def well_formed(ms: MultipleSet, report: ValidationReport) -> bool:
-    """Whether the scans of the layers above may read ``ms``, whose
-    ``validate_multiple_set`` report is ``report``: it is clean, or each
-    type in ``ms`` is one the document rule allows."""
-    return report.ok or not _rule_problems(ms)
-
-
 def face(ms: MultipleSet, c: Color, x: CellId, d: int, polarity: str) -> CellId:
     """Tabulated face of ``x`` (a cell at color ``c``) in direction ``d``."""
     if d not in c:
@@ -202,15 +217,6 @@ def iterated_face(ms: MultipleSet, c: Color, x: CellId, ds) -> tuple[Color, Cell
         x = face(ms, c, x, d, pol)
         c = minus(c, d)
     return c, x
-
-
-def cell_sets(ms: MultipleSet) -> dict[Color, set[CellId]]:
-    """Color -> set of its cell ids, built for one validation only.
-
-    ``MultipleSet`` caches no such index: an in-place edit of ``cells`` would
-    leave it stale.
-    """
-    return {c: set(xs) for c, xs in ms.cells.items()}
 
 
 def faces_total(ms: MultipleSet) -> bool:
@@ -259,11 +265,16 @@ def _shape_check(ms: MultipleSet, report: ValidationReport,
 
 def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
     """The document rule, then the shape checks, then the SS, TT and ST
-    face-commutation axioms; each stage runs only when the one before passed."""
+    face-commutation axioms; each stage runs only when the one before passed.
+
+    The report's ``cells`` holds the set of cell ids at each color, which
+    the shape checks and the scans of the layers above read.  ``MultipleSet``
+    caches no such index: an in-place edit of ``cells`` would leave it stale.
+    """
     report = ValidationReport()
     problems = _rule_problems(ms)
     if not problems:
-        members = cell_sets(ms)
+        report.cells = members = {c: set(xs) for c, xs in ms.cells.items()}
         problems = [(c, p) for c, xs in ms.cells.items()
                     if (p := repeat_problem(c, xs, members[c])) is not None]
     for c, p in problems:

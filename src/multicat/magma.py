@@ -17,11 +17,10 @@ from .core import (
     TARGET,
     CellId,
     MultipleSet,
-    cell_sets,
     face,
     key_problem,
+    unpaired,
     validate_multiple_set,
-    well_formed,
 )
 from .errors import NotComposable, UnknownCell
 from .reflexive import ReflexiveStructure, _scan_reflexive
@@ -73,15 +72,15 @@ def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId
 def validate_magma(m: MagmaStructure) -> ValidationReport:
     """Totality on the pullback, POS1 and POS2."""
     report = validate_multiple_set(m.base)
-    if report.ok:
-        _scan_magma(m, report, cell_sets(m.base), True)
+    if report.ok and not unpaired(report, {"comp": m.comp}):
+        _scan_magma(m, report, report.cells, True)
     return report.sorted()
 
 
 def _scan_magma(m: MagmaStructure, report: ValidationReport,
                 members: dict[Color, set[CellId]], require_total: bool):
     """The composition scans, appended to ``report``; the base must be valid,
-    and ``members`` is its ``cell_sets``."""
+    ``members`` is its report's ``cells`` and every comp key is a pair."""
     ms = m.base
     if require_total:
         for c in ms.colors():
@@ -139,18 +138,24 @@ def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
     """Degeneracies distribute over composition (the DIST law), on top of
     the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
-    if well_formed(m.base, report):
-        _scan_reflexive_magma(m, report, report.ok, cell_sets(m.base))
+    if report.cells is not None and not unpaired(report, _tables(m)):
+        _scan_reflexive_magma(m, report, report.ok, report.cells)
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
     return report.sorted()
 
 
+def _tables(m: MagmaStructure) -> dict[str, dict]:
+    """The keyed tables of ``m`` by name, for ``unpaired``."""
+    return {"comp": m.comp, "refl": m.refl.refl if m.refl is not None else {}}
+
+
 def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: bool,
                           members: dict[Color, set[CellId]], require_total: bool = True):
     """The magma, reflexive and DIST scans over a base validated once, whose
-    ``cell_sets`` are ``members``; DIST is pure table lookup, so it stays
-    meaningful (and safe) on a failed base."""
+    report's ``cells`` are ``members``, and whose comp and refl keys are
+    pairs; DIST is pure table lookup, so it stays meaningful (and safe) on a
+    failed base."""
     if base_ok:
         _scan_magma(m, report, members, require_total)
         if m.refl is not None:

@@ -22,8 +22,8 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
-    cell_sets,
     key_problem,
+    unpaired,
     validate_multiple_set,
 )
 from .errors import BoundMismatch, InvalidBase
@@ -59,15 +59,15 @@ def validate_reflexive(r: ReflexiveStructure) -> ValidationReport:
     diagrams only constrain distinct directions.
     """
     report = validate_multiple_set(r.base)
-    if report.ok:
-        _scan_reflexive(r, report, cell_sets(r.base), True)
+    if report.ok and not unpaired(report, {"refl": r.refl}):
+        _scan_reflexive(r, report, report.cells, True)
     return report.sorted()
 
 
 def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                     members: dict[Color, set[CellId]], require_total: bool):
     """The degeneracy scans, appended to ``report``; the base must be valid,
-    and ``members`` is its ``cell_sets``."""
+    ``members`` is its report's ``cells`` and every refl key is a pair."""
     ms = r.base
     if require_total:
         for c, l in admissible_refl_keys(ms):

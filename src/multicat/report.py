@@ -29,6 +29,10 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
+    # color -> set of cell ids of the multiple set whose validation began the
+    # report, built there once for the scans of the layers above; None where
+    # a type in it breaks the document rule, so that no scan may read it
+    cells: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -41,7 +45,9 @@ class ValidationReport:
         self.violations.extend(other.violations)
 
     def sorted(self) -> "ValidationReport":
-        return ValidationReport(sorted(set(self.violations)))
+        report = ValidationReport(sorted(set(self.violations)))
+        report.cells = self.cells
+        return report
 
     def axioms(self) -> set[str]:
         return {v.axiom for v in self.violations}

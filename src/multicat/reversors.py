@@ -37,7 +37,6 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
-    cell_sets,
     chain_map_problem,
     choice_problem,
     color_problem,
@@ -116,7 +115,7 @@ def _chain_fault(ch: Chain) -> str | None:
 def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
                     members: dict[Color, set[CellId]]):
     """One chain's scans; the base must be valid, and ``members`` is its
-    ``cell_sets``.  A chain with a ``_chain_fault`` is one COVER violation
+    report's ``cells``.  A chain with a ``_chain_fault`` is one COVER violation
     and is not scanned."""
     fault = _chain_fault(ch)
     if fault is not None:
@@ -184,9 +183,8 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
     for c, key in required_slots(r.base, r.m, r.kind):
         if (c, key) not in covered:
             report.add("COVER", c, (), f"no chain for {key}")
-    members = cell_sets(r.base)
     for ch in r.chains:
-        _validate_chain(r.base, ch, report, members)
+        _validate_chain(r.base, ch, report, report.cells)
     return report.sorted()
 
 

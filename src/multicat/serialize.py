@@ -15,31 +15,36 @@ The writer.  ``_document`` hands each table (``faces``, ``refl``, ``comp``,
 ``pi``, ``brackets``, ``stage_of``) over as ``_Columns``: its runs, one
 ``(color, direction, count)`` per run of records that share a color and
 direction, then one list per key and value field; ``to_document`` expands
-them into record tuples.  The writer lays out the containers itself, one
-string per record: its run's head, the text of the run's color and direction
-made once per indent level, then the text of each field.  It takes only the
-document scalars ``str``, ``int`` and ``None``, and reads every scalar's text
-from one memo per document that encodes a value on its first lookup, so each
-name is encoded once, in column order.  A bool or a float equals an int and
-would read its text, so each column, and each run's color and direction, is
-type-checked once before the memo is read: any other type, and a ``comp`` or
+them into record tuples.  The writer lays out the containers itself and
+appends every piece of the text to one list, which ``serialize`` joins once:
+for each record, its run's head (the text of the run's color and direction,
+made once per indent level), then a separator and the text of each field.
+The heads, the separators and the texts all exist already, so the writer
+makes no string per record.  It takes only the document scalars ``str``,
+``int`` and ``None``, and reads every scalar's text from one memo per
+document that encodes a value on its first lookup, so each name is encoded
+once, in column order.  A bool or a float equals an int and would read its
+text, so each column, and each run's color and direction, is type-checked
+once before the memo is read: any other type, and a ``comp`` or
 ``brackets`` key that is not a pair of cells, is a TypeError.  The text is
-joined once the writer and the document are gone; a long document's text
-joined from one list of all its pieces, or from a few long strings, leaves
-that memory in the allocator under the text (the weak-build benchmark's peak
-resident memory rose from 99 to 112 MB).  ``dump`` renders the text and
-checks that it encodes before it opens its file, so a failed write, a lone
-surrogate in a name included, leaves the file as it was, and then writes the
-text in 1 MiB slices, so that no encoded copy of the whole text is made.
+joined once the writer and the document are gone, so that neither is held
+under it.  ``dump`` renders the text and checks that it encodes before it
+opens its file, so a failed write, a lone surrogate in a name included,
+leaves the file as it was, and then writes the text in 1 MiB slices, so that
+no encoded copy of the whole text is made.
 
 The reader.  ``_read_table`` reads every keyed table under one rule (see
 ``_TABLES``).  It checks each field a column at a time, and reads a column
 that fails its check again value by value, to name the first bad value; then
 it stores the records in one pass per value field, reading a color and
-direction once per run of records that share them.  Each distinct color is
-checked and built once per document.  A ``faces``, ``pi`` or ``stage_of``
-record must name a cell listed at its color, and a face record's direction
-must be an entry of its color: the model has no place for any other.
+direction once per run of records that share them.  One memo per document
+(``_Memos``) checks and builds each distinct color once, and keeps one
+``str`` per distinct name: every name column, ``cells`` first, then the keys
+and values of each table, goes through it, so the model holds one object per
+name, and a lookup of a cell in a table finds its key by identity.  A
+``faces``, ``pi`` or ``stage_of`` record must name a cell listed at its
+color, and a face record's direction must be an entry of its color: the
+model has no place for any other.
 """
 
 from __future__ import annotations
@@ -266,8 +271,9 @@ class _Writer:
         return map(self._memo.__getitem__, _checked(values))
 
     def _table(self, cols: _Columns, level: int, out: list[str]):
-        """Lay out a non-empty table at indent ``level``, one string per record:
-        each run's cached head, its color and direction, repeated over its records."""
+        """Lay out a non-empty table at indent ``level``: per record, its run's
+        cached head (its color and direction), then a separator and the memo
+        text of each field, all of them strings that exist already."""
         inner = "\n" + "  " * (level + 1)
         mid = ",\n" + "  " * (level + 2)
         between = inner + "]," + inner
@@ -286,8 +292,13 @@ class _Writer:
                     text += mid, self._memo[d]
                 head = heads[key] = f"{between}[{mid[1:]}{''.join(text)}"
             repeats.append(repeat(head, n))
-        first = len(out)
-        out += map(mid.join, zip(chain.from_iterable(repeats), *map(self._texts, fields)))
+        # each record is its head, then a separator and a text per field: the
+        # separators are laid down first, the heads and texts into the gaps
+        first, width = len(out), 1 + 2 * len(fields)
+        out += repeat(mid, len(fields[0]) * width)
+        out[first::width] = chain.from_iterable(repeats)
+        for i, col in enumerate(fields, 1):
+            out[first + 2 * i::width] = self._texts(col)
         # the first record opens the table instead of closing the one before
         out[first] = "[" + inner + out[first][len(between):]
         out.append(inner + "]\n" + "  " * level + "]")
@@ -313,7 +324,11 @@ class _Writer:
         elif type(v) is _Columns:
             self._table(v, level, out)
         elif set(map(type, v)) <= _SCALARS:  # a color, a color's cell ids: checked here
-            out.append(f"[{inner}{(',' + inner).join(map(self._memo.__getitem__, v))}{close}]")
+            first = len(out)
+            out += repeat("," + inner, 2 * len(v))
+            out[first + 1::2] = map(self._memo.__getitem__, v)
+            out[first] = "[" + inner
+            out.append(close + "]")
         else:
             sep = "[" + inner
             for x in v:
@@ -338,24 +353,34 @@ def _refuse(problem: str | None):
         raise ParseError(problem)
 
 
-def _colors():
-    """A color reader for one document: each distinct entry list is checked
-    and built once, and a malformed color is a parse error.
+class _Memos:
+    """The memos of one document.  ``color`` checks and builds each distinct
+    entry list once, and a malformed color is a parse error.  ``names``
+    keeps one ``str`` per distinct name, the first one read, so the model's
+    tables hold the objects its ``cells`` lists, and a lookup of a cell in a
+    table finds its key by identity, with its hash cached.
 
-    A color is a list, or a tuple in to_document's documents.  The memo is
-    read only for integer entries: ``[true]`` and ``[1.0]`` hash as ``[1]``.
+    A color is a list, or a tuple in to_document's documents.  The color memo
+    is read only for integer entries: ``[true]`` and ``[1.0]`` hash as ``[1]``.
     """
-    memo: dict = {}
 
-    def color(raw) -> Color:
+    def __init__(self):
+        self._colors: dict = {}
+        self._names: dict = {}
+
+    def color(self, raw) -> Color:
         key = tuple(raw) if type(raw) in (list, tuple) and set(map(type, raw)) <= {int} else None
-        c = memo.get(key)
+        c = self._colors.get(key)
         if c is None:
             _refuse(color_problem(raw))
-            c = memo[key] = key
+            c = self._colors[key] = key
         return c
 
-    return color
+    def names(self, column) -> list:
+        """``column``, a sequence, each name replaced by the document's object
+        for it.  The names must be type-checked first: a memo keyed by value
+        would hand back ``1`` for ``true``."""
+        return list(map(self._names.setdefault, column, column))
 
 
 def _int(value, field: str, least: int | None = None) -> int:
@@ -392,14 +417,15 @@ _TABLES = {
 }
 
 
-def _read_table(records, table: str, color) -> list[dict]:
+def _read_table(records, table: str, memo: _Memos) -> list[dict]:
     """One dict per value field of a keyed table, ``{(color, direction) or
     color: {cell or (cell, cell): value}}``.
 
     Each field is type-checked a column at a time; a column that fails its
-    check is read again value by value, to name the first bad one.  The
-    records are then stored in one pass per value field, which reads each
-    color and direction once per run of records that share them.
+    check is read again value by value, to name the first bad one.  Each
+    name column, keys and values alike, then goes through the document's
+    name memo, and the records are stored in one pass per value field, which
+    reads each color and direction once per run of records that share them.
     """
     direction = DIRECTIONS.get(table)
     nkeys, nvalues, types = _TABLES[table]
@@ -420,7 +446,7 @@ def _read_table(records, table: str, color) -> list[dict]:
         ints = {None}
     if not ints <= {int}:
         for raw in cols[0]:
-            color(raw)
+            memo.color(raw)
         for d in cols[1]:
             _int(d, direction)
     values = cols[first + nkeys:]
@@ -431,14 +457,17 @@ def _read_table(records, table: str, color) -> list[dict]:
     _refuse(names_problem(table, chain(*cols[first:first + nkeys]))
             or names_problem(table, chain(*values), types))
     dirs = cols[1] if direction else repeat(None)
-    cells = cols[first] if nkeys == 1 else list(zip(*cols[first:first + nkeys]))
+    keys = [memo.names(col) for col in cols[first:first + nkeys]]
+    cells = keys[0] if nkeys == 1 else list(zip(*keys))
+    if int not in types:
+        values = map(memo.names, values)
     tabs = []
     for col in values:
         tab, raw, d = {}, None, None
         for r, e, cell, value in zip(cols[0], dirs, cells, col):
             if r != raw or e != d:
                 raw, d = r, e
-                dst = tab.setdefault((color(r), e) if direction else color(r), {})
+                dst = tab.setdefault((memo.color(r), e) if direction else memo.color(r), {})
             dst[cell] = value
         tabs.append(tab)
     if sum(map(len, tabs[0].values())) != len(records):
@@ -480,7 +509,8 @@ def _fields(doc, fields, where: str) -> dict:
     return doc
 
 
-def _parse_ms(doc: dict, color) -> MultipleSet:
+def _parse_ms(doc: dict, memo: _Memos) -> tuple[MultipleSet, dict]:
+    """The multiple set of ``doc``, and the set of its cell ids at each color."""
     try:
         ms = MultipleSet(
             _int(_require(doc, "universe_bound"), "universe_bound", 0),
@@ -489,17 +519,18 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
         ids_at: dict = {}
         for entry in _array(_require(doc, "cells"), "cells"):
             color_raw, ids = entry
-            c = color(color_raw)
+            c = memo.color(color_raw)
             if c in ms.cells:
                 raise ParseError(f"color {list(c)} listed twice in cells")
             _refuse(bounds_problem(c, ms.universe_bound, ms.dim_bound))
-            ms.cells[c] = list(_array(ids, f"cell ids at color {list(c)}"))
-            _refuse(cell_ids_problem(c, ms.cells[c]))
+            ids = _array(ids, f"cell ids at color {list(c)}")
+            _refuse(cell_ids_problem(c, ids))
+            ms.cells[c] = memo.names(ids)
             ids_at[c] = set(ms.cells[c])
             _refuse(repeat_problem(c, ms.cells[c], ids_at[c]))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed multiple-set body: {exc}") from exc
-    ms.src, ms.tgt = _read_table(_require(doc, "faces"), "faces", color)
+    ms.src, ms.tgt = _read_table(_require(doc, "faces"), "faces", memo)
     # a record the model cannot hold would be lost on the next write
     for (c, d), tab in ms.src.items():
         if d not in c:
@@ -511,15 +542,17 @@ def _parse_ms(doc: dict, color) -> MultipleSet:
         for key, tab in tabs.items():
             if None in tab.values():
                 tabs[key] = {x: y for x, y in tab.items() if y is not None}
-    return ms
+    return ms, ids_at
 
 
-def _parse_magma(doc: dict, color, cls=MagmaStructure) -> MagmaStructure:
-    base = _parse_ms(doc, color)
+def _parse_magma(doc: dict, memo: _Memos, cls=MagmaStructure) -> tuple[MagmaStructure, dict]:
+    """The magma of ``doc``, and the set of its base's cell ids at each color."""
+    base, ids_at = _parse_ms(doc, memo)
     refl = None
     if "refl" in doc:
-        refl = ReflexiveStructure(base, _read_table(doc["refl"], "refl", color)[0])
-    return cls(base=base, comp=_read_table(doc.get("comp", []), "comp", color)[0], refl=refl)
+        refl = ReflexiveStructure(base, _read_table(doc["refl"], "refl", memo)[0])
+    comp = _read_table(doc.get("comp", []), "comp", memo)[0]
+    return cls(base=base, comp=comp, refl=refl), ids_at
 
 
 def from_document(doc: dict):
@@ -530,16 +563,16 @@ def from_document(doc: dict):
     kind = _require(doc, "kind")
     _refuse(choice_problem(kind, KINDS, "document kind"))
     _fields(doc, _FIELDS[kind], f"a {kind} document")
-    color = _colors()
+    memo = _Memos()
     if kind == "multiple-set":
-        return _parse_ms(doc, color)
+        return _parse_ms(doc, memo)[0]
     if kind == "reflexive":
-        base = _parse_ms(doc, color)
-        return ReflexiveStructure(base, _read_table(doc.get("refl", []), "refl", color)[0])
+        base = _parse_ms(doc, memo)[0]
+        return ReflexiveStructure(base, _read_table(doc.get("refl", []), "refl", memo)[0])
     if kind in ("magma", "strict"):
-        return _parse_magma(doc, color, StrictCategory if kind == "strict" else MagmaStructure)
+        return _parse_magma(doc, memo, StrictCategory if kind == "strict" else MagmaStructure)[0]
     if kind == "reversors":
-        base = _parse_ms(doc, color)
+        base = _parse_ms(doc, memo)[0]
         try:
             chains = []
             for color_raw, entries, levels in _array(doc.get("chains", []), "chains"):
@@ -550,8 +583,9 @@ def from_document(doc: dict):
                 maps = [dict(level) for level in levels]
                 _refuse(names_problem("chains", chain.from_iterable(
                     chain.from_iterable(lv.items()) for lv in maps)))
+                maps = [dict(zip(memo.names(lv), memo.names(lv.values()))) for lv in maps]
                 entries = [_int(e, "chain entry") for e in _array(entries, "chain entries")]
-                chains.append(make_chain(color(color_raw), entries, maps))
+                chains.append(make_chain(memo.color(color_raw), entries, maps))
             rev_kind = _require(doc, "reversor_kind")
             _refuse(choice_problem(rev_kind, REVERSOR_KINDS, "reversor_kind"))
             return ReversorStructure(
@@ -560,22 +594,22 @@ def from_document(doc: dict):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed reversor chains: {exc}") from exc
     # stretching
-    magma = _parse_magma(_fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"), color)
-    cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), color,
-                       StrictCategory)
+    magma, members = _parse_magma(
+        _fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"), memo)
+    cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), memo,
+                       StrictCategory)[0]
     # pi and stage_of are keyed by M's cells, and a record of another would
     # be kept through a round trip unchecked
-    members = {c: set(xs) for c, xs in magma.base.cells.items()}
-    pi = _read_table(_require(doc, "pi"), "pi", color)[0]
+    pi = _read_table(_require(doc, "pi"), "pi", memo)[0]
     for c, tab in pi.items():
         _refuse(record_problem("pi", c, tab.keys(), members.get(c, set())))
-    brackets = _read_table(doc.get("brackets", []), "brackets", color)[0]
+    brackets = _read_table(doc.get("brackets", []), "brackets", memo)[0]
     if ("stage" in doc) != ("stage_of" in doc):
         given, missing = ("stage", "stage_of") if "stage" in doc else ("stage_of", "stage")
         raise ParseError(f"stretching document has {given!r} without {missing!r}")
     stage_of = None
     if "stage_of" in doc:
-        stages = _read_table(doc["stage_of"], "stage_of", color)[0]
+        stages = _read_table(doc["stage_of"], "stage_of", memo)[0]
         for c, tab in stages.items():
             _refuse(record_problem("stage_of", c, tab.keys(), members.get(c, set())))
         stage_of = {(c, x): s for c, tab in stages.items() for x, s in tab.items()}

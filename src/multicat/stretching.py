@@ -21,6 +21,8 @@ columns, and logs what each loop added once per loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .colors import Color, add, addable_entries, minus
 from .core import (
@@ -30,17 +32,17 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
-    cell_sets,
+    color_problem,
     faces_total,
     int_problem,
     key_problem,
     record_problem,
     stage_log_problem,
+    unpaired,
     validate_multiple_set,
-    well_formed,
 )
 from .errors import BoundsTooSmall
-from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
+from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
 from .reflexive import ReflexiveTerms, _Sealed, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import PHASE as REVERSOR_PHASE, ReversorSpace, ReversorStructure
@@ -98,8 +100,8 @@ def _validate_pi(e: Stretching, report: ValidationReport, m_members: dict[Color,
     """The projection laws, after the document rule for the projection's
     records: each is keyed by a cell of M at a color.  The face squares read
     the face tables of M and of C, so they run only when ``faces_ok`` says
-    both are total; ``m_members`` and ``c_members`` are the ``cell_sets`` of
-    M and of C."""
+    both are total; ``m_members`` and ``c_members`` are the reports' ``cells``
+    of M and of C."""
     M, C = e.magma.base, e.cat.base
     for c, tab in e.pi.items():
         if (broken := key_problem("pi", c)) is not None:
@@ -161,13 +163,15 @@ def validate_stretching(e: Stretching) -> ValidationReport:
     staged totality scans read the face tables of M (and of C) only when
     every cell there has its faces (``faces_total``), and run their
     table-lookup checks in any case.  A layer that breaks the document rule
-    is reported alone, and the scans that would read it do not run.
+    is reported alone, and the scans that would read it do not run: so is
+    M, and so are M's tables, when a key of one is not a pair.
     """
     M = e.magma.base
     report = validate_multiple_set(M)
-    if not well_formed(M, report):
-        return report
-    m_members = cell_sets(M)
+    m_members = report.cells
+    if m_members is None or unpaired(report, {**_tables(e.magma), "brackets": e.brackets,
+                                              "stage_of": e.stage_of or {}}):
+        return report.sorted()
     m_faces = report.ok or faces_total(M)
     _scan_reflexive_magma(e.magma, report, report.ok, m_members,
                           require_total=e.stage_of is None)
@@ -175,21 +179,23 @@ def validate_stretching(e: Stretching) -> ValidationReport:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
     cat_report = validate_strict(e.cat)
     report.extend(cat_report)
-    staged = _check_stages(e, report)
+    staged = _check_stages(e, report, m_members)
     if e.stage_of is not None and staged:
         _check_staged_totality(e, report, m_faces)
-    if well_formed(e.cat.base, cat_report):
+    if cat_report.cells is not None:
         c_faces = cat_report.ok or faces_total(e.cat.base)
-        _validate_pi(e, report, m_members, cell_sets(e.cat.base), m_faces and c_faces)
+        _validate_pi(e, report, m_members, cat_report.cells, m_faces and c_faces)
     _validate_brackets(e, report, m_members, m_faces, staged)
     return report.sorted()
 
 
-def _check_stages(e: Stretching, report: ValidationReport) -> bool:
+def _check_stages(e: Stretching, report: ValidationReport,
+                  members: dict[Color, set[CellId]]) -> bool:
     """The stretching's part of the document rule: ``m``, the stage log,
-    ``stage`` and each cell's stage, reported once per color.  Returns
-    whether the stages are integers >= 0, so that the staged scans may
-    compare them."""
+    ``stage``, and each ``stage_of`` record, which names a cell of M
+    (``members`` holds M's cell ids at each color) and an integer stage
+    >= 0; reported once per color.  Returns whether the stages are integers
+    >= 0, so that the staged scans may compare them."""
     for problem in (e.m is not None and int_problem(e.m, "m", 0),
                     e.stage_log is not None and stage_log_problem(e.stage_log)):
         if problem:
@@ -200,6 +206,17 @@ def _check_stages(e: Stretching, report: ValidationReport) -> bool:
     if (problem := int_problem(e.stage, "stage", 0)) is not None:
         report.add("SHAPE", (), (), problem)
         staged = False
+    # the staged scans read stages by M's cells, so they would ignore any
+    # other record; a free result's keys come in a few runs of one color
+    cell = itemgetter(1)
+    broken = {c for c, run in groupby(e.stage_of, itemgetter(0)) if color_problem(c)
+              or not members.get(c, set()).issuperset(map(cell, run))}
+    for c in broken:
+        if (problem := color_problem(c)) is not None:
+            report.add("SHAPE", (), (), problem)
+        else:
+            named = {x for k, x in e.stage_of if k == c}
+            report.add("SHAPE", c, (), record_problem("stage_of", c, named, members.get(c, set())))
     stages = e.stage_of.values()
     if not (set(map(type, stages)) <= {int} and min(stages, default=0) >= 0):
         staged, reported = False, set()
@@ -238,8 +255,8 @@ def _validate_brackets(e: Stretching, report: ValidationReport,
                        members: dict[Color, set[CellId]], faces_ok: bool, staged: bool):
     """Bracket totality, which compares stages and so runs only when
     ``staged``, and BR-PI by table lookup; BR-END and BR-FACE read M's face
-    tables, so they run only when ``faces_ok``.  ``members`` is ``cell_sets``
-    of M."""
+    tables, so they run only when ``faces_ok``.  ``members`` is the report's
+    ``cells`` of M."""
     M = e.magma.base
     # totality over projection-equal pairs
     if staged:

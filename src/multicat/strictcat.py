@@ -43,9 +43,9 @@ that representatives, ``unit_map`` and ``quotient_to_category`` share.
 from __future__ import annotations
 
 from .colors import Color, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, cell_sets, validate_multiple_set, well_formed
+from .core import SOURCE, TARGET, CellId, MultipleSet, unpaired, validate_multiple_set
 from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
-from .magma import MagmaStructure, _pullback, _scan_reflexive_magma
+from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .terms import Budget, TermGraph, as_budget
@@ -60,17 +60,19 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
     """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
     base_ok = report.ok
-    if well_formed(m.base, report):
-        _scan_reflexive_magma(m, report, base_ok, cell_sets(m.base))
+    paired = report.cells is not None and not unpaired(report, _tables(m))
+    if paired:
+        _scan_reflexive_magma(m, report, base_ok, report.cells)
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
-    elif base_ok:
+    elif base_ok and paired:
         _scan_strict(m, report)
     return report.sorted()
 
 
 def _scan_strict(m: StrictCategory, report: ValidationReport):
-    """The strictness scans, appended to ``report``; the base must be valid.
+    """The strictness scans, appended to ``report``; the base must be valid
+    and every comp key a pair.
 
     ASSOC pairs each entry with the entries whose left operand is its right
     operand; MFI pairs the j-entries whose composites are the operands of a

@@ -5,7 +5,8 @@ the parser refuses a document that breaks it, and the validators report a
 model that breaks it as SHAPE.  Each probe here is a model built in code
 that breaks it; all but two (a decreasing color and a negative bound, which
 fall outside the bounds) once validated and then wrote a document the
-parser refused.
+parser refused, or, with a table key that is not a pair, made the
+validators raise.
 """
 
 import pytest
@@ -80,6 +81,19 @@ def _ghost_projection() -> mc.Stretching:
     return e
 
 
+def _ghost_stage() -> mc.Stretching:
+    e = _stretching()
+    e.stage_of[((), "ghost")] = 0
+    return e
+
+
+def _unpaired(build, tables, value):
+    """``build()`` with a 1-tuple key added to its ``tables``, holding ``value``."""
+    obj = build()
+    tables(obj)[((),)] = value
+    return obj
+
+
 def _rekeyed(build, tables, old, new):
     """``build()`` with the entries its ``tables`` keys by ``old`` keyed by ``new``."""
     obj = build()
@@ -111,6 +125,13 @@ PROBES = {
     "brackets-direction-bool": lambda: _rekeyed(_stretching, lambda e: e.brackets,
                                                 ((), 1), ((), True)),
     "pi-color-bool": lambda: _rekeyed(_stretching, lambda e: e.pi, (1,), (True,)),
+    "stage_of-record-of-no-cell": _ghost_stage,
+    # a key that is not a pair once made the validators raise
+    "comp-key-not-a-pair": lambda: _unpaired(fx.pair_groupoid, lambda m: m.comp, {}),
+    "refl-key-not-a-pair": lambda: _unpaired(fx.pair_groupoid, lambda m: m.refl.refl, {}),
+    "brackets-key-not-a-pair": lambda: _unpaired(_stretching, lambda e: e.brackets, {}),
+    "stage_of-key-not-a-pair-str": lambda: _unpaired(_stretching, lambda e: e.stage_of, "x"),
+    "stage_of-key-not-a-pair-int": lambda: _unpaired(_stretching, lambda e: e.stage_of, 0),
 }
 
 
@@ -119,6 +140,19 @@ def test_a_probe_that_breaks_the_rule_does_not_validate(name):
     obj = PROBES[name]()
     assert not round_trips_if_valid(obj)
     assert "SHAPE" in validate(obj).axioms()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("comp-key-not-a-pair", "comp key ((),) is not a (color, direction) pair"),
+    ("refl-key-not-a-pair", "refl key ((),) is not a (color, direction) pair"),
+    ("brackets-key-not-a-pair", "brackets key ((),) is not a (color, direction) pair"),
+    ("stage_of-key-not-a-pair-str", "stage_of key ((),) is not a (color, cell) pair"),
+    ("stage_of-key-not-a-pair-int", "stage_of key ((),) is not a (color, cell) pair"),
+    ("stage_of-record-of-no-cell",
+     "stage_of record names 'ghost', which is not a cell at color []"),
+])
+def test_a_broken_key_or_record_is_reported_alone(name, message):
+    assert validate(PROBES[name]()).violations == [mc.Violation("SHAPE", (), (), message)]
 
 
 @pytest.mark.parametrize("build", [_stretching, _reversors, fx.single_edge])

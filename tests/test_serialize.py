@@ -429,10 +429,11 @@ def test_writer_matches_json_dumps_at_any_table_length(n):
 
 
 def test_writer_stays_within_its_memory():
-    """One string per table record, joined once the writer and the document
-    are gone.  The bound is the peak of the writer that filled its records
-    in batches and joined its text while holding both: 55.64 MB, measured
-    this way with tracemalloc on CPython 3.11.  This writer takes 43.76 MB."""
+    """No string per table record: each record's head, separators and memo
+    texts go into one list, joined once the writer and the document are
+    gone.  Measured this way with tracemalloc on CPython 3.11.7, the writer
+    that made one string per record peaked at 43.36 MB and this one at
+    27.60 MB; the bound leaves a margin over the latter."""
     e = mc.free_weak(fx.path2(), stages=4).stretching
     gc.collect()
     tracemalloc.start()
@@ -442,7 +443,7 @@ def test_writer_stays_within_its_memory():
     finally:
         tracemalloc.stop()
     assert len(text) == 18_941_076
-    assert peak < 55_600_000
+    assert peak < 33_000_000
 
 
 def test_failed_dump_leaves_the_file_as_it_was(tmp_path):
@@ -452,6 +453,51 @@ def test_failed_dump_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(TypeError):
         dump(object(), str(path))
     assert path.read_text(encoding="utf-8") == before
+
+
+def _tables_and_cells(obj) -> tuple[list, list]:
+    """The tables of a structure, and the ``cells`` of each of its multiple sets."""
+    if isinstance(obj, mc.MultipleSet):
+        return [obj.src, obj.tgt], [obj.cells]
+    if isinstance(obj, mc.Stretching):
+        magma, cat = _tables_and_cells(obj.magma), _tables_and_cells(obj.cat)
+        return magma[0] + cat[0] + [obj.pi, obj.brackets, obj.stage_of], magma[1] + cat[1]
+    tables, cells = _tables_and_cells(obj.base)
+    if isinstance(obj, mc.ReflexiveStructure):
+        return tables + [obj.refl], cells
+    if isinstance(obj, mc.ReversorStructure):
+        return tables + [[ch.maps for ch in obj.chains]], cells
+    return tables + [obj.comp, obj.refl.refl if obj.refl else {}], cells
+
+
+def _strings(v):
+    """Every string in ``v``, its dict keys included."""
+    if isinstance(v, str):
+        yield v
+    elif isinstance(v, dict):
+        for k, x in v.items():
+            yield from _strings(k)
+            yield from _strings(x)
+    elif isinstance(v, (list, tuple)):
+        for x in v:
+            yield from _strings(x)
+
+
+@pytest.mark.parametrize("path", [*fixture_paths(), None],
+                         ids=lambda p: os.path.basename(p) if p else "staged-stretching")
+def test_a_parsed_document_holds_one_object_per_name(path):
+    """Every name in a parsed structure's tables is the object its ``cells`` lists."""
+    if path is None:
+        text = serialize(mc.free_weak(fx.single_edge(), stages=2).stretching)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    tables, cells = _tables_and_cells(parse(text))
+    listed = {}
+    for ids in cells:
+        for x in _strings(ids):
+            assert listed.setdefault(x, x) is x
+    assert all(x is listed[x] for x in _strings(tables))
 
 
 def test_writer_output_is_pinned():

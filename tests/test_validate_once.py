@@ -51,3 +51,13 @@ def test_each_layer_validated_once(fixture, validator, calls, base_calls):
 def test_free_weak_validates_its_generators_once(base_calls):
     mc.free_weak(load(os.path.join(FIXTURE_DIR, "path2.mset")))
     assert len(base_calls) == 1
+
+
+def test_the_base_report_carries_the_cell_sets_it_built():
+    """The layers above read the base's membership index off its report."""
+    ms = load(os.path.join(FIXTURE_DIR, "square.mset"))
+    report = mc.validate_multiple_set(ms)
+    assert report.cells == {c: set(xs) for c, xs in ms.cells.items()}
+    assert report.sorted().cells is report.cells
+    ms.cells[()] = [0]  # an integer cell id breaks the document rule
+    assert mc.validate_multiple_set(ms).cells is None
