@@ -44,7 +44,12 @@ and values of each table, goes through it, so the model holds one object per
 name, and a lookup of a cell in a table finds its key by identity.  A
 ``faces``, ``pi`` or ``stage_of`` record must name a cell listed at its
 color, and a face record's direction must be an entry of its color: the
-model has no place for any other.
+model has no place for any other.  A stretching whose ``magma`` and ``cat``
+bodies are equal, with the same types (``_typed``), is read as one
+structure, a ``StrictCategory`` that is both M and C, as
+``identity_stretching`` builds it, so editing M edits C; the writer builds
+that body once too.  The ``magma`` body is read first either way, so its
+errors come before those of ``cat``.
 """
 
 from __future__ import annotations
@@ -175,9 +180,10 @@ def _document(obj, kind: str | None) -> dict:
         ]
     elif isinstance(obj, Stretching):
         kind = kind or "stretching"
+        cat = _magma_body(obj.cat)
         body = {
-            "magma": _magma_body(obj.magma),
-            "cat": _magma_body(obj.cat),
+            "magma": cat if obj.magma is obj.cat else _magma_body(obj.magma),
+            "cat": cat,
             "pi": _keyed("pi", obj.pi),
             "brackets": _keyed("brackets", obj.brackets),
         }
@@ -555,6 +561,19 @@ def _parse_magma(doc: dict, memo: _Memos, cls=MagmaStructure) -> tuple[MagmaStru
     return cls(base=base, comp=comp, refl=refl), ids_at
 
 
+def _typed(body) -> bool:
+    """Whether each bound, color entry and direction of ``body``, a magma
+    body equal to one that parsed, is an ``int``, as the parsed one's are:
+    true == 1 == 1.0, and the parser refuses a bool or a float there.  Its
+    other fields equal strings and nulls, which equal nothing else."""
+    tables = [body.get(table, ()) for table in ("faces", "refl", "comp")]
+    return set(map(type, chain(
+        (body["universe_bound"], body["dim_bound"]),
+        chain.from_iterable(map(itemgetter(0), body["cells"])),
+        *(chain.from_iterable(map(itemgetter(0), records)) for records in tables),
+        *(map(itemgetter(1), records) for records in tables)))) <= {int}
+
+
 def from_document(doc: dict):
     """Rebuild the structure named by the document's ``kind``."""
     version = _require(doc, "format_version")
@@ -593,11 +612,16 @@ def from_document(doc: dict):
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed reversor chains: {exc}") from exc
-    # stretching
-    magma, members = _parse_magma(
-        _fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body"), memo)
-    cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), memo,
-                       StrictCategory)[0]
+    # stretching: equal bodies are one structure, as identity_stretching
+    # builds it; M's body is read first either way, so its errors come first
+    body = _fields(_require(doc, "magma"), _MAGMA_FIELDS, "the magma body")
+    shared = body == doc.get("cat")
+    magma, members = _parse_magma(body, memo, StrictCategory if shared else MagmaStructure)
+    if shared and _typed(doc["cat"]):
+        cat = magma
+    else:
+        cat = _parse_magma(_fields(_require(doc, "cat"), _MAGMA_FIELDS, "the cat body"), memo,
+                           StrictCategory)[0]
     # pi and stage_of are keyed by M's cells, and a record of another would
     # be kept through a round trip unchecked
     pi = _read_table(_require(doc, "pi"), "pi", memo)[0]

@@ -46,7 +46,14 @@ from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
 from .reflexive import ReflexiveTerms, _Sealed, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import PHASE as REVERSOR_PHASE, ReversorSpace, ReversorStructure
-from .strictcat import StrictCategory, free_strict, quotient_to_category, unit_map, validate_strict
+from .strictcat import (
+    StrictCategory,
+    _check_strict,
+    free_strict,
+    quotient_to_category,
+    unit_map,
+    validate_strict,
+)
 from .terms import Budget, as_budget
 
 
@@ -165,6 +172,12 @@ def validate_stretching(e: Stretching) -> ValidationReport:
     table-lookup checks in any case.  A layer that breaks the document rule
     is reported alone, and the scans that would read it do not run: so is
     M, and so are M's tables, when a key of one is not a pair.
+
+    When M is C (``e.magma is e.cat``), as in ``identity_stretching`` and in
+    a parsed document whose two bodies are equal, editing M edits C, and the
+    structure is checked once, as C, totality included: C's checks include
+    M's, and a report is a set, so the report is the one that checking M
+    and C apart would give.
     """
     M = e.magma.base
     report = validate_multiple_set(M)
@@ -173,18 +186,23 @@ def validate_stretching(e: Stretching) -> ValidationReport:
                                               "stage_of": e.stage_of or {}}):
         return report.sorted()
     m_faces = report.ok or faces_total(M)
-    _scan_reflexive_magma(e.magma, report, report.ok, m_members,
-                          require_total=e.stage_of is None)
+    if e.magma is e.cat:
+        _check_strict(e.cat, report)
+        c_members, c_faces = m_members, m_faces
+    else:
+        _scan_reflexive_magma(e.magma, report, report.ok, m_members,
+                              require_total=e.stage_of is None)
+        cat_report = validate_strict(e.cat)
+        report.extend(cat_report)
+        c_members = cat_report.cells
+        c_faces = c_members is not None and (cat_report.ok or faces_total(e.cat.base))
     if e.magma.refl is None:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
-    cat_report = validate_strict(e.cat)
-    report.extend(cat_report)
     staged = _check_stages(e, report, m_members)
     if e.stage_of is not None and staged:
         _check_staged_totality(e, report, m_faces)
-    if cat_report.cells is not None:
-        c_faces = cat_report.ok or faces_total(e.cat.base)
-        _validate_pi(e, report, m_members, cat_report.cells, m_faces and c_faces)
+    if c_members is not None:
+        _validate_pi(e, report, m_members, c_members, m_faces and c_faces)
     _validate_brackets(e, report, m_members, m_faces, staged)
     return report.sorted()
 

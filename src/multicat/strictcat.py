@@ -59,6 +59,13 @@ class StrictCategory(MagmaStructure):
 def validate_strict(m: StrictCategory) -> ValidationReport:
     """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
+    _check_strict(m, report)
+    return report.sorted()
+
+
+def _check_strict(m: StrictCategory, report: ValidationReport):
+    """The layers of ``validate_strict`` above the base, appended to
+    ``report``, which holds the base's report and nothing else."""
     base_ok = report.ok
     paired = report.cells is not None and not unpaired(report, _tables(m))
     if paired:
@@ -67,7 +74,6 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
         report.add("TOTAL", (), (), "no reflexive structure attached")
     elif base_ok and paired:
         _scan_strict(m, report)
-    return report.sorted()
 
 
 def _scan_strict(m: StrictCategory, report: ValidationReport):

@@ -718,3 +718,62 @@ def test_stage_of_without_stage_is_a_parse_error():
     with pytest.raises(mc.ParseError) as info:
         from_document(doc)
     assert str(info.value) == "stretching document has 'stage_of' without 'stage'"
+
+
+def _identity_doc() -> dict:
+    return _fixture_doc("pair-groupoid-identity.mset")
+
+
+def test_an_identity_stretching_document_reads_as_one_structure():
+    with open(os.path.join(FIXTURE_DIR, "pair-groupoid-identity.mset"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == serialize(mc.identity_stretching(fx.pair_groupoid(2)))
+    for e in (parse(text), from_document(to_document(mc.identity_stretching(fx.pair_groupoid(2))))):
+        assert e.magma is e.cat
+        assert type(e.cat) is mc.StrictCategory
+        assert serialize(e) == text
+
+
+def test_bodies_that_differ_in_one_record_stay_two_structures():
+    doc = _identity_doc()
+    record = doc["magma"]["comp"][0]
+    record[-1] = next(r[-1] for r in doc["magma"]["comp"] if r[-1] != record[-1])
+    e = from_document(doc)
+    assert e.magma is not e.cat
+    assert type(e.magma) is mc.MagmaStructure and type(e.cat) is mc.StrictCategory
+    assert json.loads(serialize(e)) == doc
+    assert not mc.validate_stretching(e).ok
+
+
+def _break(doc, body, path, value):
+    node = doc[body]
+    *outer, last = path
+    for key in outer:
+        node = node[key]
+    node[last] = value
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the magma body is read first, whether or not the cat body equals it
+    ([("magma", ("comp", 0), ["x"]), ("cat", ("comp", 0), ["x"])],
+     "comp records must be arrays of 5 fields"),
+    ([("magma", ("faces", 0, 1), 2), ("cat", None, None)],
+     "faces record at color [1] has direction 2, which is not an entry of the color"),
+    ([("cat", None, None)], "document missing required field 'cat'"),
+    # true == 1 == 1.0: a cat body equal to the magma body may still break the rule
+    ([("cat", ("dim_bound",), True)], "dim_bound must be an integer >= 0, got True"),
+    ([("cat", ("cells", 1, 0), [True])], "bad color [True]: entries must be integers"),
+    ([("cat", ("faces", 1, 0), [1.0])], "bad color [1.0]: entries must be integers"),
+    ([("cat", ("comp", 2, 1), True)], "composition direction must be an integer, got True"),
+    ([("cat", ("refl", 0, 1), 1.0)], "degeneracy direction must be an integer, got 1.0"),
+])
+def test_an_identity_stretching_document_fails_as_two_bodies_did(edits, message):
+    doc = _identity_doc()
+    for body, path, value in edits:
+        if path is None:
+            del doc[body]
+        else:
+            _break(doc, body, path, value)
+    with pytest.raises(mc.ParseError) as info:
+        from_document(doc)
+    assert str(info.value) == message

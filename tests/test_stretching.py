@@ -1,13 +1,19 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
 from multicat import reversors, stretching
+from multicat.serialize import from_document, to_document
 from multicat.terms import Budget
 from oracles import bracket_axiom_ids, expected_bracket_counts, stagewise_bracket_counts
+from test_violation_lists import _mutate, _tables
 
 
 def square_cat():
@@ -361,3 +367,72 @@ def test_free_weak_rejects_a_generator_named_like_a_composite():
 
     with pytest.raises(mc.InvalidBase, match=r"'\(x \*1 y\)' repeated at color \[1\]"):
         mc.free_weak(path2_with_named_composite(), stages=1)
+
+
+# -- an identity stretching is one structure -----------------------------------
+
+
+IDENTITY_CATEGORIES = {
+    "pair-groupoid-2": lambda: fx.pair_groupoid(2),
+    "pair-groupoid-3": lambda: fx.pair_groupoid(3),
+    "random-quotient": lambda: mc.quotient_to_category(mc.free_strict(
+        mc.random_multiple_set(2, 2, sizes=1, seed=3, glue_prob=0.0), 2, 7)),
+}
+
+
+def _mutated(doc, seed):
+    """Seeded single-record mutations of ``doc``: of ``pi``, of ``brackets``,
+    of a table of one body, and the same mutation of both bodies."""
+    text = json.dumps(doc)
+    for path, _ in _tables(doc):
+        variants = [[path]]
+        if path.startswith("magma."):
+            variants.append([path, "cat." + path.split(".", 1)[1]])
+        for paths, n in itertools.product(variants, range(4)):
+            mutated = json.loads(text)
+            for where in paths:
+                node = mutated
+                for part in where.split("."):
+                    node = node[part]
+                _mutate(node, where.rsplit(".", 1)[-1], random.Random(f"{seed}-{path}-{n}"))
+            yield paths, mutated
+
+
+def _apart(e):
+    """``e`` with M an independent copy of its own M."""
+    return dataclasses.replace(e, magma=copy.deepcopy(e.magma))
+
+
+@pytest.mark.parametrize("name", IDENTITY_CATEGORIES)
+def test_a_shared_identity_stretching_reports_as_two_copies(name):
+    """Where the bodies are equal the parsed stretching is one structure, and
+    its report equals that of a model whose M is a copy of C."""
+    shared = 0
+    e = mc.identity_stretching(IDENTITY_CATEGORIES[name]())
+    for paths, doc in _mutated(to_document(e), name):
+        try:
+            e = from_document(doc)
+        except mc.ParseError:
+            continue
+        assert (e.magma is e.cat) == (doc["magma"] == doc["cat"]), paths
+        report = mc.validate_stretching(e)
+        assert report.to_json() == mc.validate_stretching(_apart(e)).to_json(), paths
+        shared += e.magma is e.cat and not report.ok
+    assert shared >= 10
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cat: cat.comp.__setitem__((1,), {}),  # a key that is not a pair
+    lambda cat: cat.base.cells[()].append(0),  # a name that breaks the document rule
+    lambda cat: setattr(cat, "refl", None),
+    lambda cat: cat.base.cells[(1,)].pop(),
+    lambda cat: cat.base.src[((1,), 1)].popitem(),
+    lambda cat: cat.comp[((1,), 1)].popitem(),
+    lambda cat: cat.refl.refl[((), 1)].popitem(),
+], ids=["unpaired", "rule", "no-refl", "cell", "face", "comp", "refl"])
+def test_an_identity_stretching_built_in_memory_reports_as_two_copies(edit):
+    e = mc.identity_stretching(fx.pair_groupoid(2))
+    edit(e.cat)
+    report = mc.validate_stretching(e)
+    assert not report.ok
+    assert report.to_json() == mc.validate_stretching(_apart(e)).to_json()

@@ -61,3 +61,12 @@ def test_the_base_report_carries_the_cell_sets_it_built():
     assert report.sorted().cells is report.cells
     ms.cells[()] = [0]  # an integer cell id breaks the document rule
     assert mc.validate_multiple_set(ms).cells is None
+
+
+def test_an_identity_stretching_is_validated_once(base_calls):
+    """M is C, built in memory or read from its document: one base check."""
+    e = mc.identity_stretching(load(os.path.join(FIXTURE_DIR, "pair-groupoid.mset")))
+    for obj in (e, load(os.path.join(FIXTURE_DIR, "pair-groupoid-identity.mset"))):
+        base_calls.clear()
+        assert mc.validate_stretching(obj).ok
+        assert base_calls == [obj.magma.base]
