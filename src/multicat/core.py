@@ -56,6 +56,8 @@ class MultipleSet:
 # What a model may hold is what a document can: the parser raises ParseError
 # with each message below, and the validators report it as SHAPE, once per
 # color.  Each check returns its message, or None when the value passes.
+# Each layer's rule is checked once, before any scan, and a layer that breaks
+# it is reported alone: no scan reads it, so every scan may assume the rule.
 
 
 def int_problem(value, field: str, least: int | None = None) -> str | None:
@@ -138,18 +140,38 @@ def key_problem(table: str, key) -> tuple[Color, str] | None:
     return None
 
 
-def unpaired(report: ValidationReport, tables: dict[str, dict]) -> bool:
-    """Report each key that is not a pair, of the ``tables`` that ``_PAIRED``
-    names, as SHAPE; whether there was one.  The scans unpack every key of
-    such a table, so a layer with one is reported alone."""
-    found = False
+def entry_problem(c: Color, d: int) -> str | None:
+    """A face record's direction, an entry of its color ``c``."""
+    if d in c:
+        return None
+    return f"faces record at color {list(c)} has direction {d}, which is not an entry of the color"
+
+
+def pairs_problem(table: str, keys) -> str | None:
+    """The keys of the records of ``table`` (``comp``, ``brackets``): pairs
+    of cells.  Whether each names a cell is checked where it is looked up."""
+    for key in keys:
+        if not (type(key) is tuple and len(key) == 2):
+            return f"{table} keys must be pairs of cells"
+    return None
+
+
+# the tables whose records are keyed by a pair of cells
+_PAIR_KEYED = ("comp", "brackets")
+
+
+def broken_keys(report: ValidationReport, tables: dict[str, dict]) -> bool:
+    """Report each key of ``tables`` that breaks the document rule
+    (``key_problem``), and each ``comp`` or ``brackets`` table whose records
+    are not keyed by pairs, as SHAPE; whether there was one."""
+    before = len(report.violations)
     for table, tabs in tables.items():
         for key in tabs:
-            if not (type(key) is tuple and len(key) == 2):
-                found = True
-                c, problem = key_problem(table, key)
-                report.add("SHAPE", c, (), problem)
-    return found
+            if (broken := key_problem(table, key)) is not None:
+                report.add("SHAPE", broken[0], (), broken[1])
+            elif table in _PAIR_KEYED and (problem := pairs_problem(table, tabs[key])):
+                report.add("SHAPE", key[0], (), problem)
+    return len(report.violations) > before
 
 
 def record_problem(table: str, c: Color, keys, ids: set) -> str | None:
@@ -181,10 +203,12 @@ def stage_log_problem(raw) -> str | None:
     return "stage_log must be a list of objects that map names to integers"
 
 
-def _rule_problems(ms: MultipleSet) -> list[tuple[Color, str]]:
-    """(color, message) for each type in ``ms`` that breaks the document
-    rule: of its bounds, then of each color, then of each color's cell ids.
-    A bound or a color that breaks it is reported at the empty color."""
+def _rule_problems(ms: MultipleSet) -> tuple[list[tuple[Color, str]], dict[Color, set[CellId]]]:
+    """(color, message) for each part of ``ms`` that breaks the document
+    rule, and the set of cell ids at each color.  Bounds, colors and cell
+    ids come first; only when they keep it are the sets built, and then the
+    repeated ids and the face tables' keys and records checked.  A bound, or
+    a color or key that is not one, is reported at the empty color."""
     problems = [((), p) for p in (int_problem(ms.universe_bound, "universe_bound", 0),
                                   int_problem(ms.dim_bound, "dim_bound", 0)) if p]
     for c, ids in ms.cells.items():
@@ -192,7 +216,24 @@ def _rule_problems(ms: MultipleSet) -> list[tuple[Color, str]]:
             problems.append(((), p))
         elif (p := cell_ids_problem(c, ids)) is not None:
             problems.append((c, p))
-    return problems
+    if problems:
+        return problems, {}
+    members = {c: set(xs) for c, xs in ms.cells.items()}
+    problems = [(c, p) for c, xs in ms.cells.items()
+                if (p := repeat_problem(c, xs, members[c])) is not None]
+    for tabs in (ms.src, ms.tgt):
+        for key, tab in tabs.items():
+            if (broken := key_problem("faces", key)) is not None:
+                problems.append(broken)
+                continue
+            c, d = key
+            here = members.get(c, set())
+            # a table with no more records than its color has cells names
+            # only cells or misses one, which the shape check reports
+            if (p := entry_problem(c, d) or (len(tab) > len(here) and
+                                             record_problem("faces", c, tab.keys(), here))):
+                problems.append((c, p))
+    return problems, members
 
 
 def face(ms: MultipleSet, c: Color, x: CellId, d: int, polarity: str) -> CellId:
@@ -268,18 +309,18 @@ def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
     face-commutation axioms; each stage runs only when the one before passed.
 
     The report's ``cells`` holds the set of cell ids at each color, which
-    the shape checks and the scans of the layers above read.  ``MultipleSet``
-    caches no such index: an in-place edit of ``cells`` would leave it stale.
+    the shape checks and the scans of the layers above read; it is ``None``
+    when the set breaks the document rule.  ``MultipleSet`` caches no such
+    index: an in-place edit of ``cells`` would leave it stale.
     """
     report = ValidationReport()
-    problems = _rule_problems(ms)
-    if not problems:
-        report.cells = members = {c: set(xs) for c, xs in ms.cells.items()}
-        problems = [(c, p) for c, xs in ms.cells.items()
-                    if (p := repeat_problem(c, xs, members[c])) is not None]
+    problems, members = _rule_problems(ms)
     for c, p in problems:
         report.add("SHAPE", c, (), p)
-    if problems or not _shape_check(ms, report, members):
+    if problems:
+        return report.sorted()
+    report.cells = members
+    if not _shape_check(ms, report, members):
         return report.sorted()
     src, tgt = ms.src, ms.tgt
     for c in ms.colors():

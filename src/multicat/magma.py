@@ -17,9 +17,8 @@ from .core import (
     TARGET,
     CellId,
     MultipleSet,
+    broken_keys,
     face,
-    key_problem,
-    unpaired,
     validate_multiple_set,
 )
 from .errors import NotComposable, UnknownCell
@@ -72,7 +71,7 @@ def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId
 def validate_magma(m: MagmaStructure) -> ValidationReport:
     """Totality on the pullback, POS1 and POS2."""
     report = validate_multiple_set(m.base)
-    if report.ok and not unpaired(report, {"comp": m.comp}):
+    if report.ok and not broken_keys(report, {"comp": m.comp}):
         _scan_magma(m, report, report.cells, True)
     return report.sorted()
 
@@ -80,7 +79,8 @@ def validate_magma(m: MagmaStructure) -> ValidationReport:
 def _scan_magma(m: MagmaStructure, report: ValidationReport,
                 members: dict[Color, set[CellId]], require_total: bool):
     """The composition scans, appended to ``report``; the base must be valid,
-    ``members`` is its report's ``cells`` and every comp key is a pair."""
+    ``members`` is its report's ``cells`` and the comp keys keep the
+    document rule."""
     ms = m.base
     if require_total:
         for c in ms.colors():
@@ -91,9 +91,6 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
 
     src, tgt = ms.src, ms.tgt
     for (c, d), tab in m.comp.items():
-        if (broken := key_problem("comp", (c, d))) is not None:
-            report.add("SHAPE", broken[0], (), broken[1])
-            continue
         if d not in c:
             for pair in tab:
                 report.add("TOTAL", c, pair, f"direction {d} not an entry of {list(c)}")
@@ -138,7 +135,7 @@ def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
     """Degeneracies distribute over composition (the DIST law), on top of
     the lower layers, each checked once."""
     report = validate_multiple_set(m.base)
-    if report.cells is not None and not unpaired(report, _tables(m)):
+    if report.cells is not None and not broken_keys(report, _tables(m)):
         _scan_reflexive_magma(m, report, report.ok, report.cells)
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
@@ -146,16 +143,16 @@ def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
 
 
 def _tables(m: MagmaStructure) -> dict[str, dict]:
-    """The keyed tables of ``m`` by name, for ``unpaired``."""
+    """The keyed tables of ``m`` by name, for ``broken_keys``."""
     return {"comp": m.comp, "refl": m.refl.refl if m.refl is not None else {}}
 
 
 def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: bool,
                           members: dict[Color, set[CellId]], require_total: bool = True):
     """The magma, reflexive and DIST scans over a base validated once, whose
-    report's ``cells`` are ``members``, and whose comp and refl keys are
-    pairs; DIST is pure table lookup, so it stays meaningful (and safe) on a
-    failed base."""
+    report's ``cells`` are ``members``, and whose comp and refl keys keep the
+    document rule; DIST is pure table lookup, so it stays meaningful (and
+    safe) on a failed base."""
     if base_ok:
         _scan_magma(m, report, members, require_total)
         if m.refl is not None:

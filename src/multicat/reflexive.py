@@ -22,8 +22,8 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
-    key_problem,
-    unpaired,
+    broken_keys,
+    int_problem,
     validate_multiple_set,
 )
 from .errors import BoundMismatch, InvalidBase
@@ -59,7 +59,7 @@ def validate_reflexive(r: ReflexiveStructure) -> ValidationReport:
     diagrams only constrain distinct directions.
     """
     report = validate_multiple_set(r.base)
-    if report.ok and not unpaired(report, {"refl": r.refl}):
+    if report.ok and not broken_keys(report, {"refl": r.refl}):
         _scan_reflexive(r, report, report.cells, True)
     return report.sorted()
 
@@ -67,7 +67,8 @@ def validate_reflexive(r: ReflexiveStructure) -> ValidationReport:
 def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                     members: dict[Color, set[CellId]], require_total: bool):
     """The degeneracy scans, appended to ``report``; the base must be valid,
-    ``members`` is its report's ``cells`` and every refl key is a pair."""
+    ``members`` is its report's ``cells`` and the refl keys keep the
+    document rule."""
     ms = r.base
     if require_total:
         for c, l in admissible_refl_keys(ms):
@@ -85,9 +86,6 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
     # an exchange square missing both composites fails only under totality
     unset = _MISSING if require_total else None
     for (c, l), tab in r.refl.items():
-        if (broken := key_problem("refl", (c, l))) is not None:
-            report.add("SHAPE", broken[0], (), broken[1])
-            continue
         if l in c or l < 1:
             for x in tab:
                 report.add("TOTAL", c, (x,), f"entry {l} cannot be added to {list(c)}")
@@ -243,10 +241,13 @@ def free_reflexive(
     ``ReflexiveTerms``: a cell at color c is a generator x at a subcolor c0
     with the entries c \\ c0 added.  Each cell spends one unit of ``budget``
     (an int, a ``Budget`` shared with other phases, or ``None`` for
-    ``MULTICAT_BUDGET``) when it is interned.
+    ``MULTICAT_BUDGET``) when it is interned.  A ``dim_bound`` that is not an
+    integer >= 0 is a ValueError.
     """
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("base multiple set does not validate")
+    if (problem := int_problem(dim_bound, "dim_bound", 0)) is not None:
+        raise ValueError(problem)
     if dim_bound < ms.dim_bound:
         raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
 

@@ -45,7 +45,13 @@ class ValidationReport:
         self.violations.extend(other.violations)
 
     def sorted(self) -> "ValidationReport":
-        report = ValidationReport(sorted(set(self.violations)))
+        found = set(self.violations)
+        try:
+            ordered = sorted(found)
+        except TypeError:  # a table built in code names a cell by a non-string
+            ordered = sorted(found, key=lambda v: (v.axiom, v.color, tuple(map(repr, v.cells)),
+                                                   v.detail))
+        report = ValidationReport(ordered)
         report.cells = self.cells
         return report
 

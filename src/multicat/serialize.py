@@ -68,8 +68,10 @@ from .core import (
     choice_problem,
     color_problem,
     chain_map_problem,
+    entry_problem,
     int_problem,
     names_problem,
+    pairs_problem,
     record_problem,
     repeat_problem,
     stage_log_problem,
@@ -117,8 +119,8 @@ def _columns(table: str, runs) -> _Columns:
         return _Columns()
     if nkeys == 2:
         # any other key would be written as a record of another width
-        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
-            raise TypeError(f"{table} keys must be pairs of cells")
+        if (problem := pairs_problem(table, keys)) is not None:
+            raise TypeError(problem)
         keys = zip(*keys)
     else:
         keys = [keys]
@@ -539,9 +541,7 @@ def _parse_ms(doc: dict, memo: _Memos) -> tuple[MultipleSet, dict]:
     ms.src, ms.tgt = _read_table(_require(doc, "faces"), "faces", memo)
     # a record the model cannot hold would be lost on the next write
     for (c, d), tab in ms.src.items():
-        if d not in c:
-            raise ParseError(f"faces record at color {list(c)} has direction {d},"
-                             " which is not an entry of the color")
+        _refuse(entry_problem(c, d))
         _refuse(record_problem("faces", c, tab.keys(), ids_at.get(c, set())))
     # read a null face back as undefined
     for tabs in (ms.src, ms.tgt):

@@ -32,13 +32,12 @@ from .core import (
     CellId,
     MsMorphism,
     MultipleSet,
+    broken_keys,
     color_problem,
     faces_total,
     int_problem,
-    key_problem,
     record_problem,
     stage_log_problem,
-    unpaired,
     validate_multiple_set,
 )
 from .errors import BoundsTooSmall
@@ -102,19 +101,12 @@ def _swap_tables(r: ReversorStructure) -> dict[tuple[Color, int], dict[CellId, C
     return {(ch.color, ch.entries[0]): ch.map_at(0) for ch in r.chains if len(ch.entries) == 1}
 
 
-def _validate_pi(e: Stretching, report: ValidationReport, m_members: dict[Color, set[CellId]],
-                 c_members: dict[Color, set[CellId]], faces_ok: bool):
-    """The projection laws, after the document rule for the projection's
-    records: each is keyed by a cell of M at a color.  The face squares read
-    the face tables of M and of C, so they run only when ``faces_ok`` says
-    both are total; ``m_members`` and ``c_members`` are the reports' ``cells``
-    of M and of C."""
+def _validate_pi(e: Stretching, report: ValidationReport, c_members: dict[Color, set[CellId]],
+                 faces_ok: bool):
+    """The projection laws.  The face squares read the face tables of M and
+    of C, so they run only when ``faces_ok`` says both are total;
+    ``c_members`` is the report's ``cells`` of C."""
     M, C = e.magma.base, e.cat.base
-    for c, tab in e.pi.items():
-        if (broken := key_problem("pi", c)) is not None:
-            report.add("SHAPE", broken[0], (), broken[1])
-        elif (problem := record_problem("pi", c, tab.keys(), m_members.get(c, set()))):
-            report.add("SHAPE", c, (), problem)
     for c in M.colors():
         pmap = e.pi.get(c, {})
         get, images = pmap.get, c_members.get(c, ())
@@ -165,13 +157,12 @@ def validate_stretching(e: Stretching) -> ValidationReport:
 
     For stage-bounded free results, totality (composites, degeneracies,
     brackets) is only demanded of cells strictly below the last completed
-    stage; the frontier is by construction still open, and those scans run
-    only when the stages are integers >= 0.  The projection, bracket and
-    staged totality scans read the face tables of M (and of C) only when
-    every cell there has its faces (``faces_total``), and run their
-    table-lookup checks in any case.  A layer that breaks the document rule
-    is reported alone, and the scans that would read it do not run: so is
-    M, and so are M's tables, when a key of one is not a pair.
+    stage; the frontier is by construction still open.  The projection,
+    bracket and staged totality scans read the face tables of M (and of C)
+    only when every cell there has its faces (``faces_total``), and run
+    their table-lookup checks in any case.  The document rule is checked
+    once, before any scan, and a stretching that breaks it is reported
+    alone (``_rule_broken``); C is checked as ``validate_strict`` checks it.
 
     When M is C (``e.magma is e.cat``), as in ``identity_stretching`` and in
     a parsed document whose two bodies are equal, editing M edits C, and the
@@ -182,8 +173,7 @@ def validate_stretching(e: Stretching) -> ValidationReport:
     M = e.magma.base
     report = validate_multiple_set(M)
     m_members = report.cells
-    if m_members is None or unpaired(report, {**_tables(e.magma), "brackets": e.brackets,
-                                              "stage_of": e.stage_of or {}}):
+    if m_members is None or _rule_broken(e, report, m_members):
         return report.sorted()
     m_faces = report.ok or faces_total(M)
     if e.magma is e.cat:
@@ -198,52 +188,59 @@ def validate_stretching(e: Stretching) -> ValidationReport:
         c_faces = c_members is not None and (cat_report.ok or faces_total(e.cat.base))
     if e.magma.refl is None:
         report.add("TOTAL", (), (), "M carries no reflexive structure")
-    staged = _check_stages(e, report, m_members)
-    if e.stage_of is not None and staged:
+    if e.stage_of is not None:
         _check_staged_totality(e, report, m_faces)
     if c_members is not None:
-        _validate_pi(e, report, m_members, c_members, m_faces and c_faces)
-    _validate_brackets(e, report, m_members, m_faces, staged)
+        _validate_pi(e, report, c_members, m_faces and c_faces)
+    _validate_brackets(e, report, m_members, m_faces)
     return report.sorted()
 
 
-def _check_stages(e: Stretching, report: ValidationReport,
-                  members: dict[Color, set[CellId]]) -> bool:
-    """The stretching's part of the document rule: ``m``, the stage log,
-    ``stage``, and each ``stage_of`` record, which names a cell of M
-    (``members`` holds M's cell ids at each color) and an integer stage
-    >= 0; reported once per color.  Returns whether the stages are integers
-    >= 0, so that the staged scans may compare them."""
+def _rule_broken(e: Stretching, report: ValidationReport,
+                 members: dict[Color, set[CellId]]) -> bool:
+    """The stretching's part of the document rule, reported once per color;
+    whether it is broken.  It holds ``m``, ``stage`` and the stage log, the
+    keys of M's tables, ``brackets``, ``pi`` and ``stage_of`` (whose colors
+    are read with its records), then the ``pi`` and ``stage_of`` records,
+    each of which names a cell of M (``members`` holds M's cell ids at each
+    color), and each stage, an integer >= 0.  When M is C, M's tables are
+    C's too, and this is the only check of their keys."""
+    before = len(report.violations)
     for problem in (e.m is not None and int_problem(e.m, "m", 0),
-                    e.stage_log is not None and stage_log_problem(e.stage_log)):
+                    e.stage_log is not None and stage_log_problem(e.stage_log),
+                    e.stage_of is not None and int_problem(e.stage, "stage", 0)):
         if problem:
             report.add("SHAPE", (), (), problem)
-    if e.stage_of is None:
+    # a free result's stage_of keys come in a few runs of one color, so
+    # only the keys that are not pairs are checked here, and the colors
+    # below, with the records, a run at a time
+    stage_of = e.stage_of or {}
+    unpaired = [key for key in stage_of if not (type(key) is tuple and len(key) == 2)]
+    if broken_keys(report, {**_tables(e.magma), "brackets": e.brackets, "pi": e.pi,
+                            "stage_of": unpaired}):
         return True
-    staged = True
-    if (problem := int_problem(e.stage, "stage", 0)) is not None:
-        report.add("SHAPE", (), (), problem)
-        staged = False
+    for c, tab in e.pi.items():
+        if (problem := record_problem("pi", c, tab.keys(), members.get(c, set()))):
+            report.add("SHAPE", c, (), problem)
     # the staged scans read stages by M's cells, so they would ignore any
-    # other record; a free result's keys come in a few runs of one color
+    # other record
     cell = itemgetter(1)
-    broken = {c for c, run in groupby(e.stage_of, itemgetter(0)) if color_problem(c)
-              or not members.get(c, set()).issuperset(map(cell, run))}
-    for c in broken:
+    for c, run in groupby(stage_of, itemgetter(0)):
+        here = members.get(c, set())
         if (problem := color_problem(c)) is not None:
             report.add("SHAPE", (), (), problem)
-        else:
-            named = {x for k, x in e.stage_of if k == c}
-            report.add("SHAPE", c, (), record_problem("stage_of", c, named, members.get(c, set())))
-    stages = e.stage_of.values()
+        elif not here.issuperset(map(cell, run)):
+            named = {x for k, x in stage_of if k == c}
+            report.add("SHAPE", c, (), record_problem("stage_of", c, named, here))
+    stages = stage_of.values()
     if not (set(map(type, stages)) <= {int} and min(stages, default=0) >= 0):
-        staged, reported = False, set()
-        for (c, _), s in e.stage_of.items():
+        reported = set()
+        for (c, _), s in stage_of.items():
             if c not in reported and (problem := int_problem(s, "stage_of value", 0)):
                 reported.add(c)
                 # a key of no color of M may not compare with the report's colors
-                report.add("SHAPE", c if c in e.magma.base.cells else (), (), problem)
-    return staged
+                report.add("SHAPE", c if c in members else (), (), problem)
+    return len(report.violations) > before
 
 
 def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bool):
@@ -270,29 +267,24 @@ def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bo
 
 
 def _validate_brackets(e: Stretching, report: ValidationReport,
-                       members: dict[Color, set[CellId]], faces_ok: bool, staged: bool):
-    """Bracket totality, which compares stages and so runs only when
-    ``staged``, and BR-PI by table lookup; BR-END and BR-FACE read M's face
-    tables, so they run only when ``faces_ok``.  ``members`` is the report's
-    ``cells`` of M."""
+                       members: dict[Color, set[CellId]], faces_ok: bool):
+    """Bracket totality and BR-PI by table lookup; BR-END and BR-FACE read
+    M's face tables, so they run only when ``faces_ok``.  ``members`` is the
+    report's ``cells`` of M."""
     M = e.magma.base
     # totality over projection-equal pairs
-    if staged:
-        max_stage = None if e.stage_of is None else e.stage - 1
-        for c in M.colors():
-            if len(c) + 1 > M.dim_bound:
-                continue
-            pairs = pi_equal_pairs(e, c, max_stage=max_stage)
-            for r in addable_entries(c, M.universe_bound):
-                tab = e.brackets.get((c, r), {})
-                for pair in [pair for pair in pairs if pair not in tab]:
-                    report.add("BR-TOTAL", c, pair, f"added={r}")
+    max_stage = None if e.stage_of is None else e.stage - 1
+    for c in M.colors():
+        if len(c) + 1 > M.dim_bound:
+            continue
+        pairs = pi_equal_pairs(e, c, max_stage=max_stage)
+        for r in addable_entries(c, M.universe_bound):
+            tab = e.brackets.get((c, r), {})
+            for pair in [pair for pair in pairs if pair not in tab]:
+                report.add("BR-TOTAL", c, pair, f"added={r}")
 
     cat_refl = e.cat.refl.refl if e.cat.refl is not None else None
     for (c, r), tab in e.brackets.items():
-        if (broken := key_problem("brackets", (c, r))) is not None:
-            report.add("SHAPE", broken[0], (), broken[1])
-            continue
         if r in c or r < 1:
             for pair in tab:
                 report.add("BR-TOTAL", c, pair, f"added={r} cannot be added to {list(c)}")
@@ -505,7 +497,8 @@ def free_weak(
     ``free_strict`` validates ``X`` and raises InvalidBase when it fails.
     The strict closure, the reversor search and the completion spend one
     shared ``budget``; the completion spends one unit per cell.  An ``m`` or
-    ``stages`` that is not an integer >= 0 is a ValueError.
+    ``stages`` that is not an integer >= 0 is a ValueError, and so is a
+    bound, which ``free_strict`` checks.
     """
     for arg, value in (("m", m), ("stages", stages)):
         if value is not None and (problem := int_problem(value, arg, 0)) is not None:

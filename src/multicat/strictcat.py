@@ -43,7 +43,7 @@ that representatives, ``unit_map`` and ``quotient_to_category`` share.
 from __future__ import annotations
 
 from .colors import Color, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, unpaired, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, MultipleSet, broken_keys, int_problem, validate_multiple_set
 from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
 from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
 from .reflexive import ReflexiveStructure, admissible_refl_keys
@@ -57,28 +57,31 @@ class StrictCategory(MagmaStructure):
 
 
 def validate_strict(m: StrictCategory) -> ValidationReport:
-    """ASSOC, UNIT and MFI on top of the lower layers, each checked once."""
+    """ASSOC, UNIT and MFI on top of the lower layers, each checked once; a
+    layer that breaks the document rule is reported alone."""
     report = validate_multiple_set(m.base)
-    _check_strict(m, report)
+    if report.cells is not None and not broken_keys(report, _tables(m)):
+        _check_strict(m, report)
+    elif m.refl is None:
+        report.add("TOTAL", (), (), "no reflexive structure attached")
     return report.sorted()
 
 
 def _check_strict(m: StrictCategory, report: ValidationReport):
     """The layers of ``validate_strict`` above the base, appended to
-    ``report``, which holds the base's report and nothing else."""
+    ``report``, which holds the base's report and nothing else; the base
+    and the keys of ``m``'s tables keep the document rule."""
     base_ok = report.ok
-    paired = report.cells is not None and not unpaired(report, _tables(m))
-    if paired:
-        _scan_reflexive_magma(m, report, base_ok, report.cells)
+    _scan_reflexive_magma(m, report, base_ok, report.cells)
     if m.refl is None:
         report.add("TOTAL", (), (), "no reflexive structure attached")
-    elif base_ok and paired:
+    elif base_ok:
         _scan_strict(m, report)
 
 
 def _scan_strict(m: StrictCategory, report: ValidationReport):
     """The strictness scans, appended to ``report``; the base must be valid
-    and every comp key a pair.
+    and the comp keys keep the document rule.
 
     ASSOC pairs each entry with the entries whose left operand is its right
     operand; MFI pairs the j-entries whose composites are the operands of a
@@ -509,10 +512,14 @@ def free_strict(
     """Free strict category on ``ms``, truncated by dimension and term size.
 
     Every interned term spends one unit of ``budget`` (an int, a ``Budget``
-    shared with other phases, or ``None`` for ``MULTICAT_BUDGET``).
+    shared with other phases, or ``None`` for ``MULTICAT_BUDGET``).  A bound
+    that is not an integer >= 0 is a ValueError.
     """
     if not validate_multiple_set(ms).ok:
         raise InvalidBase("generating multiple set does not validate")
+    for arg, value in (("dim_bound", dim_bound), ("size_bound", size_bound)):
+        if (problem := int_problem(value, arg, 0)) is not None:
+            raise ValueError(problem)
     if dim_bound < ms.dim_bound:
         raise InvalidBase(f"dim bound {dim_bound} below base bound {ms.dim_bound}")
     p = StrictPresentation(ms, dim_bound, size_bound, as_budget(budget))
