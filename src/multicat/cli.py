@@ -20,9 +20,9 @@ from .core import SOURCE, TARGET, MultipleSet, validate_multiple_set
 from .errors import MulticatError, ParseError
 from .magma import MagmaStructure, validate_magma, validate_reflexive_magma
 from .reflexive import ReflexiveStructure, free_reflexive, validate_reflexive
-from .reversors import ReversorStructure, validate_reversors
+from .reversors import validate_reversors
 from .serialize import dump, from_document, loads, to_document
-from .strictcat import StrictCategory, free_strict, quotient_to_category, validate_strict
+from .strictcat import free_strict, quotient_to_category, validate_strict
 from .stretching import Stretching, free_weak, validate_stretching
 from .terms import as_budget
 
@@ -40,26 +40,19 @@ def _load(path: str):
     return from_document(_read_document(path))
 
 
-def _validate_any(obj, strict: bool):
-    if isinstance(obj, Stretching):
-        return validate_stretching(obj)
-    if isinstance(obj, ReversorStructure):
-        return validate_reversors(obj)
-    if isinstance(obj, MagmaStructure):
-        if strict or isinstance(obj, StrictCategory):
-            return validate_strict(obj)
-        if obj.refl is not None:
-            return validate_reflexive_magma(obj)
-        return validate_magma(obj)
-    if isinstance(obj, ReflexiveStructure):
-        return validate_reflexive(obj)
-    if isinstance(obj, MultipleSet):
-        return validate_multiple_set(obj)
-    raise TypeError(f"cannot validate {type(obj).__name__}")
+def _validate_any(obj, kind: str, strict: bool):
+    """The report of ``kind``'s validator, looked up here at call time."""
+    if kind == "magma" and (strict or obj.refl is not None):
+        kind = "strict" if strict else "reflexive-magma"
+    return {"multiple-set": validate_multiple_set, "reflexive": validate_reflexive,
+            "magma": validate_magma, "reflexive-magma": validate_reflexive_magma,
+            "strict": validate_strict, "reversors": validate_reversors,
+            "stretching": validate_stretching}[kind](obj)
 
 
 def cmd_validate(args) -> int:
-    report = _validate_any(_load(args.path), args.strict)
+    doc = _read_document(args.path)
+    report = _validate_any(from_document(doc), doc["kind"], args.strict)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     elif report.ok:
@@ -143,9 +136,7 @@ def cmd_free(args) -> int:
 
 def cmd_stats(args) -> int:
     obj = _load(args.path)
-    base = obj.base if hasattr(obj, "base") else obj
-    if isinstance(obj, Stretching):
-        base = obj.magma.base
+    base = getattr(obj, "base", obj)  # a stretching's is M's
     stats = {
         "cells": {str(list(c)): len(base.cells_at(c)) for c in base.colors()},
         "composable_pairs": {},

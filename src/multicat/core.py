@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Callable, NamedTuple
 
 from .colors import Color, add, colors_within, make_color, minus
 from .errors import EntryAbsent, NonPositiveEntry, NotStrictlyIncreasing, UnknownCell
@@ -55,9 +56,8 @@ class MultipleSet:
 #
 # What a model may hold is what a document can: the parser raises ParseError
 # with each message below, and the validators report it as SHAPE, once per
-# color.  Each check returns its message, or None when the value passes.
-# Each layer's rule is checked once, before any scan, and a layer that breaks
-# it is reported alone: no scan reads it, so every scan may assume the rule.
+# color.  Each check returns its message, or None when the value passes;
+# ``check`` runs them before any scan, so every scan may assume the rule.
 
 
 def int_problem(value, field: str, least: int | None = None) -> str | None:
@@ -162,14 +162,19 @@ _PAIR_KEYED = ("comp", "brackets")
 
 def broken_keys(report: ValidationReport, tables: dict[str, dict]) -> bool:
     """Report each key of ``tables`` that breaks the document rule
-    (``key_problem``), and each ``comp`` or ``brackets`` table whose records
-    are not keyed by pairs, as SHAPE; whether there was one."""
+    (``key_problem``), each ``comp`` or ``brackets`` table whose records are
+    not keyed by pairs of strings, and each ``refl`` table whose records are
+    not keyed by strings, as SHAPE; whether there was one."""
     before = len(report.violations)
     for table, tabs in tables.items():
         for key in tabs:
             if (broken := key_problem(table, key)) is not None:
                 report.add("SHAPE", broken[0], (), broken[1])
-            elif table in _PAIR_KEYED and (problem := pairs_problem(table, tabs[key])):
+            elif table in _PAIR_KEYED and (
+                    problem := pairs_problem(table, tabs[key])
+                    or names_problem(table, chain.from_iterable(tabs[key]))):
+                report.add("SHAPE", key[0], (), problem)
+            elif table == "refl" and (problem := names_problem(table, tabs[key])):
                 report.add("SHAPE", key[0], (), problem)
     return len(report.violations) > before
 
@@ -344,6 +349,39 @@ def validate_multiple_set(ms: MultipleSet) -> ValidationReport:
                     report.add("ST", c, (x,), f"entries=(s{j},t{k})")
                 if tkj[sk[x]] != sjk[tj[x]]:
                     report.add("ST", c, (x,), f"entries=(s{k},t{j})")
+    return report.sorted()
+
+
+# -- the layer table --------------------------------------------------------
+
+
+class Layer(NamedTuple):
+    """One axiom family; a kind is the tuple of the rows it stacks, which
+    read a structure's ``base``, ``comp`` and ``refl`` as a magma's.
+    ``scan(s, report, faces_ok)`` adds its violations (``faces_ok``: every
+    cell of the base has its faces), only on a valid base where ``faces``.
+    ``tables(s)`` are its tables for the key pass, and ``rule(s, report)``
+    checks the rest of its part of the document rule."""
+    scan: Callable
+    faces: bool
+    tables: Callable = lambda s: {}
+    rule: Callable = lambda s, report: None
+
+
+def check(s, rows) -> ValidationReport:
+    """``s`` validated by ``rows``: its base once, one key pass over their
+    tables, each rule, then, unless a part breaks the rule, each scan once."""
+    report = validate_multiple_set(s.base)
+    base_ok, before = report.ok, len(report.violations)
+    tables = {k: v for row in rows for k, v in row.tables(s).items()}
+    if report.cells is not None and not broken_keys(report, tables):
+        for row in rows:
+            row.rule(s, report)
+        if len(report.violations) == before:
+            faces_ok = base_ok or faces_total(s.base)
+            for row in rows:
+                if base_ok or not row.faces:
+                    row.scan(s, report, faces_ok)
     return report.sorted()
 
 

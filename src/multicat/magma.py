@@ -11,18 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .colors import Color, add, addable_entries, minus
-from .core import _MISSING
-from .core import (
-    SOURCE,
-    TARGET,
-    CellId,
-    MultipleSet,
-    broken_keys,
-    face,
-    validate_multiple_set,
-)
+from .core import _MISSING, SOURCE, TARGET, CellId, Layer, MultipleSet, check, face
 from .errors import NotComposable, UnknownCell
-from .reflexive import ReflexiveStructure, _scan_reflexive
+from .reflexive import DEGENERACIES, DEGENERACIES_TOTAL, ReflexiveStructure
 from .report import ValidationReport
 
 
@@ -69,26 +60,23 @@ def compose(m: MagmaStructure, c: Color, a: CellId, b: CellId, d: int) -> CellId
 
 
 def validate_magma(m: MagmaStructure) -> ValidationReport:
-    """Totality on the pullback, POS1 and POS2."""
-    report = validate_multiple_set(m.base)
-    if report.ok and not broken_keys(report, {"comp": m.comp}):
-        _scan_magma(m, report, report.cells, True)
-    return report.sorted()
+    """Totality on the pullback, POS1, POS2, and any attached degeneracies."""
+    return check(m, MAGMA)
 
 
-def _scan_magma(m: MagmaStructure, report: ValidationReport,
-                members: dict[Color, set[CellId]], require_total: bool):
-    """The composition scans, appended to ``report``; the base must be valid,
-    ``members`` is its report's ``cells`` and the comp keys keep the
-    document rule."""
+def _total_magma(m: MagmaStructure, report: ValidationReport, faces_ok: bool):
+    """A composite of every pair on the pullback."""
     ms = m.base
-    if require_total:
-        for c in ms.colors():
-            for d in c:
-                tab = m.comp.get((c, d), {})
-                for pair in [pair for pair in _pullback(ms, c, d) if pair not in tab]:
-                    report.add("TOTAL", c, pair, f"composite undefined for direction {d}")
+    for c in ms.colors():
+        for d in c:
+            tab = m.comp.get((c, d), {})
+            for pair in [pair for pair in _pullback(ms, c, d) if pair not in tab]:
+                report.add("TOTAL", c, pair, f"composite undefined for direction {d}")
 
+
+def _scan_magma(m: MagmaStructure, report: ValidationReport, faces_ok: bool):
+    """The composition scans over a valid base."""
+    ms, members = m.base, report.cells
     src, tgt = ms.src, ms.tgt
     for (c, d), tab in m.comp.items():
         if d not in c:
@@ -131,32 +119,9 @@ def _scan_magma(m: MagmaStructure, report: ValidationReport,
                     report.add("POS2", c, (a, b), detail)
 
 
-def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
-    """Degeneracies distribute over composition (the DIST law), on top of
-    the lower layers, each checked once."""
-    report = validate_multiple_set(m.base)
-    if report.cells is not None and not broken_keys(report, _tables(m)):
-        _scan_reflexive_magma(m, report, report.ok, report.cells)
-    if m.refl is None:
-        report.add("TOTAL", (), (), "no reflexive structure attached")
-    return report.sorted()
-
-
-def _tables(m: MagmaStructure) -> dict[str, dict]:
-    """The keyed tables of ``m`` by name, for ``broken_keys``."""
-    return {"comp": m.comp, "refl": m.refl.refl if m.refl is not None else {}}
-
-
-def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: bool,
-                          members: dict[Color, set[CellId]], require_total: bool = True):
-    """The magma, reflexive and DIST scans over a base validated once, whose
-    report's ``cells`` are ``members``, and whose comp and refl keys keep the
-    document rule; DIST is pure table lookup, so it stays meaningful (and
-    safe) on a failed base."""
-    if base_ok:
-        _scan_magma(m, report, members, require_total)
-        if m.refl is not None:
-            _scan_reflexive(m.refl, report, members, require_total)
+def _scan_dist(m: MagmaStructure, report: ValidationReport, faces_ok: bool):
+    """Degeneracies distribute over composition (DIST); pure table lookup,
+    so it stays meaningful (and safe) on a failed base."""
     if m.refl is None:
         return
     for (c, d), tab in m.comp.items():
@@ -173,3 +138,22 @@ def _scan_reflexive_magma(m: MagmaStructure, report: ValidationReport, base_ok: 
                          if (dr := dg(r)) is not None and (da := dg(a)) is not None
                          and (db := dg(b)) is not None and up((da, db)) != dr]:
                 report.add("DIST", c, pair, f"direction={d} added={l}")
+
+
+def _attached(m: MagmaStructure, report: ValidationReport, faces_ok: bool):
+    if m.refl is None:
+        report.add("TOTAL", (), (), "no reflexive structure attached")
+
+
+COMPOSITION = Layer(_scan_magma, True, lambda m: {"comp": m.comp})
+COMPOSITION_TOTAL = Layer(_total_magma, True)
+DIST = Layer(_scan_dist, False)
+TOTALITY = (DEGENERACIES_TOTAL, COMPOSITION_TOTAL)
+MAGMA = (DEGENERACIES, COMPOSITION) + TOTALITY
+REFLEXIVE_MAGMA = MAGMA + (DIST, Layer(_attached, False))
+
+
+def validate_reflexive_magma(m: MagmaStructure) -> ValidationReport:
+    """Degeneracies distribute over composition (the DIST law), on top of
+    the lower layers, each checked once."""
+    return check(m, REFLEXIVE_MAGMA)

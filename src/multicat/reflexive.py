@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .colors import Color, add, addable_entries, colors_within, minus
 from .core import (
@@ -20,9 +21,10 @@ from .core import (
     SOURCE,
     TARGET,
     CellId,
+    Layer,
     MsMorphism,
     MultipleSet,
-    broken_keys,
+    check,
     int_problem,
     validate_multiple_set,
 )
@@ -52,39 +54,47 @@ def admissible_refl_keys(ms: MultipleSet) -> list[tuple[Color, int]]:
 
 
 def validate_reflexive(r: ReflexiveStructure) -> ValidationReport:
-    """Face/degeneracy compatibility, the section law, and exchange.
+    """Face/degeneracy compatibility, the section law, exchange and totality.
 
     The section law REFL-SECT (the face of a degenerate cell in its own
     added direction gives the cell back) is always checked; the other
     diagrams only constrain distinct directions.
     """
-    report = validate_multiple_set(r.base)
-    if report.ok and not broken_keys(report, {"refl": r.refl}):
-        _scan_reflexive(r, report, report.cells, True)
-    return report.sorted()
+    return check(SimpleNamespace(base=r.base, refl=r), REFLEXIVE)
 
 
-def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
-                    members: dict[Color, set[CellId]], require_total: bool):
-    """The degeneracy scans, appended to ``report``; the base must be valid,
-    ``members`` is its report's ``cells`` and the refl keys keep the
-    document rule."""
-    ms = r.base
-    if require_total:
-        for c, l in admissible_refl_keys(ms):
-            tab = r.refl.get((c, l))
-            if tab is None:
-                report.add("TOTAL", c, (), f"missing degeneracy table for entry {l}")
-                continue
-            for x in [x for x in ms.cells_at(c) if x not in tab]:
-                report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
-
-    # the other degeneracy tables at each color, for the exchange scan
+def _exchange(s, report: ValidationReport, faces_ok: bool, unset=None):
+    """REFL-EXCH where 1_k 1_l x and 1_l 1_k x differ (l < k), a side read
+    as ``unset`` where undefined (a stage-bounded result leaves a square
+    missing both open), on the squares that fit within ``dim_bound``: past
+    it no side exists or is admissible."""
+    r, members = s.refl, report.cells
+    if r is None:
+        return
     by_color: dict[Color, list[tuple[int, dict]]] = {}
     for (c, k), tab in r.refl.items():
         by_color.setdefault(c, []).append((k, tab))
-    # an exchange square missing both composites fails only under totality
-    unset = _MISSING if require_total else None
+    for (c, l), tab in r.refl.items():
+        if l in c or l < 1 or len(c) + 2 > r.base.dim_bound:
+            continue
+        up = add(c, l)
+        here, above = members.get(c, ()), members.get(up, ())
+        for k, tab2 in by_color[c]:
+            if k <= l or k in c:
+                continue
+            via_l = r.refl.get((up, k), {}).get
+            via_k = r.refl.get((add(c, k), l), {}).get
+            for x in [x for x, dx in tab.items() if x in tab2 and x in here and dx in above
+                      and via_l(dx, unset) != via_k(tab2[x])]:
+                report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
+
+
+def _scan_reflexive(s, report: ValidationReport, faces_ok: bool):
+    """The degeneracy scans of the reflexive structure attached to ``s``, if any."""
+    r = s.refl
+    if r is None:
+        return
+    ms, members = r.base, report.cells
     for (c, l), tab in r.refl.items():
         if l in c or l < 1:
             for x in tab:
@@ -113,15 +123,27 @@ def _scan_reflexive(r: ReflexiveStructure, report: ValidationReport,
                 up_k, c_k = tabs[(up, k)], tabs[(c, k)]
                 for x in [x for x, dx in tab.items() if up_k[dx] != lower(c_k[x])]:
                     report.add(axiom, c, (x,), f"added={l} entry={k}")
-        # exchange with every other degeneracy defined at this color
-        for k, tab2 in by_color[c]:
-            if k <= l or k in c:
-                continue
-            via_l = r.refl.get((up, k), {}).get
-            via_k = r.refl.get((add(c, k), l), {}).get
-            for x in [x for x, dx in tab.items()
-                      if x in tab2 and via_l(dx, unset) != via_k(tab2[x])]:
-                report.add("REFL-EXCH", c, (x,), f"added=({l},{k})")
+
+
+def _total_reflexive(s, report: ValidationReport, faces_ok: bool):
+    """A degeneracy of each cell in each admissible direction; exchange, missing sides counted."""
+    r = s.refl
+    if r is None:
+        return
+    for c, l in admissible_refl_keys(r.base):
+        tab = r.refl.get((c, l))
+        if tab is None:
+            report.add("TOTAL", c, (), f"missing degeneracy table for entry {l}")
+            continue
+        for x in [x for x in r.base.cells_at(c) if x not in tab]:
+            report.add("TOTAL", c, (x,), f"degeneracy undefined for entry {l}")
+    _exchange(s, report, faces_ok, _MISSING)
+
+
+DEGENERACIES = Layer(_scan_reflexive, True, lambda s: {"refl": s.refl.refl} if s.refl else {})
+DEGENERACIES_TOTAL = Layer(_total_reflexive, True)
+EXCHANGE = Layer(_exchange, True)  # a stage-bounded result's, with its totality
+REFLEXIVE = (DEGENERACIES, DEGENERACIES_TOTAL)
 
 
 class _Sealed(Exception):

@@ -41,9 +41,6 @@ class ValidationReport:
     def add(self, axiom, color, cells, detail=""):
         self.violations.append(Violation(axiom, tuple(color), tuple(cells), detail))
 
-    def extend(self, other: "ValidationReport"):
-        self.violations.extend(other.violations)
-
     def sorted(self) -> "ValidationReport":
         found = set(self.violations)
         try:

@@ -35,9 +35,11 @@ from .core import (
     SOURCE,
     TARGET,
     CellId,
+    Layer,
     MsMorphism,
     MultipleSet,
     chain_map_problem,
+    check,
     choice_problem,
     color_problem,
     int_problem,
@@ -112,39 +114,6 @@ def _chain_fault(ch: Chain) -> str | None:
     return None
 
 
-def _validate_chain(ms: MultipleSet, ch: Chain, report: ValidationReport,
-                    members: dict[Color, set[CellId]]):
-    """One chain's scans; the base must be valid, and ``members`` is its
-    report's ``cells``.  A chain with a ``_chain_fault`` is one COVER violation
-    and is not scanned."""
-    fault = _chain_fault(ch)
-    if fault is not None:
-        report.add("COVER", ch.color, (), fault)
-        return
-    q = len(ch.entries)
-    levels = list(itertools.accumulate(ch.entries, minus, initial=ch.color))
-    maps = [ch.map_at(r) for r in range(q)]
-    for r, (level_color, e) in enumerate(zip(levels, ch.entries)):
-        tab = maps[r]
-        here = members.get(level_color, set())
-        stab, ttab = ms.table(SOURCE, level_color, e), ms.table(TARGET, level_color, e)
-        for x in ms.cells_at(level_color):
-            if x not in tab or tab[x] not in here:
-                report.add("COVER", level_color, (x,), f"chain map {r} not total")
-                continue
-            jx = tab[x]
-            if r == q - 1:
-                if stab[jx] != ttab[x]:
-                    report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={SOURCE}")
-                if ttab[jx] != stab[x]:
-                    report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={TARGET}")
-            else:
-                nxt = maps[r + 1]
-                for tabs, pol in ((stab, SOURCE), (ttab, TARGET)):
-                    if tabs[jx] != nxt.get(tabs[x]):
-                        report.add("SERIAL", level_color, (x,), f"entry={e} polarity={pol}")
-
-
 def _chain_problem(ch: Chain) -> str | None:
     """The part of the document rule a chain can break, past its color: its
     entries are integers, and its maps name cells by strings, each once."""
@@ -157,12 +126,8 @@ def _chain_problem(ch: Chain) -> str | None:
     return names_problem("chains", [x for level in ch.maps for pair in level for x in pair])
 
 
-def validate_reversors(r: ReversorStructure) -> ValidationReport:
-    """The document rule (the base's, then ``m``, the kind and each chain's,
-    reported at the chain's color), then coverage and each chain's scans."""
-    report = validate_multiple_set(r.base)
-    if not report.ok:
-        return report
+def _rule_reversors(r: ReversorStructure, report: ValidationReport):
+    """``m``, the kind and each chain's rule, reported at the chain's color."""
     for problem in (int_problem(r.m, "m", 0), choice_problem(r.kind, KINDS, "reversor_kind")):
         if problem is not None:
             report.add("SHAPE", (), (), problem)
@@ -171,8 +136,11 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
             report.add("SHAPE", (), (), problem)
         elif (problem := _chain_problem(ch)) is not None:
             report.add("SHAPE", ch.color, (), problem)
-    if not report.ok:
-        return report.sorted()
+
+
+def _scan_reversors(r: ReversorStructure, report: ValidationReport, faces_ok: bool):
+    """Coverage, then each chain's scans, over a valid base.  A chain with a
+    ``_chain_fault`` is one COVER violation and is not scanned."""
     # a general slot is keyed by its first entry and takes any admissible length
     general = r.kind == "general"
     covered = {
@@ -183,9 +151,41 @@ def validate_reversors(r: ReversorStructure) -> ValidationReport:
     for c, key in required_slots(r.base, r.m, r.kind):
         if (c, key) not in covered:
             report.add("COVER", c, (), f"no chain for {key}")
+    ms, members = r.base, report.cells
     for ch in r.chains:
-        _validate_chain(r.base, ch, report, report.cells)
-    return report.sorted()
+        if (fault := _chain_fault(ch)) is not None:
+            report.add("COVER", ch.color, (), fault)
+            continue
+        q = len(ch.entries)
+        levels = list(itertools.accumulate(ch.entries, minus, initial=ch.color))
+        maps = [ch.map_at(n) for n in range(q)]
+        for n, (level_color, e) in enumerate(zip(levels, ch.entries)):
+            tab = maps[n]
+            here = members.get(level_color, set())
+            stab, ttab = ms.table(SOURCE, level_color, e), ms.table(TARGET, level_color, e)
+            for x in ms.cells_at(level_color):
+                if x not in tab or tab[x] not in here:
+                    report.add("COVER", level_color, (x,), f"chain map {n} not total")
+                    continue
+                jx = tab[x]
+                if n == q - 1:
+                    if stab[jx] != ttab[x]:
+                        report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={SOURCE}")
+                    if ttab[jx] != stab[x]:
+                        report.add("SWAP-END", level_color, (x,), f"entry={e} polarity={TARGET}")
+                else:
+                    nxt = maps[n + 1]
+                    for tabs, pol in ((stab, SOURCE), (ttab, TARGET)):
+                        if tabs[jx] != nxt.get(tabs[x]):
+                            report.add("SERIAL", level_color, (x,), f"entry={e} polarity={pol}")
+
+
+REVERSORS = (Layer(_scan_reversors, True, rule=_rule_reversors),)
+
+
+def validate_reversors(r: ReversorStructure) -> ValidationReport:
+    """The document rule, then coverage and each chain's scans."""
+    return check(r, REVERSORS)
 
 
 def validate_reversor_morphism(

@@ -30,24 +30,24 @@ from .core import (
     SOURCE,
     TARGET,
     CellId,
+    Layer,
     MsMorphism,
     MultipleSet,
-    broken_keys,
+    check,
     color_problem,
     faces_total,
     int_problem,
     record_problem,
     stage_log_problem,
-    validate_multiple_set,
 )
 from .errors import BoundsTooSmall
-from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
-from .reflexive import ReflexiveTerms, _Sealed, admissible_refl_keys
+from .magma import COMPOSITION, DIST, TOTALITY, MagmaStructure, _pullback
+from .reflexive import DEGENERACIES, EXCHANGE, ReflexiveTerms, _Sealed, admissible_refl_keys
 from .report import ValidationReport
 from .reversors import PHASE as REVERSOR_PHASE, ReversorSpace, ReversorStructure
 from .strictcat import (
+    STRICT,
     StrictCategory,
-    _check_strict,
     free_strict,
     quotient_to_category,
     unit_map,
@@ -72,6 +72,11 @@ class Stretching:
     stage: int = 0
     # per-stage addition counts for free results, echoed by the CLI
     stage_log: list[dict] | None = None
+
+    # M's, as the layer rows (``multicat.core.Layer``) read a structure's
+    base = property(lambda self: self.magma.base)
+    comp = property(lambda self: self.magma.comp)
+    refl = property(lambda self: self.magma.refl)
 
 
 def identity_stretching(cat: StrictCategory) -> Stretching:
@@ -101,12 +106,21 @@ def _swap_tables(r: ReversorStructure) -> dict[tuple[Color, int], dict[CellId, C
     return {(ch.color, ch.entries[0]): ch.map_at(0) for ch in r.chains if len(ch.entries) == 1}
 
 
-def _validate_pi(e: Stretching, report: ValidationReport, c_members: dict[Color, set[CellId]],
-                 faces_ok: bool):
-    """The projection laws.  The face squares read the face tables of M and
-    of C, so they run only when ``faces_ok`` says both are total;
-    ``c_members`` is the report's ``cells`` of C."""
+def _validate_pi(e: Stretching, report: ValidationReport, faces_ok: bool):
+    """The projection laws, once C is checked by ``validate_strict`` (unless
+    C is M); the face squares run only when M and C have all their faces."""
+    if e.magma.refl is None:
+        report.add("TOTAL", (), (), "M carries no reflexive structure")
     M, C = e.magma.base, e.cat.base
+    if e.cat is e.magma:
+        c_members = report.cells
+    else:
+        cat_report = validate_strict(e.cat)
+        report.violations += cat_report.violations
+        c_members = cat_report.cells
+        if c_members is None:
+            return
+        faces_ok = faces_ok and (cat_report.ok or faces_total(C))
     for c in M.colors():
         pmap = e.pi.get(c, {})
         get, images = pmap.get, c_members.get(c, ())
@@ -152,79 +166,24 @@ def _validate_pi(e: Stretching, report: ValidationReport, c_members: dict[Color,
                 report.add("PI", c, (x,), f"reversor entry={ev}")
 
 
-def validate_stretching(e: Stretching) -> ValidationReport:
-    """Layer validity, the projection laws, and the three bracket axioms.
-
-    For stage-bounded free results, totality (composites, degeneracies,
-    brackets) is only demanded of cells strictly below the last completed
-    stage; the frontier is by construction still open.  The projection,
-    bracket and staged totality scans read the face tables of M (and of C)
-    only when every cell there has its faces (``faces_total``), and run
-    their table-lookup checks in any case.  The document rule is checked
-    once, before any scan, and a stretching that breaks it is reported
-    alone (``_rule_broken``); C is checked as ``validate_strict`` checks it.
-
-    When M is C (``e.magma is e.cat``), as in ``identity_stretching`` and in
-    a parsed document whose two bodies are equal, editing M edits C, and the
-    structure is checked once, as C, totality included: C's checks include
-    M's, and a report is a set, so the report is the one that checking M
-    and C apart would give.
-    """
-    M = e.magma.base
-    report = validate_multiple_set(M)
-    m_members = report.cells
-    if m_members is None or _rule_broken(e, report, m_members):
-        return report.sorted()
-    m_faces = report.ok or faces_total(M)
-    if e.magma is e.cat:
-        _check_strict(e.cat, report)
-        c_members, c_faces = m_members, m_faces
-    else:
-        _scan_reflexive_magma(e.magma, report, report.ok, m_members,
-                              require_total=e.stage_of is None)
-        cat_report = validate_strict(e.cat)
-        report.extend(cat_report)
-        c_members = cat_report.cells
-        c_faces = c_members is not None and (cat_report.ok or faces_total(e.cat.base))
-    if e.magma.refl is None:
-        report.add("TOTAL", (), (), "M carries no reflexive structure")
-    if e.stage_of is not None:
-        _check_staged_totality(e, report, m_faces)
-    if c_members is not None:
-        _validate_pi(e, report, c_members, m_faces and c_faces)
-    _validate_brackets(e, report, m_members, m_faces)
-    return report.sorted()
-
-
-def _rule_broken(e: Stretching, report: ValidationReport,
-                 members: dict[Color, set[CellId]]) -> bool:
-    """The stretching's part of the document rule, reported once per color;
-    whether it is broken.  It holds ``m``, ``stage`` and the stage log, the
-    keys of M's tables, ``brackets``, ``pi`` and ``stage_of`` (whose colors
-    are read with its records), then the ``pi`` and ``stage_of`` records,
-    each of which names a cell of M (``members`` holds M's cell ids at each
-    color), and each stage, an integer >= 0.  When M is C, M's tables are
-    C's too, and this is the only check of their keys."""
-    before = len(report.violations)
+def _rule_projection(e: Stretching, report: ValidationReport):
+    """The stretching's part of the document rule past its keys: ``m``, the
+    stage log, and the ``pi`` records, each of which names a cell of M."""
     for problem in (e.m is not None and int_problem(e.m, "m", 0),
-                    e.stage_log is not None and stage_log_problem(e.stage_log),
-                    e.stage_of is not None and int_problem(e.stage, "stage", 0)):
+                    e.stage_log is not None and stage_log_problem(e.stage_log)):
         if problem:
             report.add("SHAPE", (), (), problem)
-    # a free result's stage_of keys come in a few runs of one color, so
-    # only the keys that are not pairs are checked here, and the colors
-    # below, with the records, a run at a time
-    stage_of = e.stage_of or {}
-    unpaired = [key for key in stage_of if not (type(key) is tuple and len(key) == 2)]
-    if broken_keys(report, {**_tables(e.magma), "brackets": e.brackets, "pi": e.pi,
-                            "stage_of": unpaired}):
-        return True
     for c, tab in e.pi.items():
-        if (problem := record_problem("pi", c, tab.keys(), members.get(c, set()))):
+        if (problem := record_problem("pi", c, tab.keys(), report.cells.get(c, set()))):
             report.add("SHAPE", c, (), problem)
-    # the staged scans read stages by M's cells, so they would ignore any
-    # other record
-    cell = itemgetter(1)
+
+
+def _rule_stages(e: Stretching, report: ValidationReport):
+    """``stage``, and the ``stage_of`` records, each naming a cell of M and
+    holding an integer >= 0, their colors read a run of one color at a time."""
+    if (problem := int_problem(e.stage, "stage", 0)) is not None:
+        report.add("SHAPE", (), (), problem)
+    stage_of, members, cell = e.stage_of, report.cells, itemgetter(1)
     for c, run in groupby(stage_of, itemgetter(0)):
         here = members.get(c, set())
         if (problem := color_problem(c)) is not None:
@@ -240,7 +199,6 @@ def _rule_broken(e: Stretching, report: ValidationReport,
                 reported.add(c)
                 # a key of no color of M may not compare with the report's colors
                 report.add("SHAPE", c if c in members else (), (), problem)
-    return len(report.violations) > before
 
 
 def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bool):
@@ -266,12 +224,10 @@ def _check_staged_totality(e: Stretching, report: ValidationReport, faces_ok: bo
                 report.add("TOTAL", c, (x,), f"staged degeneracy missing, added={l}")
 
 
-def _validate_brackets(e: Stretching, report: ValidationReport,
-                       members: dict[Color, set[CellId]], faces_ok: bool):
+def _validate_brackets(e: Stretching, report: ValidationReport, faces_ok: bool):
     """Bracket totality and BR-PI by table lookup; BR-END and BR-FACE read
-    M's face tables, so they run only when ``faces_ok``.  ``members`` is the
-    report's ``cells`` of M."""
-    M = e.magma.base
+    M's face tables, so they run only when ``faces_ok``."""
+    M, members = e.magma.base, report.cells
     # totality over projection-equal pairs
     max_stage = None if e.stage_of is None else e.stage - 1
     for c in M.colors():
@@ -328,6 +284,28 @@ def _validate_brackets(e: Stretching, report: ValidationReport,
                    if (w := want(p(a))) is None or w != want(p(b)) or p_up(x) != w]
         for pair in bad:
             report.add("BR-PI", c, pair, f"added={r}")
+
+
+PROJECTION = Layer(_validate_pi, False, lambda e: {"pi": e.pi}, _rule_projection)
+BRACKETS = Layer(_validate_brackets, False, lambda e: {"brackets": e.brackets})
+# the keys of stage_of that are not pairs; _rule_stages reads the others' colors
+STAGES = Layer(_check_staged_totality, False, lambda e: {"stage_of": [
+    key for key in e.stage_of if not (type(key) is tuple and len(key) == 2)]}, _rule_stages)
+STRETCHING = (DEGENERACIES, COMPOSITION, DIST, PROJECTION, BRACKETS)
+
+
+def validate_stretching(e: Stretching) -> ValidationReport:
+    """Layer validity, the projection laws, and the three bracket axioms.
+
+    For stage-bounded free results, totality (composites, degeneracies,
+    brackets) is only demanded of cells strictly below the last completed
+    stage; the frontier is by construction still open.  When M is C, as in
+    ``identity_stretching``, the union of its layers and C's checks it once.
+    """
+    rows = STRETCHING + ((STAGES, EXCHANGE) if e.stage_of is not None else TOTALITY)
+    if e.magma is e.cat:
+        rows = tuple(dict.fromkeys(rows + STRICT))
+    return check(e, rows)
 
 
 def validate_stretching_morphism(

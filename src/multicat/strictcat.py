@@ -43,9 +43,9 @@ that representatives, ``unit_map`` and ``quotient_to_category`` share.
 from __future__ import annotations
 
 from .colors import Color, addable_entries, minus
-from .core import SOURCE, TARGET, CellId, MultipleSet, broken_keys, int_problem, validate_multiple_set
+from .core import SOURCE, TARGET, CellId, Layer, MultipleSet, check, int_problem, validate_multiple_set
 from .errors import BoundsTooSmall, InvalidBase, TermNotMaterialized
-from .magma import MagmaStructure, _pullback, _scan_reflexive_magma, _tables
+from .magma import REFLEXIVE_MAGMA, MagmaStructure, _pullback
 from .reflexive import ReflexiveStructure, admissible_refl_keys
 from .report import ValidationReport
 from .terms import Budget, TermGraph, as_budget
@@ -59,35 +59,19 @@ class StrictCategory(MagmaStructure):
 def validate_strict(m: StrictCategory) -> ValidationReport:
     """ASSOC, UNIT and MFI on top of the lower layers, each checked once; a
     layer that breaks the document rule is reported alone."""
-    report = validate_multiple_set(m.base)
-    if report.cells is not None and not broken_keys(report, _tables(m)):
-        _check_strict(m, report)
-    elif m.refl is None:
-        report.add("TOTAL", (), (), "no reflexive structure attached")
-    return report.sorted()
+    return check(m, STRICT)
 
 
-def _check_strict(m: StrictCategory, report: ValidationReport):
-    """The layers of ``validate_strict`` above the base, appended to
-    ``report``, which holds the base's report and nothing else; the base
-    and the keys of ``m``'s tables keep the document rule."""
-    base_ok = report.ok
-    _scan_reflexive_magma(m, report, base_ok, report.cells)
-    if m.refl is None:
-        report.add("TOTAL", (), (), "no reflexive structure attached")
-    elif base_ok:
-        _scan_strict(m, report)
-
-
-def _scan_strict(m: StrictCategory, report: ValidationReport):
-    """The strictness scans, appended to ``report``; the base must be valid
-    and the comp keys keep the document rule.
+def _scan_strict(m: StrictCategory, report: ValidationReport, faces_ok: bool):
+    """The strictness scans over a valid base, when degeneracies are attached.
 
     ASSOC pairs each entry with the entries whose left operand is its right
     operand; MFI pairs the j-entries whose composites are the operands of a
     k-entry.  These are exactly the pairs of the full quadratic scans that
     can report anything.
     """
+    if m.refl is None:
+        return
     ms = m.base
     for (c, d), tab in m.comp.items():
         # ASSOC: (a*b)*e == a*(b*e) whenever all composites are defined
@@ -130,6 +114,9 @@ def _scan_strict(m: StrictCategory, report: ValidationReport):
                         rhs = jtab.get((ap, bq))
                         if rhs is not None and lhs != rhs:
                             report.add("MFI", c, (a, b, p, q), f"directions=({j},{k})")
+
+
+STRICT = REFLEXIVE_MAGMA + (Layer(_scan_strict, True),)
 
 
 class _UnionFind:

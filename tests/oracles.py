@@ -334,7 +334,8 @@ def reflexive_axiom_ids(refl_tables, ms: MultipleSet) -> set:
                 if ms.tgt[(up, k)][dx] != lower.get(ms.tgt[(c, k)][x]):
                     found.add("REFL-T")
             for (c2, k), tab2 in refl_tables.items():
-                if c2 != c or k <= l or x not in tab2:
+                # past the dim bound neither side of the square can exist
+                if c2 != c or k <= l or x not in tab2 or len(c) + 2 > ms.dim_bound:
                     continue
                 one = refl_tables.get((up, k), {}).get(dx)
                 two = refl_tables.get((add(c, k), l), {}).get(tab2[x])
