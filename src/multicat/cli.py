@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from typing import Any, Callable, NamedTuple
 
 from .core import SOURCE, TARGET, MultipleSet, validate_multiple_set
 from .errors import MulticatError, ParseError
@@ -215,39 +216,105 @@ def _natural(text: str) -> int:
     return value
 
 
+class _Arg(NamedTuple):
+    """One argument of a command: a positional, or an option where its name
+    starts with ``--``; a switch is an option that takes no value."""
+    name: str
+    type: Callable | None = None
+    choices: tuple | None = None
+    default: Any = None
+    help: str | None = None
+    switch: bool = False
+
+
+class _Command(NamedTuple):
+    func: Callable
+    help: str
+    positionals: tuple[_Arg, ...]
+    options: dict[str, _Arg]  # by option string
+
+
+def _options(*args: _Arg) -> dict[str, _Arg]:
+    return {a.name: a for a in args}
+
+
+_FORMAT = _Arg("--format", choices=("text", "json"), default="text")
+
+# the grammar, which build_parser gives argparse and _read_argv reads itself
+COMMANDS = {
+    "validate": _Command(cmd_validate, "validate a structure document", (_Arg("path"),), _options(
+        _Arg("--strict", default=False, switch=True,
+             help="check the strict-category axioms on a magma document"),
+        _FORMAT)),
+    "free": _Command(cmd_free, "run a free construction", (
+        _Arg("mode", choices=("reflexive", "strict", "weak")), _Arg("path")), _options(
+        _Arg("--dim", _natural, help="dimension bound N"),
+        _Arg("--size", _natural, default=10, help="term size bound"),
+        _Arg("--stages", _natural, default=1),
+        _Arg("--m", _natural, help="reversibility cutoff"),
+        _Arg("--budget", _natural),
+        _Arg("--out", help="write the result document here"))),
+    "stats": _Command(cmd_stats, "summarize a structure document", (_Arg("path"),),
+                      _options(_FORMAT)),
+    "diff": _Command(cmd_diff, "structural diff of two documents",
+                     (_Arg("path_a"), _Arg("path_b")), _options(_FORMAT)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multicat")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_val = sub.add_parser("validate", help="validate a structure document")
-    p_val.add_argument("path")
-    p_val.add_argument("--strict", action="store_true",
-                       help="check the strict-category axioms on a magma document")
-    p_val.add_argument("--format", choices=("text", "json"), default="text")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_free = sub.add_parser("free", help="run a free construction")
-    p_free.add_argument("mode", choices=("reflexive", "strict", "weak"))
-    p_free.add_argument("path")
-    p_free.add_argument("--dim", type=_natural, default=None, help="dimension bound N")
-    p_free.add_argument("--size", type=_natural, default=10, help="term size bound")
-    p_free.add_argument("--stages", type=_natural, default=1)
-    p_free.add_argument("--m", type=_natural, default=None, help="reversibility cutoff")
-    p_free.add_argument("--budget", type=_natural, default=None)
-    p_free.add_argument("--out", default=None, help="write the result document here")
-    p_free.set_defaults(func=cmd_free)
-
-    p_stats = sub.add_parser("stats", help="summarize a structure document")
-    p_stats.add_argument("path")
-    p_stats.add_argument("--format", choices=("text", "json"), default="text")
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_diff = sub.add_parser("diff", help="structural diff of two documents")
-    p_diff.add_argument("path_a")
-    p_diff.add_argument("path_b")
-    p_diff.add_argument("--format", choices=("text", "json"), default="text")
-    p_diff.set_defaults(func=cmd_diff)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for a in command.positionals:
+            p.add_argument(a.name, choices=a.choices)
+        for a in command.options.values():
+            if a.switch:
+                p.add_argument(a.name, action="store_true", default=a.default, help=a.help)
+            else:
+                p.add_argument(a.name, type=a.type, choices=a.choices, default=a.default,
+                               help=a.help)
+        p.set_defaults(func=command.func)
     return parser
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """What ``_parser().parse_args(argv)`` returns, for a plain list: a
+    command, then its positionals in order and its options by their exact
+    option strings, each option's value a word that does not start with
+    ``-``, and every value of its type and among its choices.  None for any
+    other list, which argparse reads: help, a usage error, ``--opt=value``,
+    an abbreviation, ``--`` or a value that starts with ``-``."""
+    if not argv or (command := COMMANDS.get(argv[0])) is None:
+        return None
+    options = command.options
+    values = {name[2:]: a.default for name, a in options.items()}
+    positionals = iter(command.positionals)
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if (arg := next(positionals, None)) is None:
+                return None
+            name = arg.name
+        elif (arg := options.get(word)) is None:
+            return None
+        elif arg.switch:
+            values[word[2:]] = True
+            continue
+        else:
+            name, word = word[2:], next(words, "-")
+            if word[:1] == "-":
+                return None
+        try:
+            value = word if arg.type is None else arg.type(word)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[name] = value
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(command=argv[0], **values, func=command.func)
 
 
 @functools.cache
@@ -257,7 +324,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if (args := _read_argv(argv)) is None:
+        args = _parser().parse_args(argv)  # help, and every usage message
     # a command builds no reference cycles (tests/test_cli.py checks each
     # kind), so the cyclic collector would only re-walk its structures
     enabled = gc.isenabled()

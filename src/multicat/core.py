@@ -156,26 +156,27 @@ def pairs_problem(table: str, keys) -> str | None:
     return None
 
 
-# the tables whose records are keyed by a pair of cells
-_PAIR_KEYED = ("comp", "brackets")
+# the tables whose records name cells, and whether their keys are pairs of cells
+_NAMING = {"refl": False, "pi": False, "comp": True, "brackets": True}
 
 
 def broken_keys(report: ValidationReport, tables: dict[str, dict]) -> bool:
     """Report each key of ``tables`` that breaks the document rule
     (``key_problem``), each ``comp`` or ``brackets`` table whose records are
-    not keyed by pairs of strings, and each ``refl`` table whose records are
-    not keyed by strings, as SHAPE; whether there was one."""
+    not keyed by pairs, and each table whose records name a cell, as key or
+    value, by anything but a string, as SHAPE; whether there was one."""
     before = len(report.violations)
     for table, tabs in tables.items():
+        pairs = _NAMING.get(table)
         for key in tabs:
             if (broken := key_problem(table, key)) is not None:
                 report.add("SHAPE", broken[0], (), broken[1])
-            elif table in _PAIR_KEYED and (
-                    problem := pairs_problem(table, tabs[key])
-                    or names_problem(table, chain.from_iterable(tabs[key]))):
-                report.add("SHAPE", key[0], (), problem)
-            elif table == "refl" and (problem := names_problem(table, tabs[key])):
-                report.add("SHAPE", key[0], (), problem)
+            elif pairs is not None:
+                records = tabs[key]
+                named = chain(chain.from_iterable(records) if pairs else records, records.values())
+                if problem := (pairs and pairs_problem(table, records)
+                               or names_problem(table, named)):
+                    report.add("SHAPE", key[0] if table in _PAIRED else key, (), problem)
     return len(report.violations) > before
 
 

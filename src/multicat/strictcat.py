@@ -63,16 +63,15 @@ def validate_strict(m: StrictCategory) -> ValidationReport:
 
 
 def _scan_strict(m: StrictCategory, report: ValidationReport, faces_ok: bool):
-    """The strictness scans over a valid base, when degeneracies are attached.
+    """The strictness scans over a valid base; UNIT only where degeneracies
+    are attached.
 
     ASSOC pairs each entry with the entries whose left operand is its right
     operand; MFI pairs the j-entries whose composites are the operands of a
     k-entry.  These are exactly the pairs of the full quadratic scans that
     can report anything.
     """
-    if m.refl is None:
-        return
-    ms = m.base
+    ms, refl = m.base, m.refl.refl if m.refl is not None else {}
     for (c, d), tab in m.comp.items():
         # ASSOC: (a*b)*e == a*(b*e) whenever all composites are defined
         by_left: dict[CellId, list[tuple[CellId, CellId]]] = {}
@@ -84,7 +83,7 @@ def _scan_strict(m: StrictCategory, report: ValidationReport, faces_ok: bool):
             report.add("ASSOC", c, triple, f"direction={d}")
         # UNIT: a * 1(s(a)) == a and 1(t(a)) * a == a; the magma scan
         # reports a table keyed by a direction outside its color
-        refl_tab = m.refl.refl.get((minus(c, d), d)) if d in c else None
+        refl_tab = refl.get((minus(c, d), d)) if d in c else None
         if not refl_tab:
             continue
         unit = refl_tab.get

@@ -5,10 +5,12 @@ import os
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import multicat as mc
 from multicat import fixtures as fx
-from multicat.cli import _parser, build_parser, main
+from multicat.cli import COMMANDS, _parser, _read_argv, build_parser, main
 from multicat.reversors import search_reversors
 from multicat.serialize import serialize
 from multicat.stretching import free_weak
@@ -575,3 +577,128 @@ def test_commands_make_no_reference_cycles(argv, code, unknown_field, tmp_path, 
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _parser_exit(argv, capsys):
+    """The exit code, stdout and stderr of ``_parser().parse_args(argv)``,
+    which exits on help and on every usage error."""
+    with pytest.raises(SystemExit) as exc:
+        _parser().parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["--help"],
+    ["validate", "-h"],
+    ["free", "weak", "p.mset", "--help"],
+    [],
+    ["check", "p.mset"],
+    ["validate", "p.mset", "--colour", "json"],
+    ["validate", "p.mset", "--format"],
+    ["free", "weak", "p.mset", "--out"],
+    ["validate", "p.mset", "--format", "xml"],
+    ["free", "lax", "p.mset"],
+    ["free", "weak"],
+    ["diff", "a.mset"],
+    ["validate", "a.mset", "b.mset"],
+    ["free", "weak", "p.mset", "--size", "abc"],
+    ["free", "weak", "p.mset", "--m", "-1"],
+    ["free", "weak", "p.mset", "--m=-1"],
+])
+def test_help_and_usage_errors_are_argparse_s(argv, capsys):
+    want = _parser_exit(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == want
+    assert want[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--format=json", "{broken}"],
+    ["validate", "--form", "json", "{broken}"],
+    ["validate", "--format", "json", "{broken}"],
+    ["validate", "--format", "text", "--format", "json", "{broken}"],
+])
+def test_argparse_forms_of_an_option_read_as_the_plain_one(argv, capsys):
+    broken = fpath("square-broken-st.mset")
+    assert main(["validate", broken, "--format", "json"]) == 1
+    want = capsys.readouterr()
+    assert main([a.format(broken=broken) for a in argv]) == 1
+    assert capsys.readouterr() == want
+
+
+def test_options_may_come_before_positionals(capsys):
+    point = fpath("point.mset")
+    assert main(["free", "reflexive", point, "--dim", "2", "--budget", "50"]) == 0
+    want = capsys.readouterr()
+    assert main(["free", "--budget", "50", "reflexive", "--dim", "2", point]) == 0
+    assert capsys.readouterr() == want
+    assert main(["validate", "--strict", "--format", "json", fpath("pair-groupoid.mset")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+
+
+# words that argparse reads in its own way: help, "--", "-", negative
+# numbers, "=", abbreviations, refused values, and every word of the grammar
+_ODD = sorted(COMMANDS) + sorted({o for c in COMMANDS.values() for o in c.options}) + [
+    "lax", "xml", "abc", "a b", "", "-h", "--help", "--", "-", "-1", "--format=json", "--form",
+    "--m=0", "p.mset"]
+
+
+def _words(arg):
+    return st.sampled_from(sorted(arg.choices or ("0", "2", "p.mset")))
+
+
+@st.composite
+def _argvs(draw):
+    """A command or another word, then, in any order, its positionals (some
+    missing), its options (some repeated) with values (some odd) and odd
+    words."""
+    head = draw(st.sampled_from(sorted(COMMANDS) + ["-h", "p.mset"]))
+    command = COMMANDS.get(head, COMMANDS["free"])
+    units = [[draw(_words(a))] for a in command.positionals if draw(st.integers(0, 7))]
+    units += draw(st.lists(st.sampled_from(list(command.options.values())).flatmap(
+        lambda a: st.one_of(_words(a), _words(a), _words(a), st.sampled_from(_ODD)).map(
+            lambda v: [a.name, v])), max_size=4))
+    units += draw(st.lists(st.sampled_from(_ODD).map(lambda w: [w]), max_size=2))
+    return [head, *(w for unit in draw(st.permutations(units)) for w in unit)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_argvs())
+@example(["free", "weak", "p.mset", "--out", "-h"])
+@example(["free", "weak", "p.mset", "--out", "--"])
+@example(["free", "weak", "p.mset", "--out", "-"])
+@example(["free", "weak", "p.mset", "--out", "--dim"])
+@example(["free", "weak", "--", "p.mset"])
+@example(["free", "weak", "p.mset", "--dim", "-1"])
+@example(["validate", ""])
+@example(["validate", "--strict", "--strict", "--format", "text", "--format", "json", "p.mset"])
+def test_the_table_reads_a_list_as_argparse_does_or_leaves_it_to_argparse(argv):
+    if (args := _read_argv(argv)) is not None:
+        assert args == _parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # the installed-script step of the CI workflow
+    ["free", "weak", "path2.mset", "--stages", "2", "--out", "p.mset"],
+    ["validate", "p.mset"],
+    ["validate", "--format", "json", "p.mset"],
+    ["stats", "p.mset"],
+    ["diff", "p.mset", "p.mset"],
+    ["free", "strict", "path2.mset", "--size", "6", "--out", "s.mset"],
+    ["validate", "--strict", "s.mset"],
+    ["free", "reflexive", "point.mset", "--dim", "2", "--out", "r.mset"],
+    # the requests of perfbench/workloads.py
+    ["free", "weak", "path2.mset", "--stages", "4", "--size", "12", "--out", "w.mset"],
+    ["validate", "d.mset", "--format", "json"],
+    ["validate", "d.mset", "--strict"],
+    ["free", "reflexive", "d.mset", "--dim", "2", "--out", "r.mset"],
+    ["free", "strict", "d.mset", "--dim", "1", "--size", "9", "--out", "s.mset"],
+])
+def test_the_table_reads_every_list_the_tools_send(argv):
+    args = _read_argv(argv)
+    assert args is not None
+    assert args == _parser().parse_args(argv)

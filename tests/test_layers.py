@@ -8,7 +8,7 @@ import pytest
 
 import multicat as mc
 from multicat import fixtures as fx
-from multicat.serialize import parse, to_document
+from multicat.serialize import parse, serialize, to_document
 from oracles import (
     expected_bracket_counts,
     multiple_set_axiom_ids,
@@ -49,6 +49,33 @@ def test_the_parser_refuses_such_a_record_with_the_same_message():
     with pytest.raises(mc.ParseError) as info:
         parse(json.dumps(doc))
     assert str(info.value) == NAMES.format("comp")
+
+
+def _naming_a_value(table, value):
+    """``pair_groupoid(2)`` (``comp``, ``refl``), or its identity stretching
+    (``brackets``, ``pi``), with ``value`` as the image of the first record
+    of ``table``'s first key, and that key's color."""
+    pg = fx.pair_groupoid(2)
+    s = pg if table in ("comp", "refl") else mc.identity_stretching(pg)
+    tabs = {"comp": pg.comp, "refl": pg.refl.refl}.get(table) or getattr(s, table)
+    key = min(tabs, key=str)
+    tabs[key][min(tabs[key], key=str)] = value
+    return s, key if table == "pi" else key[0]
+
+
+@pytest.mark.parametrize("table, value", [("comp", 0), ("refl", 1), ("brackets", None),
+                                          ("pi", 2)])
+def test_a_record_whose_value_is_not_a_string_breaks_the_rule(table, value):
+    s, color = _naming_a_value(table, value)
+    want = [mc.Violation("SHAPE", color, (), NAMES.format(table))]
+    if table in ("comp", "refl"):
+        for validate in MAGMA_KINDS:
+            assert validate(s).violations == want
+    else:
+        assert mc.validate_stretching(s).violations == want
+    with pytest.raises(mc.ParseError) as info:
+        parse(serialize(s))
+    assert str(info.value) == NAMES.format(table)
 
 
 def test_a_bracket_that_names_a_cell_by_a_non_string_breaks_the_rule():

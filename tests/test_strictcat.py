@@ -179,6 +179,28 @@ def test_strict_without_degeneracies_is_total_violation():
     assert report.render() == "TOTAL color=[] cells= no reflexive structure attached"
 
 
+def _grid():
+    return mc.quotient_to_category(mc.free_strict(fx.grid2x2(), 2, 12))
+
+
+@pytest.mark.parametrize("refl", [True, False])
+@pytest.mark.parametrize("build, key, pair, cell", [
+    (lambda: fx.pair_groupoid(3), ((1,), 1), ("o0>o0", "o0>o0"), "o0>o1"),
+    (_grid, ((1, 2), 1), ("((A11 *1 A01) *2 (A10 *1 A00))", "1[1]((f01 *2 f00))"),
+     "(A01 *2 A00)"),
+], ids=["assoc", "mfi"])
+def test_assoc_and_mfi_need_no_degeneracies(build, key, pair, cell, refl):
+    """Only UNIT reads the degeneracies: ASSOC and MFI are checked, and agree
+    with the oracle, with them and without."""
+    cat = build()
+    cat.comp[key][pair] = cell
+    if not refl:
+        cat.refl = None
+    want = strict_axiom_ids(cat.comp, {}, cat.base) & {"ASSOC", "MFI"}
+    assert want
+    assert mc.validate_strict(cat).axioms() & {"ASSOC", "MFI"} == want
+
+
 def test_quotient_stops_at_first_missing_composite():
     p = mc.free_strict(loops(2), 1, 17)
     word = "(" * 8 + "l0" + " *1 l0)" * 8
