@@ -85,6 +85,33 @@ def grid2x2() -> MultipleSet:
     return ms
 
 
+def grid(*steps: int) -> MultipleSet:
+    """The grid with ``steps[i - 1]`` steps in direction i, in n directions.
+
+    Its cells at color c are the positions p with p_i < a_i for i in c and
+    p_i <= a_i otherwise, named by their coordinates (``"p0_1"``).  The
+    d-source of p keeps p and the d-target adds 1 to p_d.
+    """
+    from itertools import product
+
+    from .colors import colors_within
+
+    n = len(steps)
+    ms = MultipleSet(n, n)
+    for c in colors_within(n, n):
+        cells = list(product(*[range(a if i in c else a + 1) for i, a in enumerate(steps, 1)]))
+        ms.cells[c] = [_grid_name(p) for p in cells]
+        for d in c:
+            ms.src[(c, d)] = {_grid_name(p): _grid_name(p) for p in cells}
+            ms.tgt[(c, d)] = {_grid_name(p): _grid_name(p[:d - 1] + (p[d - 1] + 1,) + p[d:])
+                              for p in cells}
+    return ms
+
+
+def _grid_name(p: tuple[int, ...]) -> str:
+    return "p" + "_".join(map(str, p))
+
+
 def two_copies(universe_bound: int, dim_bound: int) -> MultipleSet:
     """Two disjoint copies of the terminal multiple set.
 

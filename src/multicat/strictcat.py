@@ -35,9 +35,13 @@ Nodes are made only while the classes are closed under congruence: the
 generators before any union, everything else after ``saturate``.  So a new
 node congruent to an e-node joins that e-node's class in place, in the hook
 (a signature union that allocates nothing and queues no rebuild): its faces
-already lie in the classes of the e-node's faces.  A term's name depends only on its
-node, so each name is rendered once, into one cache on the presentation
-that representatives, ``unit_map`` and ``quotient_to_category`` share.
+already lie in the classes of the e-node's faces.
+
+A term's name depends only on its node.  The presentation keeps the names
+of representatives and of their subterms, each rendered once, in one cache
+that representatives, ``unit_map`` and ``quotient_to_category`` share; a
+member that loses a tie for representative is spelled from its children's
+kept names, and its name is dropped.
 """
 
 from __future__ import annotations
@@ -156,7 +160,8 @@ class StrictPresentation(TermGraph):
         self.enodes: dict[int, list[tuple]] = {}
         self.uses: dict[int, list[tuple[tuple, int]]] = {}
         self.smallest: dict[int, list[int]] = {}
-        # a term's name depends only on its node: each is rendered once
+        # a term's name depends only on its node; kept only for
+        # representatives and their subterms, each rendered once
         self.names: dict[int, str] = {}
         # successful unions per rule; they sum to len(nodes) minus the classes
         self.unions: dict[str, int] = dict.fromkeys(RULES, 0)
@@ -264,26 +269,38 @@ class StrictPresentation(TermGraph):
             have.extend(low)
 
     def _render(self, nid: int) -> str:
-        """The term's name, rendered once and kept in ``names``."""
+        """The term's name, rendered once and kept in ``names``, which holds
+        the names of representatives and of their subterms."""
         name = self.names.get(nid)
         if name is None:
-            node = self.nodes[nid]
-            if node[0] == "gen":
-                name = node[2]
-            elif node[0] == "refl":
-                name = f"1[{node[1]}]({self._render(node[2])})"
-            else:
-                name = f"({self._render(node[2])} *{node[1]} {self._render(node[3])})"
-            self.names[nid] = name
+            name = self.names[nid] = self._spell(nid)
         return name
 
+    def _spell(self, nid: int) -> str:
+        """The term's name from its children's kept names; it is not kept."""
+        node = self.nodes[nid]
+        if node[0] == "gen":
+            return node[2]
+        if node[0] == "refl":
+            return f"1[{node[1]}]({self._render(node[2])})"
+        return f"({self._render(node[2])} *{node[1]} {self._render(node[3])})"
+
     def representatives(self) -> dict[int, int]:
-        """Class root -> its member of least size, then least rendered name."""
+        """Class root -> its member of least size, then least rendered name.
+
+        A tie spells every member it has not kept the name of and keeps
+        only the winner's name."""
         reps = {}
+        names, spell = self.names, self._spell
         for root, low in self.smallest.items():
             if len(low) > 1:
+                spelled = [name if (name := names.get(m)) is not None else spell(m)
+                           for m in low]
+                least = min(spelled)
+                win = low[spelled.index(least)]
+                names[win] = least
                 # the losers of a tie never win a later one: drop them
-                low[:] = [min(low, key=self._render)]
+                low[:] = [win]
             reps[root] = low[0]
         return reps
 

@@ -705,6 +705,48 @@ def term_faces(nodes, ms: MultipleSet, stacked: bool = False, pushed: bool = Fal
 
 
 # ---------------------------------------------------------------------------
+# strict closure: each node's size and name, and the grids' class counts
+
+
+def term_spellings(nodes) -> list[tuple[int, str]]:
+    """Per node of a strict term graph, (size, name): a generator is its id
+    and has size 1, a degeneracy is spelled ``1[l](x)`` and a composite
+    ``(a *d b)``, each one larger than its children together."""
+    out: list[tuple[int, str]] = []
+    for node in nodes:
+        kind, entry = node[0], node[1]
+        if kind == "gen":
+            out.append((1, node[2]))
+            continue
+        children = [out[ch] for ch in node[2:]]
+        size = 1 + sum(n for n, _ in children)
+        if kind == "refl":
+            out.append((size, "".join(["1[", str(entry), "](", children[0][1], ")"])))
+        elif kind == "comp":
+            left, right = children[0][1], children[1][1]
+            out.append((size, "".join(["(", left, " *", str(entry), " ", right, ")"])))
+        else:
+            raise ValueError(f"unknown term kind {kind!r}")
+    return out
+
+
+def grid_class_counts(steps) -> dict:
+    """Cells per color of the free strict category on the grid with
+    ``steps[i - 1]`` steps in direction i: in each direction of the color an
+    interval [j, k] with j <= k (an identity when j == k), C(a + 2, 2) of
+    them, and in each other direction one of the a + 1 points."""
+    n = len(steps)
+    out = {}
+    for dim in range(n + 1):
+        for c in combinations(range(1, n + 1), dim):
+            count = 1
+            for i, a in enumerate(steps, 1):
+                count *= (a + 2) * (a + 1) // 2 if i in c else a + 1
+            out[c] = count
+    return out
+
+
+# ---------------------------------------------------------------------------
 # strict closure: the matcher with a class lookup after every hash-cons hit
 
 
